@@ -32,11 +32,6 @@ def hw(x: int) -> int:
     return x.bit_count()
 
 
-def hd(a: int, b: int) -> int:
-    """Hamming distance between two words."""
-    return hw(a ^ b)
-
-
 def gf_mul(a: int, b: int, width: int) -> int:
     """Carry-less multiplication in GF(2^width) modulo REDUCTION_POLY[width]."""
     poly = REDUCTION_POLY[width]

@@ -25,6 +25,7 @@ from .model import (
     add_security_constraints,
     build_base_model,
     dump_model,
+    elaborate,
 )
 from .target import TargetError, resolve_target
 from .typeinf import infer_types
@@ -98,21 +99,22 @@ def _memref_str(t, ref) -> str:
     return f"[{t.reg_name(x)}]"
 
 
-def analysis_dict(model) -> dict:
-    env = model.env
-    prog = model.program
+def _class_name(env, t: int) -> str:
+    return str(env.cls(t)).capitalize()
+
+
+def analysis_dict(prog, env, sets) -> dict:
     cl = env.classifier
     temps = {}
     for tid in prog.visible_temps():
         e = env.expr(tid)
         temps[f"t{tid}"] = {
-            "class": str(env.cls(tid)).capitalize(),
+            "class": _class_name(env, tid),
             "expr": str(e),
             "supp": sorted(f"t{x}" for x in cl.supp(e)),
             "unq": sorted(f"t{x}" for x in cl.unq(e)),
             "dom": sorted(f"t{x}" for x in cl.dom(e)),
         }
-    sets = secsets.compute_sets(prog, env)
     return {
         "program": prog.name,
         "width": prog.width,
@@ -171,32 +173,56 @@ def _default_secret_pair(prog, width):
     return s1, s2
 
 
-def cmd_compile(args) -> int:
+def front_end(prog, target, copy_budget: str, implied: bool = True):
+    """(base model, security sets, secure model) for a parsed program.
+
+    Types and sets are computed once. The secure model carries the security
+    constraints, plus the implied family unless `implied` is false; the
+    solver never reads that family, only the post-solve re-check and
+    `--dump-model` do.
+    """
+    base = build_base_model(prog, target, copy_budget=copy_budget)
+    sets = secsets.compute_sets(base.program, base.env)
+    secure = add_security_constraints(base, sets)
+    if implied:
+        secure = add_implied_constraints(secure, sets)
+    return base, sets, secure
+
+
+def _load(args, implied: bool = True):
+    """Read the program and target and run the front end.
+
+    Returns (program, base, sets, secure), or None after printing an input
+    error.
+    """
     try:
         prog = _read_program(args.ir)
         target = resolve_target(args.target)
-        model = build_base_model(prog, target, copy_budget=args.copy_budget)
+        return (prog, *front_end(prog, target, args.copy_budget, implied))
     except (ParseError, FileNotFoundError, TargetError, ModelBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return None
+
+
+def cmd_compile(args) -> int:
+    loaded = _load(args, implied=not args.no_implied)
+    if loaded is None:
         return EXIT_INPUT
-    sets = secsets.compute_sets(model.program, model.env)
-    if args.secure:
-        model = add_security_constraints(model, sets)
-        if not args.no_implied:
-            model = add_implied_constraints(model, sets)
+    prog, base, sets, secure = loaded
+    model = secure if args.secure else base
     if args.dump_model:
         Path(args.dump_model).write_text(json.dumps(dump_model(model), indent=2))
     budget = solver.SolveBudget(seconds=args.budget_seconds, nodes=args.budget_nodes)
     outcome = solver.solve(model, budget)
     report = {
         "program": prog.name,
-        "target": target.name,
+        "target": model.target.name,
         "width": prog.width,
         "secure": args.secure,
         "status": outcome.status,
         "objective": outcome.solution.objective if outcome.solution else None,
         "types": {
-            k: v["class"] for k, v in analysis_dict(model)["temps"].items()
+            f"t{t}": _class_name(model.env, t) for t in model.program.visible_temps()
         },
         "sets": secsets.sets_to_dict(sets),
         "solver_stats": {
@@ -262,8 +288,6 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    from .model import elaborate
-
     try:
         prog = _read_program(args.ir)
         elab = elaborate(prog, copy_budget=args.copy_budget)
@@ -271,29 +295,60 @@ def cmd_analyze(args) -> int:
     except (ParseError, FileNotFoundError, ModelBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    payload = analysis_dict(_AnalysisView(elab, env))
+    payload = analysis_dict(elab, env, secsets.compute_sets(elab, env))
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
-class _AnalysisView:
-    def __init__(self, program, env):
-        self.program = program
-        self.env = env
+def _int_list(flag: str, text: str, count: int, what: str) -> list[int]:
+    """Parse a comma list of exactly `count` integers; ValueError otherwise."""
+    parts = text.split(",")
+    if len(parts) != count:
+        noun = "value" if count == 1 else "values"
+        raise ValueError(f"{flag} takes {count} {noun} ({what}), got {len(parts)}")
+    try:
+        return [int(x, 0) for x in parts]
+    except ValueError:
+        raise ValueError(f"{flag}: not a list of integers: {text!r}") from None
 
 
 def cmd_simulate(args) -> int:
+    loaded = _load(args)
+    if loaded is None:
+        return EXIT_INPUT
+    prog, base, _sets, secure = loaded
+    width = prog.width
+    secret_ids = [t.id for t in prog.secret_inputs()]
+    pub_ids = [t.id for t in prog.public_inputs()]
     try:
-        prog = _read_program(args.ir)
-        target = resolve_target(args.target)
-        model = build_base_model(prog, target, copy_budget=args.copy_budget)
-    except (ParseError, FileNotFoundError, TargetError, ModelBuildError) as e:
+        if args.secrets:
+            n = len(secret_ids)
+            parts = _int_list(
+                "--secrets", args.secrets, 2 * n,
+                f"{n} for the first secret assignment, then {n} for the second",
+            )
+            s1 = dict(zip(secret_ids, parts[:n]))
+            s2 = dict(zip(secret_ids, parts[n:]))
+        else:
+            s1, s2 = _default_secret_pair(prog, width)
+        if args.pub:
+            values = _int_list("--pub", args.pub, len(pub_ids), "one per public input")
+            pub = dict(zip(pub_ids, values))
+        else:
+            pub = {t: 0 for t in pub_ids}
+        if args.samples is not None and args.samples < 1:
+            raise ValueError(f"--samples must be positive, got {args.samples}")
+        total = (1 << width) ** len(prog.random_inputs())
+        if args.exhaustive and not args.samples and total > leakage.EXHAUSTIVE_BOUND:
+            raise ValueError(
+                f"--exhaustive would enumerate {total} random assignments, more "
+                f"than the bound {leakage.EXHAUSTIVE_BOUND}; use --samples"
+            )
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    if args.secure:
-        sets = secsets.compute_sets(model.program, model.env)
-        model = add_security_constraints(model, sets)
-        model = add_implied_constraints(model, sets)
+
+    model = secure if args.secure else base
     outcome = solver.solve(
         model, solver.SolveBudget(seconds=args.budget_seconds, nodes=args.budget_nodes)
     )
@@ -303,21 +358,6 @@ def cmd_simulate(args) -> int:
     if outcome.status == "Timeout":
         return EXIT_TIMEOUT
     harness = leakage.linearize(model, outcome.solution)
-
-    width = prog.width
-    secret_ids = [t.id for t in prog.secret_inputs()]
-    if args.secrets:
-        parts = [int(x, 0) for x in args.secrets.split(",")]
-        half = len(parts) // 2
-        s1 = dict(zip(secret_ids, parts[:half]))
-        s2 = dict(zip(secret_ids, parts[half:]))
-    else:
-        s1, s2 = _default_secret_pair(prog, width)
-    pub_ids = [t.id for t in prog.public_inputs()]
-    if args.pub:
-        pub = dict(zip(pub_ids, (int(x, 0) for x in args.pub.split(","))))
-    else:
-        pub = {t: 0 for t in pub_ids}
     if args.samples:
         sampling = MonteCarlo(samples=args.samples, seed=args.seed)
     elif args.exhaustive or leakage.exhaustive_ok(harness):
@@ -351,15 +391,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        prog = _read_program(args.ir)
-        target = resolve_target(args.target)
-        base = build_base_model(prog, target, copy_budget=args.copy_budget)
-    except (ParseError, FileNotFoundError, TargetError, ModelBuildError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    loaded = _load(args)
+    if loaded is None:
         return EXIT_INPUT
-    sets = secsets.compute_sets(base.program, base.env)
-    secure = add_security_constraints(base, sets)
+    _prog, base, _sets, secure = loaded
     try:
         report = oracle.compare_with_solver(
             base, secure, op_bound=args.bound, count_slack=args.slack
@@ -377,7 +412,6 @@ def main(argv=None) -> int:
         description="leak-aware code generation for masked straight-line kernels",
     )
     ap.add_argument("--json", action="store_true", help="echo reports to stdout")
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("compile", help="generate leak-free assembly")
@@ -408,8 +442,10 @@ def main(argv=None) -> int:
     s.add_argument("--secure", dest="secure", action="store_true", default=True)
     s.add_argument("--insecure", dest="secure", action="store_false")
     s.add_argument("--copy-budget", default="full", choices=["none", "reg", "full"])
-    s.add_argument("--secrets", default=None, help="comma list: first half vs second")
-    s.add_argument("--pub", default=None, help="comma list of public input values")
+    s.add_argument("--secrets", default=None,
+                   help="comma list: one value per secret input for the first "
+                   "assignment, then one per secret input for the second")
+    s.add_argument("--pub", default=None, help="comma list, one per public input")
     s.add_argument("--exhaustive", action="store_true")
     s.add_argument("--samples", type=int, default=None)
     s.add_argument("--budget-seconds", type=float, default=60.0)

@@ -611,7 +611,10 @@ def add_security_constraints(m: ExtendedModel, sets) -> ExtendedModel:
 
 
 def add_implied_constraints(m: ExtendedModel, sets) -> ExtendedModel:
-    """Constraints logically implied by the security families (solver hints)."""
+    """Constraints logically implied by the security families.
+
+    The search does not read them; the post-solve re-check does.
+    """
     prog = m.program
     cons: list[Constraint] = []
     rpair_set = {
@@ -824,30 +827,6 @@ class SolutionView:
             for o2 in mems
             if o1 != o2 and self.msubseq(o1, o2)
         }
-
-
-def samereg(model, sol, t1, t2) -> bool:
-    return SolutionView(model, sol).samereg(t1, t2)
-
-
-def is_before(model, sol, t1, t2) -> bool:
-    return SolutionView(model, sol).is_before(t1, t2)
-
-
-def lk(model, sol, t) -> int:
-    return SolutionView(model, sol).lk(t)
-
-
-def ok(model, sol, o) -> int:
-    return SolutionView(model, sol).ok(o)
-
-
-def subseq(model, sol, t1, t2) -> bool:
-    return SolutionView(model, sol).subseq(t1, t2)
-
-
-def msubseq(model, sol, o1, o2) -> bool:
-    return SolutionView(model, sol).msubseq(o1, o2)
 
 
 def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:

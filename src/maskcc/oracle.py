@@ -169,8 +169,7 @@ def _chain_pairs(model: ExtendedModel, order, sels, regs):
     return succ, mems, written
 
 
-def _security_ok(model: ExtendedModel, succ, mems, written) -> bool:
-    sec = _SecurityTables(model)
+def _security_ok(sec: _SecurityTables, succ, mems, written) -> bool:
     succ_of = {a: b for a, b in succ}
     pred_of = {b: a for a, b in succ}
     for a, b in succ:
@@ -205,6 +204,7 @@ def _enumerate_level(model: ExtendedModel, level: int, exact: bool):
     """All canonical solutions with makespan == level (exact) or <= level."""
     prog = model.program
     out_op = next(o for o in prog.ops if o.kind == "out")
+    sec = _SecurityTables(model)
     found = []
     work = 0
     for active in _valid_active_sets(model, max_real=level - 1):
@@ -240,7 +240,7 @@ def _enumerate_level(model: ExtendedModel, level: int, exact: bool):
                     if not _walk_validate(model, order, sels, regs, cycles):
                         continue
                     succ, mems, written = _chain_pairs(model, order, sels, regs)
-                    if not _security_ok(model, succ, mems, written):
+                    if not _security_ok(sec, succ, mems, written):
                         continue
                     live_regs = {
                         t: regs[t]

@@ -25,7 +25,7 @@ the input classifies Secret must never immediately overwrite it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .ir import SecurityClass
 from .model import ElabProgram
@@ -57,146 +57,103 @@ def xor_class(env: TypeEnv, t1: int, t2: int) -> SecurityClass:
 
     A temp against itself is the zero word: Public.
     """
-    if t1 == t2:
-        return P
-    e = Binary("xor", env.expr(t1), env.expr(t2))
-    return env.classifier.classify_base(e)
+    return P if t1 == t2 else _xor_base(env, t1, t2)
 
 
-def compute_rpairs(env: TypeEnv, temps: list[int]) -> frozenset[tuple[int, int]]:
-    pairs = set()
-    for t1, t2 in combinations(sorted(temps), 2):
-        if env.cls(t1) in (R, P) and env.cls(t2) in (R, P):
-            if xor_class(env, t1, t2) is S:
-                pairs.add((t1, t2))
-    return frozenset(pairs)
+def _xor_base(env: TypeEnv, t1: int, t2: int) -> SecurityClass:
+    """Base class of the xor of two temps' expressions.
+
+    With t1 == t2 this is the xor of two distinct equal-valued temps (a value
+    and its copy), which the base rules judge conservatively.
+    """
+    return env.classifier.classify_base(Binary("xor", env.expr(t1), env.expr(t2)))
 
 
-def compute_spairs(
-    env: TypeEnv, temps: list[int], is_input
-) -> dict[int, tuple[int, ...]]:
-    keys = [t for t in temps if env.cls(t) is S and not is_input(t)]
-    hiders_pool = [t for t in temps if env.cls(t) is R and not is_input(t)]
-    out = {}
-    for ts in keys:
-        out[ts] = tuple(
-            t for t in hiders_pool if t != ts and xor_class(env, t, ts) is R
-        )
-    return out
+def _class_pairs(env: TypeEnv, reps: list[int]) -> frozenset[tuple[int, int]]:
+    """Random/Public class pairs whose xor is Secret; (r, r) for equal values."""
+    rp = [r for r in reps if env.cls(r) in (R, P)]
+    return frozenset(
+        (ra, rb)
+        for ra, rb in combinations_with_replacement(rp, 2)
+        if _xor_base(env, ra, rb) is S
+    )
 
 
-def compute_mmpairs(
-    env: TypeEnv, memops: list[int], tm: dict[int, int]
-) -> frozenset[tuple[int, int]]:
-    pairs = set()
-    for o1, o2 in combinations(sorted(memops), 2):
-        d1, d2 = tm[o1], tm[o2]
-        if env.cls(d1) in (R, P) and env.cls(d2) in (R, P):
-            if xor_class(env, d1, d2) is S:
-                pairs.add((o1, o2))
-    return frozenset(pairs)
-
-
-def compute_mspairs(
-    env: TypeEnv, memops: list[int], tm: dict[int, int]
-) -> dict[int, tuple[int, ...]]:
-    out = {}
-    for o in sorted(memops):
-        if env.cls(tm[o]) is S:
-            out[o] = tuple(
-                o2
-                for o2 in sorted(memops)
-                if o2 != o
-                and env.cls(tm[o2]) is R
-                and xor_class(env, tm[o2], tm[o]) is R
-            )
-    return out
+def _class_hiders(env: TypeEnv, reps: list[int]) -> dict[int, tuple[int, ...]]:
+    """Secret class -> the Random classes whose xor with it stays Random."""
+    rand = [r for r in reps if env.cls(r) is R]
+    return {
+        ra: tuple(rb for rb in rand if _xor_base(env, rb, ra) is R)
+        for ra in reps
+        if env.cls(ra) is S
+    }
 
 
 def compute_sets(prog: ElabProgram, env: TypeEnv) -> SecuritySets:
-    """All security relations for an elaborated program."""
+    """All security relations for an elaborated program.
+
+    The class-level relations are computed once; the visible sets expand
+    them over the temps (and memory candidate ops) of each class. Members
+    of one class share one expression object, so they share every verdict.
+    """
     visible = [
         t
         for t in prog.visible_temps()
         if t not in prog.out_temps and prog.temps[t].kind == "reg"
     ]
     inputs = {t.id for t, _ in prog.inputs}
-
-    def is_input(t: int) -> bool:
-        return t in inputs
-
-    rpairs = compute_rpairs(env, visible)
-    spairs = compute_spairs(env, visible, is_input)
-    memops = list(prog.mem_candidates)
-    mmpairs = compute_mmpairs(env, memops, prog.tm)
-    mspairs = compute_mspairs(env, memops, prog.tm)
-
-    # class-level views (representatives are value-class ids)
+    memops = sorted(prog.mem_candidates)
+    tm = {o: prog.tm[o] for o in prog.mem_candidates}
     rep = {t: prog.temps[t].rep for t in prog.temps}
     reps = sorted({rep[t] for t in visible})
-    class_rpairs = set()
-    for ra, rb in combinations(reps, 2):
-        if env.cls(ra) in (R, P) and env.cls(rb) in (R, P):
-            if xor_class(env, ra, rb) is S:
-                class_rpairs.add((ra, rb))
-    for ra in reps:  # equal-valued temps: conservative self relation
-        if env.cls(ra) in (R, P) and xor_self_class(env, ra) is S:
-            class_rpairs.add((ra, ra))
-    class_spairs = {}
-    for ra in reps:
-        if env.cls(ra) is S:
-            class_spairs[ra] = tuple(
-                rb
-                for rb in reps
-                if env.cls(rb) is R and xor_class(env, rb, ra) is R
-            )
-    sec_input_bad = {}
-    for t in sorted(inputs):
-        if env.cls(t) is S:
-            bad = tuple(
-                rb
-                for rb in reps
-                if (rb == rep[t] and xor_self_class(env, rb) is S)
-                or (rb != rep[t] and xor_class(env, rb, t) is S)
-            )
-            sec_input_bad[t] = bad
+    mem_reps = sorted({rep[tm[o]] for o in memops})
 
-    mem_reps = sorted({rep[prog.tm[o]] for o in memops})
-    class_mmpairs = set()
-    for ra, rb in combinations(mem_reps, 2):
-        if env.cls(ra) in (R, P) and env.cls(rb) in (R, P):
-            if xor_class(env, ra, rb) is S:
-                class_mmpairs.add((ra, rb))
-    for ra in mem_reps:
-        if env.cls(ra) in (R, P) and xor_self_class(env, ra) is S:
-            class_mmpairs.add((ra, ra))
-    class_mspairs = {}
-    for ra in mem_reps:
-        if env.cls(ra) is S:
-            class_mspairs[ra] = tuple(
-                rb
-                for rb in mem_reps
-                if env.cls(rb) is R and xor_class(env, rb, ra) is R
-            )
+    class_rpairs = _class_pairs(env, reps)
+    class_spairs = _class_hiders(env, reps)
+    class_mmpairs = _class_pairs(env, mem_reps)
+    class_mspairs = _class_hiders(env, mem_reps)
+    sec_input_bad = {
+        t: tuple(rb for rb in reps if _xor_base(env, rb, t) is S)
+        for t in sorted(inputs)
+        if env.cls(t) is S
+    }
 
+    def class_pair(a: int, b: int) -> tuple[int, int]:
+        return (rep[a], rep[b]) if rep[a] <= rep[b] else (rep[b], rep[a])
+
+    # input temps are live on entry and never written: no spairs keys or hiders
+    written = [t for t in visible if t not in inputs]
+    hider_classes = {k: set(hs) for k, hs in class_spairs.items()}
+    mem_hider_classes = {k: set(hs) for k, hs in class_mspairs.items()}
     return SecuritySets(
-        rpairs=rpairs,
-        spairs=spairs,
-        mmpairs=mmpairs,
-        mspairs=mspairs,
-        tm={o: prog.tm[o] for o in memops},
-        class_rpairs=frozenset(class_rpairs),
+        rpairs=frozenset(
+            (t1, t2)
+            for t1, t2 in combinations(visible, 2)
+            if class_pair(t1, t2) in class_rpairs
+        ),
+        spairs={
+            ts: tuple(t for t in written if rep[t] in hider_classes[rep[ts]])
+            for ts in written
+            if rep[ts] in hider_classes
+        },
+        # two operations storing one temp put the same word on the bus
+        mmpairs=frozenset(
+            (o1, o2)
+            for o1, o2 in combinations(memops, 2)
+            if tm[o1] != tm[o2] and class_pair(tm[o1], tm[o2]) in class_mmpairs
+        ),
+        mspairs={
+            o: tuple(o2 for o2 in memops if rep[tm[o2]] in mem_hider_classes[rep[tm[o]]])
+            for o in memops
+            if rep[tm[o]] in mem_hider_classes
+        },
+        tm=tm,
+        class_rpairs=class_rpairs,
         class_spairs=class_spairs,
-        class_mmpairs=frozenset(class_mmpairs),
+        class_mmpairs=class_mmpairs,
         class_mspairs=class_mspairs,
         sec_input_bad=sec_input_bad,
     )
-
-
-def xor_self_class(env: TypeEnv, t: int) -> SecurityClass:
-    """Base class of xoring two distinct equal-valued temps (same expression)."""
-    e = Binary("xor", env.expr(t), env.expr(t))
-    return env.classifier.classify_base(e)
 
 
 def sets_to_dict(sets: SecuritySets) -> dict:

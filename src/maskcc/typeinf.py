@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import apply_binop, apply_unop, mask
+from .bits import mask
 from .ir import Literal, SecurityClass
 
 REWRITE_DEPTH = 3
@@ -87,19 +87,19 @@ Expr = Var | Const | Unary | Binary
 class Classifier:
     """Caches supp/unq/dom per expression object (exprs form a shared DAG).
 
-    Caches are keyed by object identity; cached expressions are pinned so a
-    recycled address can never alias a dead node.
+    Each auxiliary function has a `cancel` flag: True selects the extended
+    rules (xor-cancellation in supp), False the base rules (plain syntactic
+    support). Caches are keyed by object identity; cached expressions are
+    pinned so a recycled address can never alias a dead node.
     """
 
     def __init__(self) -> None:
         self._pin: dict[int, Expr] = {}
-        self._supp: dict[int, frozenset[int]] = {}
-        self._unq: dict[int, frozenset[int]] = {}
-        self._dom: dict[int, frozenset[int]] = {}
+        self._supp: dict[tuple[int, bool], frozenset[int]] = {}
+        self._unq: dict[tuple[int, bool], frozenset[int]] = {}
+        self._dom: dict[tuple[int, bool], frozenset[int]] = {}
         self._xoronly: dict[int, bool] = {}
-        self._supp_b: dict[int, frozenset[int]] = {}
-        self._unq_b: dict[int, frozenset[int]] = {}
-        self._dom_b: dict[int, frozenset[int]] = {}
+        self._leaves: dict[tuple[int, SecurityClass], frozenset[int]] = {}
         self._cls: dict[int, SecurityClass] = {}
 
     def _key(self, e: Expr) -> int:
@@ -107,7 +107,7 @@ class Classifier:
         self._pin[k] = e
         return k
 
-    # -- extended auxiliary functions -------------------------------------
+    # -- auxiliary functions -----------------------------------------------
 
     def xor_only(self, e: Expr) -> bool:
         """True iff every binary node in e is an exclusive or."""
@@ -126,22 +126,40 @@ class Classifier:
             self._xoronly[key] = r
         return self._xoronly[key]
 
-    def supp(self, e: Expr) -> frozenset[int]:
-        """Input leaves feeding e, after xor-cancellation simplifications."""
-        key = self._key(e)
-        if key in self._supp:
-            return self._supp[key]
+    def leaves(self, e: Expr, cls: SecurityClass) -> frozenset[int]:
+        """Ids of the input leaves of class `cls` anywhere in e."""
+        key = (self._key(e), cls)
+        r = self._leaves.get(key)
+        if r is None:
+            if isinstance(e, Var):
+                r = frozenset([e.id]) if e.cls is cls else frozenset()
+            elif isinstance(e, Const):
+                r = frozenset()
+            elif isinstance(e, Unary):
+                r = self.leaves(e.child, cls)
+            else:
+                r = self.leaves(e.left, cls) | self.leaves(e.right, cls)
+            self._leaves[key] = r
+        return r
+
+    def supp(self, e: Expr, cancel: bool = True) -> frozenset[int]:
+        """Input leaves feeding e; with `cancel`, after xor cancellation."""
+        key = (self._key(e), cancel)
+        r = self._supp.get(key)
+        if r is not None:
+            return r
         if isinstance(e, Var):
             r = frozenset([e.id])
         elif isinstance(e, Const):
             r = frozenset()
         elif isinstance(e, Unary):
-            r = self.supp(e.child)
-        elif op_group(e.op) == "xor" and self.xor_only(e):
+            r = self.supp(e.child, cancel)
+        elif cancel and op_group(e.op) == "xor" and self.xor_only(e):
             # symmetric difference: shared leaves cancel pairwise
             r = self.supp(e.left) ^ self.supp(e.right)
         elif (
-            op_group(e.op) == "xor"
+            cancel
+            and op_group(e.op) == "xor"
             and isinstance(e.right, Binary)
             and op_group(e.right.op) == "xor"
             and e.right.left == e.left
@@ -149,115 +167,53 @@ class Classifier:
             # nested cancellation: a ^ (a ^ b) keeps only b
             r = self.supp(e.right.right)
         else:
-            r = self.supp(e.left) | self.supp(e.right)
+            r = self.supp(e.left, cancel) | self.supp(e.right, cancel)
         self._supp[key] = r
         return r
 
-    def unq(self, e: Expr) -> frozenset[int]:
+    def unq(self, e: Expr, cancel: bool = True) -> frozenset[int]:
         """Random leaves appearing exactly once (shared support removed)."""
-        key = self._key(e)
-        if key in self._unq:
-            return self._unq[key]
-        if isinstance(e, Var):
-            r = frozenset([e.id]) if e.cls is SecurityClass.RANDOM else frozenset()
-        elif isinstance(e, Const):
-            r = frozenset()
+        key = (self._key(e), cancel)
+        r = self._unq.get(key)
+        if r is not None:
+            return r
+        if isinstance(e, (Var, Const)):
+            r = self.leaves(e, SecurityClass.RANDOM)
         elif isinstance(e, Unary):
-            r = self.unq(e.child)
+            r = self.unq(e.child, cancel)
         else:
-            r = (self.unq(e.left) | self.unq(e.right)) - (
-                self.supp(e.left) & self.supp(e.right)
+            r = (self.unq(e.left, cancel) | self.unq(e.right, cancel)) - (
+                self.supp(e.left, cancel) & self.supp(e.right, cancel)
             )
         self._unq[key] = r
         return r
 
-    def dom(self, e: Expr) -> frozenset[int]:
+    def dom(self, e: Expr, cancel: bool = True) -> frozenset[int]:
         """Random leaves that still mask e (xor:ed in, used once)."""
-        key = self._key(e)
-        if key in self._dom:
-            return self._dom[key]
-        if isinstance(e, Var):
-            r = frozenset([e.id]) if e.cls is SecurityClass.RANDOM else frozenset()
-        elif isinstance(e, Const):
-            r = frozenset()
+        key = (self._key(e), cancel)
+        r = self._dom.get(key)
+        if r is not None:
+            return r
+        if isinstance(e, (Var, Const)):
+            r = self.leaves(e, SecurityClass.RANDOM)
         elif isinstance(e, Unary):
-            r = self.dom(e.child)
+            r = self.dom(e.child, cancel)
         elif op_group(e.op) == "xor":
-            r = (self.dom(e.left) | self.dom(e.right)) & self.unq(e)
+            r = (self.dom(e.left, cancel) | self.dom(e.right, cancel)) & self.unq(
+                e, cancel
+            )
         else:
             r = frozenset()
         self._dom[key] = r
         return r
 
-    def secrets(self, e: Expr) -> frozenset[int]:
-        if isinstance(e, Var):
-            return frozenset([e.id]) if e.cls is SecurityClass.SECRET else frozenset()
-        if isinstance(e, Const):
-            return frozenset()
-        if isinstance(e, Unary):
-            return self.secrets(e.child)
-        return self.secrets(e.left) | self.secrets(e.right)
-
-    # -- base auxiliary functions (no cancellation) ------------------------
-
-    def supp_base(self, e: Expr) -> frozenset[int]:
-        key = self._key(e)
-        if key in self._supp_b:
-            return self._supp_b[key]
-        if isinstance(e, Var):
-            r = frozenset([e.id])
-        elif isinstance(e, Const):
-            r = frozenset()
-        elif isinstance(e, Unary):
-            r = self.supp_base(e.child)
-        else:
-            r = self.supp_base(e.left) | self.supp_base(e.right)
-        self._supp_b[key] = r
-        return r
-
-    def unq_base(self, e: Expr) -> frozenset[int]:
-        key = self._key(e)
-        if key in self._unq_b:
-            return self._unq_b[key]
-        if isinstance(e, Var):
-            r = frozenset([e.id]) if e.cls is SecurityClass.RANDOM else frozenset()
-        elif isinstance(e, Const):
-            r = frozenset()
-        elif isinstance(e, Unary):
-            r = self.unq_base(e.child)
-        else:
-            r = (self.unq_base(e.left) | self.unq_base(e.right)) - (
-                self.supp_base(e.left) & self.supp_base(e.right)
-            )
-        self._unq_b[key] = r
-        return r
-
-    def dom_base(self, e: Expr) -> frozenset[int]:
-        key = self._key(e)
-        if key in self._dom_b:
-            return self._dom_b[key]
-        if isinstance(e, Var):
-            r = frozenset([e.id]) if e.cls is SecurityClass.RANDOM else frozenset()
-        elif isinstance(e, Const):
-            r = frozenset()
-        elif isinstance(e, Unary):
-            r = self.dom_base(e.child)
-        elif op_group(e.op) == "xor":
-            r = (self.dom_base(e.left) | self.dom_base(e.right)) & self.unq_base(e)
-        else:
-            r = frozenset()
-        self._dom_b[key] = r
-        return r
-
     def classify_base(self, e: Expr) -> SecurityClass:
-        if self.dom_base(e):
+        """Base rules: uniform-random, else public without secret leaves."""
+        if self.dom(e, cancel=False):
             return SecurityClass.RANDOM
-        if not (self.supp_base(e) & self._all_secrets(e)):
+        if not self.leaves(e, SecurityClass.SECRET):
             return SecurityClass.PUBLIC
         return SecurityClass.SECRET
-
-    def _all_secrets(self, e: Expr) -> frozenset[int]:
-        return self.secrets(e)
 
     # -- extended classification -------------------------------------------
 
@@ -274,7 +230,7 @@ class Classifier:
         R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
         if self.dom(e):  # RAND
             return R
-        if not (self.supp(e) & self.secrets(e)):  # PUB1 (dom is empty here)
+        if not (self.supp(e) & self.leaves(e, S)):  # PUB1 (dom is empty here)
             return P
         if not isinstance(e, Binary):
             return S
@@ -316,7 +272,7 @@ class Classifier:
         if group == "xor":
             # PUB9: both public, no shared random leaf
             if ca is P and cb is P:
-                rand_ids = self._random_ids(a) | self._random_ids(b)
+                rand_ids = self.leaves(a, R) | self.leaves(b, R)
                 if not (self.supp(a) & self.supp(b) & rand_ids):
                     return P
             # PUB8: one side is the product of the other with a third factor
@@ -335,15 +291,6 @@ class Classifier:
                 if res is not None:
                     return res
         return S
-
-    def _random_ids(self, e: Expr) -> frozenset[int]:
-        if isinstance(e, Var):
-            return frozenset([e.id]) if e.cls is SecurityClass.RANDOM else frozenset()
-        if isinstance(e, Const):
-            return frozenset()
-        if isinstance(e, Unary):
-            return self._random_ids(e.child)
-        return self._random_ids(e.left) | self._random_ids(e.right)
 
     def _rewrite_rules(self, e: Binary, a: Expr, b: Expr, depth: int) -> SecurityClass | None:
         # NEST1: y ^ (y ^ t2)  ->  t2
@@ -471,46 +418,11 @@ def infer_types(p) -> TypeEnv:
     return TypeEnv(classes, exprs, cl)
 
 
-def xor_only(e: Expr) -> bool:
-    return Classifier().xor_only(e)
-
-
-def supp(e: Expr) -> frozenset[int]:
-    return Classifier().supp(e)
-
-
-def unq(e: Expr) -> frozenset[int]:
-    return Classifier().unq(e)
-
-
-def dom(e: Expr) -> frozenset[int]:
-    return Classifier().dom(e)
-
-
-def classify(e: Expr) -> SecurityClass:
-    return Classifier().classify(e)
-
-
-# -- concrete evaluation (used by the simulator and the distribution checks) --
-
-
-def eval_expr(e: Expr, values: dict[int, int], width: int) -> int:
-    if isinstance(e, Var):
-        return values[e.id] & mask(width)
-    if isinstance(e, Const):
-        return e.value & mask(width)
-    if isinstance(e, Unary):
-        return apply_unop(e.op, eval_expr(e.child, values, width), width)
-    return apply_binop(
-        e.op,
-        eval_expr(e.left, values, width),
-        eval_expr(e.right, values, width),
-        width,
-    )
+# -- concrete evaluation (used by the distribution checks) --
 
 
 def eval_expr_vec(e: Expr, values: dict[int, np.ndarray], width: int) -> np.ndarray:
-    """Vectorized eval_expr over numpy arrays of input assignments."""
+    """Evaluate e over numpy arrays of input assignments, elementwise."""
     m = mask(width)
     if isinstance(e, Var):
         return values[e.id] & m

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from maskcc.cli import front_end
 from maskcc.ir import parse_program
-from maskcc.model import add_implied_constraints, add_security_constraints, build_base_model
-from maskcc.secsets import compute_sets
 from maskcc.target import PRESETS, TargetDesc, _ops
 
 FIXTURE_SOURCES = {
@@ -202,13 +201,13 @@ def fixture_program(name: str):
 
 
 def build_models(name: str, target: str, copy_budget: str, implied: bool = False):
-    """(base model, secure model, sets) for a fixture combo."""
-    prog = fixture_program(name)
-    base = build_base_model(prog, TARGETS[target], copy_budget=copy_budget)
-    sets = compute_sets(base.program, base.env)
-    secure = add_security_constraints(base, sets)
-    if implied:
-        secure = add_implied_constraints(secure, sets)
+    """(base model, secure model, sets) for a fixture combo.
+
+    The implied family is off by default so tests can add it themselves.
+    """
+    base, sets, secure = front_end(
+        fixture_program(name), TARGETS[target], copy_budget, implied=implied
+    )
     return base, secure, sets
 
 

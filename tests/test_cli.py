@@ -205,3 +205,69 @@ def test_verify_never_passes_leaky_output(write_fixture, capsys, tmp_path):
         if rc == 0:
             report = json.loads((tmp_path / f"{name}.report.json").read_text())
             assert report["verify"]["verdict"] == "Equivalent"
+
+
+def test_top_level_seed_rejected(write_fixture, capsys, tmp_path):
+    """--seed belongs to the subcommand; before it argparse rejects it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "7", "compile", write_fixture("xor_p0"), "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compile", "--verify"],
+        ["simulate", "--exhaustive"],
+        ["oracle", "--copy-budget", "none"],
+    ],
+)
+def test_each_subcommand_computes_sets_once(argv, write_fixture, capsys, tmp_path, monkeypatch):
+    from maskcc import secsets
+
+    calls = []
+    real = secsets.compute_sets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(secsets, "compute_sets", counting)
+    if argv[0] == "compile":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    rc, _, _ = run_cli(capsys, argv[0], write_fixture("xor_p0"), *argv[1:])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--secrets", "0x0,zz"], "--secrets"),
+        (["--pub", "zz"], "--pub"),
+        (["--pub", "1,2"], "--pub takes 1 value "),
+        (["--secrets", "0x5"], "--secrets takes 2 values"),
+        (["--secrets", "0x0,0xf,0x3"], "--secrets takes 2 values"),
+        (["--samples", "-5"], "--samples must be positive"),
+    ],
+)
+def test_simulate_rejects_bad_values(flags, message, write_fixture, capsys):
+    rc, out, err = run_cli(capsys, "simulate", write_fixture("xor_p0"), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_simulate_exhaustive_beyond_bound_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.ir"
+    path.write_text(
+        "func wide width 8\n"
+        "in t0:secret t1:random t2:random t3:random\n"
+        "t4 = xor t0, t1\nt5 = xor t4, t2\nt6 = xor t5, t3\nout t6\n"
+    )
+    rc, out, err = run_cli(capsys, "simulate", str(path), "--exhaustive")
+    assert rc == 2
+    assert out == ""
+    assert "--exhaustive" in err and "--samples" in err
+    assert len(err.strip().splitlines()) == 1

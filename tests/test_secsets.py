@@ -5,7 +5,7 @@ import pytest
 from conftest import FIXTURE_SOURCES, fixture_program
 from maskcc.ir import SecurityClass, parse_program
 from maskcc.model import elaborate
-from maskcc.secsets import compute_rpairs, compute_sets, compute_spairs, xor_class
+from maskcc.secsets import compute_sets, xor_class
 from maskcc.typeinf import infer_types
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
@@ -67,27 +67,43 @@ def test_all_public_program_has_empty_sets():
     assert sets.is_empty()
 
 
+def _sets_of(src: str):
+    elab = elaborate(parse_program(src), "none")
+    return elab, compute_sets(elab, infer_types(elab))
+
+
 def test_two_independent_randoms_not_rpaired():
     src = "func f width 4\nin t0:random t1:random\nt2 = xor t0, t1\nout t2\n"
-    elab = elaborate(parse_program(src), "none")
-    env = infer_types(elab)
-    assert compute_rpairs(env, [0, 1, 2]) == frozenset()
+    elab, sets = _sets_of(src)
+    assert [t for t in elab.visible_temps() if t not in elab.out_temps] == [0, 1, 2]
+    assert sets.rpairs == frozenset()
 
 
 def test_spairs_key_with_single_hider():
     # a secret-typed derived temp with exactly one deriveable hider
     src = "func f width 4\nin t0:secret t1:random\nt2 = not t0\nt3 = xor t2, t1\nout t3\n"
-    elab = elaborate(parse_program(src), "none")
-    env = infer_types(elab)
-    sp = compute_spairs(env, [0, 1, 2, 3], lambda t: t in (0, 1))
-    assert sp == {2: (3,)}
+    elab, sets = _sets_of(src)
+    assert {t.id for t, _ in elab.inputs} == {0, 1}
+    assert sets.spairs == {2: (3,)}
 
 
 def test_no_secret_temps_no_spairs():
     src = "func f width 4\nin t0:random t1:random\nt2 = xor t0, t1\nout t2\n"
-    elab = elaborate(parse_program(src), "none")
-    env = infer_types(elab)
-    assert compute_spairs(env, [0, 1, 2], lambda t: t < 2) == {}
+    _, sets = _sets_of(src)
+    assert sets.spairs == {}
+
+
+def test_two_stores_of_one_temp_not_mmpaired():
+    # the same word twice on the bus is no transition, though the value's
+    # class pairs with itself (two distinct equal-valued temps)
+    src = (
+        "func f width 4\nin t0:secret t1:random\nt2 = xor t0, t1\n"
+        "store 0, t2\nstore 1, t2\nt3 = load 0\nout t3\n"
+    )
+    elab, sets = _sets_of(src)
+    assert sets.tm[3] == sets.tm[4] == 2
+    assert (2, 2) in sets.class_mmpairs
+    assert sets.mmpairs == frozenset({(3, 5), (4, 5)})
 
 
 def test_no_memory_candidates_no_memory_sets():

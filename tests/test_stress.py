@@ -12,16 +12,11 @@ import random
 import pytest
 
 from conftest import MINI, QUAD
+from maskcc.cli import front_end
 from maskcc.ir import parse_program
 from maskcc.leakage import check_equivalence, linearize
-from maskcc.model import (
-    SolutionView,
-    add_security_constraints,
-    build_base_model,
-    check_solution,
-)
+from maskcc.model import ModelBuildError, SolutionView, check_solution
 from maskcc.oracle import OracleError, brute_force, trace_msubseq, trace_subseq
-from maskcc.secsets import compute_sets
 from maskcc.solver import SolveBudget, enumerate_solutions, solve
 
 OPS = ["xor", "xor", "xor", "and", "or", "add", "gf_mul", "not"]
@@ -70,11 +65,9 @@ def test_generated_kernels_cross_validate(seed):
     has_memory = any(op.opcode in ("load", "store") for op in prog.body)
     budget = "reg" if seed % 5 == 0 and n_body <= 2 and not has_memory else "none"
     try:
-        base = build_base_model(prog, target, copy_budget=budget)
-    except Exception:
+        base, _, secure = front_end(prog, target, budget, implied=False)
+    except ModelBuildError:
         pytest.skip("kernel does not fit the target")
-    sets = compute_sets(base.program, base.env)
-    secure = add_security_constraints(base, sets)
 
     # infeasibility proofs are capped a few cycles past the insecure optimum
     # on both sides, so expensive exhaustion stays bounded and comparable

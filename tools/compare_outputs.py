@@ -1,0 +1,115 @@
+"""Write every user-visible output of one maskcc checkout into a directory.
+
+    python3 tools/compare_outputs.py <checkout> <outdir>
+    diff -r <outdir of one checkout> <outdir of another>
+
+Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
+`--json compile --verify --dump-model` (thumb-like/mips-like x none/reg/full),
+`simulate`, `compile --insecure`/`--no-implied`, the `ORACLE_CASES` under
+`oracle`, and the benchmark's ladder and deep kernels under `analyze` and
+`compile`. Node budgets stand in for time budgets so every run is
+deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
+show that a refactor keeps reports, `.s` files, model dumps, messages and
+exit codes byte for byte.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+repo, outdir = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
+sys.path[:0] = [str(repo / "src"), str(repo / "tests"), str(repo / "perfbench")]
+from conftest import FIXTURE_SOURCES, ORACLE_CASES  # noqa: E402
+from maskcc.cli import main  # noqa: E402
+import workloads  # noqa: E402
+
+PRESETS = ("thumb-like", "mips-like")
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = f"exit {e.code}"
+        except Exception as e:  # a crash is an output too
+            rc = f"{type(e).__name__}: {e}"
+    return rc, out.getvalue(), err.getvalue()
+
+
+def strip_wall_time(text: str) -> str:
+    rep = json.loads(text)
+    rep["solver_stats"].pop("wall_time")
+    return json.dumps(rep, indent=2)
+
+
+def compile_into(name: str, path: Path, *flags: str) -> None:
+    d = outdir / name
+    d.mkdir(parents=True, exist_ok=True)
+    rc, out, err = run(["--json", "compile", str(path), "--budget-seconds", "10000",
+                        "--out-dir", str(d), "--dump-model", str(d / "model.json"), *flags])
+    if out.strip():
+        out = strip_wall_time(out)
+    for report in d.glob("*.report.json"):
+        report.write_text(strip_wall_time(report.read_text()))
+    (d / "run.txt").write_text(f"{rc}\n{out}\n{err}")
+
+
+def record(name: str, argv: list[str]) -> None:
+    rc, out, err = run(argv)
+    (outdir / f"{name}.txt").write_text(f"{rc}\n{out}\n{err}")
+
+
+outdir.mkdir(parents=True, exist_ok=True)
+irdir = outdir / "ir"
+irdir.mkdir(exist_ok=True)
+kernels = {}
+for name, src in FIXTURE_SOURCES.items():
+    kernels[name] = irdir / f"{name}.ir"
+    kernels[name].write_text(src)
+for f in sorted((repo / "kernels").glob("*.ir")):
+    kernels[f"kernels_{f.stem}"] = f
+
+for name, path in kernels.items():
+    for budget in ("none", "reg", "full"):
+        record(f"analyze_{name}_{budget}", ["analyze", str(path), "--copy-budget", budget])
+        for preset in PRESETS:
+            compile_into(f"compile_{name}_{preset}_{budget}", path, "--target", preset,
+                         "--copy-budget", budget, "--budget-nodes", "60000", "--verify")
+    for preset in PRESETS:
+        record(f"simulate_{name}_{preset}", ["simulate", str(path), "--target", preset,
+               "--copy-budget", "none", "--budget-nodes", "60000", "--budget-seconds", "10000"])
+    for budget in ("none", "reg"):
+        for flag in ("--insecure", "--no-implied"):
+            compile_into(f"compile_{name}_{budget}{flag}", path, "--copy-budget", budget,
+                         "--budget-nodes", "60000", flag)
+        record(f"simulate_{name}_{budget}_insecure", ["simulate", str(path), "--insecure",
+               "--copy-budget", budget, "--budget-nodes", "60000", "--budget-seconds", "10000"])
+
+for name, target, budget in ORACLE_CASES:
+    tpath = target if target in PRESETS else str(repo / "perfbench" / "targets" / f"{target}.target")
+    record(f"oracle_{name}_{target}_{budget}",
+           ["oracle", str(kernels[name]), "--target", tpath, "--copy-budget", budget])
+
+generated = {}
+for s in workloads.LADDER_SEEDS:
+    for n in workloads.LADDER_SIZES:
+        generated[f"ladder_s{s}_n{n}"] = (workloads.ladder_kernel(s, n), "thumb-like",
+                                          ("none", "reg", "full"))
+for s in workloads.DEEP_SEEDS:
+    for n in workloads.DEEP_SIZES:
+        generated[f"deep_s{s}_n{n}"] = (workloads.ladder_kernel(s, n, window=4), "mips-like",
+                                        ("none",))
+for name, (text, preset, budgets) in generated.items():
+    path = irdir / f"{name}.ir"
+    path.write_text(text)
+    for budget in budgets:
+        record(f"analyze_{name}_{budget}", ["analyze", str(path), "--copy-budget", budget])
+        compile_into(f"compile_{name}_{budget}", path, "--target", preset,
+                     "--copy-budget", budget, "--budget-nodes", "2000")
+
+files = [p for p in outdir.rglob("*") if p.is_file() and p.parent != irdir]
+print(f"{len(files)} output files in {outdir}")
