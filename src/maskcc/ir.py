@@ -92,12 +92,6 @@ class Program:
         )
         return (in_op,) + self.body + (out_op,)
 
-    def input_class(self, t: Temp) -> SecurityClass | None:
-        for it, cls in self.inputs:
-            if it == t:
-                return cls
-        return None
-
     def random_inputs(self) -> tuple[Temp, ...]:
         return tuple(t for t, c in self.inputs if c is SecurityClass.RANDOM)
 

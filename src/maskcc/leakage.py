@@ -127,8 +127,7 @@ def linearize(model: ExtendedModel, sol: Solution) -> Harness:
             )
             instrs.append(MInstr(op.id, op.opcode, v.reg[op.defs[0]], srcs))
 
-    out_op = next(o for o in prog.ops if o.kind == "out")
-    first_out = v.selmap.get((out_op.id, 0))
+    first_out = v.selmap.get((prog.out_op.id, 0))
     return Harness(
         instrs=tuple(instrs),
         inputs=tuple(
@@ -376,16 +375,31 @@ def check_equivalence(
     sampling: Sampling = Exhaustive(),
     tolerance: Fraction | float | None = None,
 ) -> Verdict:
-    """Compare the leak distributions of two secret instances.
+    """Compare the leak distributions of two secret instances."""
+    s1, s2 = secrets
+    return compare_stats(
+        harness,
+        leak_stats(harness, {**pub, **s1}, sampling),
+        leak_stats(harness, {**pub, **s2}, sampling),
+        sampling,
+        tolerance,
+    )
+
+
+def compare_stats(
+    harness: Harness,
+    st1: LeakStats,
+    st2: LeakStats,
+    sampling: Sampling,
+    tolerance: Fraction | float | None = None,
+) -> Verdict:
+    """Verdict on two secret instances from their `leak_stats`.
 
     Exact comparison under Exhaustive. Under MonteCarlo the default
     tolerance covers sampling noise (about four standard deviations of the
     summed-mean estimate); matched seeds keep the verdict reproducible but
     cannot make a finite sample cancel exactly.
     """
-    s1, s2 = secrets
-    st1 = leak_stats(harness, {**pub, **s1}, sampling)
-    st2 = leak_stats(harness, {**pub, **s2}, sampling)
     if tolerance is None:
         tolerance = Fraction(0)
         if isinstance(sampling, MonteCarlo):

@@ -19,6 +19,9 @@ which keeps exhaustive enumeration meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import combinations
+from typing import NamedTuple
 
 from .ir import Literal, Program, SecurityClass, Temp
 from .target import TargetDesc
@@ -72,6 +75,14 @@ class ModelOp:
     is_memory: bool = False
     src_op: int | None = None  # originating source-IR operation id
     mem_addr: OperandSlot | None = None  # address slot for source load/store
+
+    def temp_slots(self):
+        """(index, slot) for every temp operand; the address slot is index -1."""
+        for i, slot in enumerate(self.operands):
+            if isinstance(slot, TempOperand):
+                yield i, slot
+        if isinstance(self.mem_addr, TempOperand):
+            yield -1, self.mem_addr
 
     def __str__(self) -> str:
         return f"o{self.id}"
@@ -140,8 +151,13 @@ class ElabProgram:
     def op(self, op_id: int) -> ModelOp:
         return self.ops[op_id - 1]
 
-    def reg_temps(self) -> list[int]:
-        return sorted(t for t, mt in self.temps.items() if mt.kind == "reg")
+    @property
+    def in_op(self) -> ModelOp:
+        return self.ops[0]
+
+    @cached_property
+    def out_op(self) -> ModelOp:
+        return next(o for o in self.ops if o.kind == "out")
 
     def visible_temps(self) -> list[int]:
         """Temps shown in analysis reports: everything except spill plumbing."""
@@ -382,17 +398,56 @@ def elaborate(p: Program, copy_budget: str = "full") -> ElabProgram:
     )
 
 
-# -- decision variables, constraints, the extended model -----------------------
+# -- decision variables, constraint families, the extended model ---------------
 
 
-@dataclass(frozen=True)
-class Constraint:
+class ConstraintRow(NamedTuple):
+    """One line of a model's flat constraint listing (`dump_model`)."""
+
     family: str  # e.g. 'data-dep', 'rpairs', ...
     kind: str  # 'base' | 'security' | 'implied'
     args: tuple = ()
 
-    def describe(self) -> str:
-        return f"{self.family}{list(self.args)}"
+
+@dataclass(frozen=True)
+class SecurityTables:
+    """The security families of a model, expanded to model temps and ops.
+
+    Built once from the pair sets; the solver, the preflight, the oracle and
+    `check_solution` all read these tables. A base model holds the empty one.
+    """
+
+    # (lo, hi) temps never written back to back to one register, in
+    # expansion order (a dict used as an ordered set)
+    rpairs: dict[tuple[int, int], None] = field(default_factory=dict)
+    spairs: dict[int, frozenset[int]] = field(default_factory=dict)  # key -> hiders
+    # secret input -> temps that must not immediately overwrite it
+    sec_input: dict[int, frozenset[int]] = field(default_factory=dict)
+    mmpairs: frozenset[tuple[int, int]] = frozenset()  # (lo, hi) memory ops
+    mspairs: dict[int, frozenset[int]] = field(default_factory=dict)  # op -> hiders
+    # implied (op, slot, def, source): an rpair between an operation's
+    # selected source and its definition forbids one shared register
+    accumulator: tuple[tuple[int, int, int, int], ...] = ()
+
+    def rpair(self, a: int, b: int) -> bool:
+        return ((a, b) if a < b else (b, a)) in self.rpairs
+
+    def mmpair(self, a: int, b: int) -> bool:
+        return ((a, b) if a < b else (b, a)) in self.mmpairs
+
+    def rows(self) -> list[ConstraintRow]:
+        def keyed(family, table):
+            return [ConstraintRow(family, "security", (k, tuple(sorted(v))))
+                    for k, v in table.items()]
+
+        return (
+            [ConstraintRow("rpairs", "security", p) for p in self.rpairs]
+            + keyed("spairs", self.spairs)
+            + keyed("sec-input-guard", self.sec_input)
+            + [ConstraintRow("mmpairs", "security", p) for p in sorted(self.mmpairs)]
+            + keyed("mspairs", self.mspairs)
+            + [ConstraintRow("implied-accumulator", "implied", a) for a in self.accumulator]
+        )
 
 
 @dataclass
@@ -410,38 +465,43 @@ class ExtendedModel:
     target: TargetDesc
     env: TypeEnv
     vars: DecisionVars
-    constraints: tuple[Constraint, ...]
-    objective: str = "makespan"
-    sets: object = None  # SecuritySets once security constraints are added
+    security: SecurityTables = field(default_factory=SecurityTables)
     pins: tuple[tuple[int, int], ...] = ()  # forced (temp, location) pairs
 
     @property
-    def secure(self) -> bool:
-        return any(c.kind == "security" for c in self.constraints)
+    def result_reg(self) -> int:
+        return self.target.registers.index(self.target.result)
 
-    def with_constraints(self, extra, sets=None) -> "ExtendedModel":
-        return ExtendedModel(
-            program=self.program,
-            target=self.target,
-            env=self.env,
-            vars=self.vars,
-            constraints=self.constraints + tuple(extra),
-            objective=self.objective,
-            sets=sets if sets is not None else self.sets,
-            pins=self.pins,
-        )
+    @property
+    def constraints(self) -> tuple[ConstraintRow, ...]:
+        """Every constraint as a (family, kind, args) row, base families first.
+
+        The base families are read off the program and target; the listing
+        exists for `--dump-model` and constraint counts.
+        """
+        prog = self.program
+        rows = [
+            ConstraintRow(f, "base")
+            for f in ("data-dep", "single-issue", "in-first-out-last", "no-overlap",
+                      "live-range")
+        ]
+        for op in prog.ops:
+            if op.kind == "spill_load":
+                rows.append(ConstraintRow("spill-chain", "base", (op.id - 1, op.id)))
+            if self.two_address(op):
+                rows.append(ConstraintRow("two-address", "base", (op.id,)))
+        for o2, deps in sorted(prog.mem_deps.items()):
+            for o1 in deps:
+                rows.append(ConstraintRow("mem-order", "base", (o1, o2)))
+        for t, _cls in prog.inputs:
+            rows.append(
+                ConstraintRow("preassign-arg", "base", (t.id, prog.temps[t.id].input_index))
+            )
+        rows.append(ConstraintRow("preassign-result", "base", (self.result_reg,)))
+        return tuple(rows + self.security.rows())
 
     def with_pins(self, pins: dict[int, int]) -> "ExtendedModel":
-        return ExtendedModel(
-            program=self.program,
-            target=self.target,
-            env=self.env,
-            vars=self.vars,
-            constraints=self.constraints,
-            objective=self.objective,
-            sets=self.sets,
-            pins=self.pins + tuple(sorted(pins.items())),
-        )
+        return replace(self, pins=self.pins + tuple(sorted(pins.items())))
 
     def latency(self, op: ModelOp) -> int:
         if op.kind == "in":
@@ -460,11 +520,8 @@ def _capacity_check(prog: ElabProgram, target: TargetDesc) -> None:
     mandatory = [op for op in prog.ops if op.mandatory]
     last_use: dict[int, int] = {}
     for op in mandatory:
-        for slot in op.operands:
-            if isinstance(slot, TempOperand):
-                last_use[prog.temps[slot.alts[0]].rep] = op.id
-        if isinstance(op.mem_addr, TempOperand):
-            last_use[prog.temps[op.mem_addr.alts[0]].rep] = op.id
+        for _i, slot in op.temp_slots():
+            last_use[prog.temps[slot.alts[0]].rep] = op.id
     live = 0
     peak = 0
     events: dict[int, int] = {}
@@ -515,41 +572,14 @@ def build_base_model(
                 r_dom[tid] = tuple(range(nregs))
         elif mt.kind == "stack":
             r_dom[tid] = tuple(range(nregs, nregs + target.stack_slots))
-    y_dom = {}
-    for op in prog.ops:
-        for i, slot in enumerate(op.operands):
-            if isinstance(slot, TempOperand):
-                y_dom[(op.id, i)] = slot.alts
-        if isinstance(op.mem_addr, TempOperand):
-            y_dom[(op.id, -1)] = op.mem_addr.alts
-
-    cons: list[Constraint] = [
-        Constraint("data-dep", "base"),
-        Constraint("single-issue", "base"),
-        Constraint("in-first-out-last", "base"),
-        Constraint("no-overlap", "base"),
-        Constraint("live-range", "base"),
-    ]
-    for op in prog.ops:
-        if op.kind == "spill_load":
-            cons.append(Constraint("spill-chain", "base", (op.id - 1, op.id)))
-        if op.kind == "body" and target.two_address(op.opcode):
-            cons.append(Constraint("two-address", "base", (op.id,)))
-    for o2, deps in sorted(prog.mem_deps.items()):
-        for o1 in deps:
-            cons.append(Constraint("mem-order", "base", (o1, o2)))
-    for tid, mt in prog.temps.items():
-        if mt.kind == "reg" and mt.is_input:
-            cons.append(Constraint("preassign-arg", "base", (tid, mt.input_index)))
-    result_index = target.registers.index(target.result)
-    cons.append(Constraint("preassign-result", "base", (result_index,)))
-
+    y_dom = {
+        (op.id, i): slot.alts for op in prog.ops for i, slot in op.temp_slots()
+    }
     return ExtendedModel(
         program=prog,
         target=target,
         env=env,
         vars=DecisionVars(maxc, a_dom, c_dom, r_dom, y_dom),
-        constraints=tuple(cons),
     )
 
 
@@ -561,65 +591,56 @@ def add_security_constraints(m: ExtendedModel, sets) -> ExtendedModel:
     constrained exactly like the temps they duplicate.
     """
     prog = m.program
-    cons: list[Constraint] = []
     members = {rep: [t for t in ms if prog.temps[t].kind == "reg"]
                for rep, ms in prog.classes.items()}
 
     def non_input_members(rep):
         return [t for t in members[rep] if not prog.temps[t].is_input]
 
-    seen = set()
+    rpairs = {}
     for ra, rb in sorted(sets.class_rpairs):
         for t1 in members[ra]:
             for t2 in members[rb]:
-                if t1 == t2:
-                    continue
-                key = (min(t1, t2), max(t1, t2))
-                if key not in seen:
-                    seen.add(key)
-                    cons.append(Constraint("rpairs", "security", key))
+                if t1 != t2:
+                    rpairs[(min(t1, t2), max(t1, t2))] = None
+    spairs = {}
     for key_rep in sorted(sets.class_spairs):
-        hiders = tuple(
-            sorted(t for hr in sets.class_spairs[key_rep] for t in non_input_members(hr))
+        hiders = frozenset(
+            t for hr in sets.class_spairs[key_rep] for t in non_input_members(hr)
         )
         for ts in non_input_members(key_rep):
-            cons.append(Constraint("spairs", "security", (ts, hiders)))
+            spairs[ts] = hiders
+    sec_input = {}
     for ts, bad_reps in sorted(sets.sec_input_bad.items()):
-        bad = tuple(
-            sorted(t for br in bad_reps for t in members[br] if t != ts)
-        )
+        bad = frozenset(t for br in bad_reps for t in members[br] if t != ts)
         if bad:
-            cons.append(Constraint("sec-input-guard", "security", (ts, bad)))
+            sec_input[ts] = bad
 
-    mem_ops = [op for op in prog.ops if op.is_memory]
-    data_class = {op.id: prog.temps[prog.tm[op.id]].rep for op in mem_ops}
-    mm = set(map(tuple, map(sorted, sets.class_mmpairs)))
-    for i, o1 in enumerate(mem_ops):
-        for o2 in mem_ops[i + 1 :]:
-            pair = tuple(sorted((data_class[o1.id], data_class[o2.id])))
-            if pair in mm and o1.id != o2.id:
-                cons.append(Constraint("mmpairs", "security", (o1.id, o2.id)))
-    for op in mem_ops:
-        dc = data_class[op.id]
-        if dc in sets.class_mspairs:
-            hider_classes = set(sets.class_mspairs[dc])
-            hiders = tuple(
-                sorted(o.id for o in mem_ops if data_class[o.id] in hider_classes)
-            )
-            cons.append(Constraint("mspairs", "security", (op.id, hiders)))
-    return m.with_constraints(cons, sets=sets)
+    mem_ops = [op.id for op in prog.ops if op.is_memory]
+    data_class = {o: prog.temps[prog.tm[o]].rep for o in mem_ops}
+    mmpairs = frozenset(
+        (o1, o2)
+        for o1, o2 in combinations(mem_ops, 2)
+        if tuple(sorted((data_class[o1], data_class[o2]))) in sets.class_mmpairs
+    )
+    mspairs = {}
+    for o in mem_ops:
+        if data_class[o] in sets.class_mspairs:
+            hider_classes = set(sets.class_mspairs[data_class[o]])
+            mspairs[o] = frozenset(h for h in mem_ops if data_class[h] in hider_classes)
+    return replace(
+        m, security=SecurityTables(rpairs, spairs, sec_input, mmpairs, mspairs)
+    )
 
 
-def add_implied_constraints(m: ExtendedModel, sets) -> ExtendedModel:
+def add_implied_constraints(m: ExtendedModel) -> ExtendedModel:
     """Constraints logically implied by the security families.
 
     The search does not read them; the post-solve re-check does.
     """
     prog = m.program
-    cons: list[Constraint] = []
-    rpair_set = {
-        tuple(sorted(c.args)) for c in m.constraints if c.family == "rpairs"
-    }
+    sec = m.security
+    acc = []
     # result-overwrites-operand: when an operation's source selection and its
     # definition form an rpair, they can never share a register (the selected
     # source is still held at issue, so sharing forces the banned transition)
@@ -633,21 +654,9 @@ def add_implied_constraints(m: ExtendedModel, sets) -> ExtendedModel:
                 if not isinstance(slot, TempOperand):
                     continue
                 for s in slot.alts:
-                    if prog.temps[s].kind != "reg":
-                        continue
-                    if tuple(sorted((d, s))) in rpair_set:
-                        cons.append(
-                            Constraint(
-                                "implied-accumulator", "implied", (op.id, i, d, s)
-                            )
-                        )
-    # preassigned rpair members sharing a register need an interposer each
-    preassigned = {t for t, mt in prog.temps.items() if mt.kind == "reg" and mt.is_input}
-    for c in sorted(rpair_set):
-        t1, t2 = c
-        if t1 in preassigned and t2 in preassigned:
-            cons.append(Constraint("implied-preassign", "implied", (t1, t2)))
-    return m.with_constraints(cons)
+                    if prog.temps[s].kind == "reg" and sec.rpair(d, s):
+                        acc.append((op.id, i, d, s))
+    return replace(m, security=replace(sec, accumulator=tuple(acc)))
 
 
 # -- solutions and derived predicates ------------------------------------------
@@ -661,14 +670,8 @@ class Solution:
     sels: tuple[tuple[tuple[int, int], int], ...]
     objective: int
 
-    def cycle_of(self, op_id: int) -> int | None:
-        return dict(self.cycles).get(op_id)
-
     def reg_of(self, t: int) -> int | None:
         return dict(self.regs).get(t)
-
-    def sel(self, op_id: int, slot: int) -> int | None:
-        return dict(self.sels).get((op_id, slot))
 
     def sort_key(self):
         return (self.objective, tuple(sorted(self.active)), self.cycles, self.regs, self.sels)
@@ -684,8 +687,7 @@ class Solution:
 
 
 def make_solution(model, active, cycles, regs, sels) -> Solution:
-    out_id = next(op.id for op in model.program.ops if op.kind == "out")
-    objective = dict(cycles)[out_id]
+    objective = dict(cycles)[model.program.out_op.id]
     return Solution(
         active=frozenset(active),
         cycles=tuple(sorted(dict(cycles).items())),
@@ -717,12 +719,8 @@ class SolutionView:
         for op in prog.ops:
             if op.id not in self.active:
                 continue
-            for i, slot in enumerate(op.operands):
-                if isinstance(slot, TempOperand):
-                    t = self.selmap.get((op.id, i), slot.alts[0])
-                    readers.setdefault(t, []).append(op.id)
-            if isinstance(op.mem_addr, TempOperand):
-                t = self.selmap.get((op.id, -1), op.mem_addr.alts[0])
+            for i, slot in op.temp_slots():
+                t = self.selmap.get((op.id, i), slot.alts[0])
                 readers.setdefault(t, []).append(op.id)
         for tid, mt in prog.temps.items():
             if mt.kind == "out":
@@ -848,9 +846,8 @@ def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
     cycles = [(v.cycle[o.id], o.id) for o in active_ops]
     if len({c for c, _ in cycles}) != len(cycles):
         errs.append("single-issue violated (duplicate cycles)")
-    in_op = next(o for o in prog.ops if o.kind == "in")
-    out_op = next(o for o in prog.ops if o.kind == "out")
-    if v.cycle.get(in_op.id) != 0:
+    out_op = prog.out_op
+    if v.cycle.get(prog.in_op.id) != 0:
         errs.append("in not at cycle 0")
     if any(
         v.cycle[o.id] >= v.cycle[out_op.id] for o in active_ops if o.id != out_op.id
@@ -861,12 +858,7 @@ def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
 
     # data dependencies over selected temps
     for op in active_ops:
-        slots = list(enumerate(op.operands))
-        if isinstance(op.mem_addr, TempOperand):
-            slots.append((-1, op.mem_addr))
-        for i, slot in slots:
-            if not isinstance(slot, TempOperand):
-                continue
+        for i, slot in op.temp_slots():
             t = v.selmap.get((op.id, i))
             if t is None:
                 errs.append(f"{op} slot {i} unselected")
@@ -915,8 +907,8 @@ def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
         if not v.le[t] > v.ls[t]:
             errs.append(f"le(t{t}) not strictly after ls")
 
-    for c in model.constraints:
-        errs.extend(_check_constraint(model, v, c))
+    errs.extend(_check_base_families(model, v))
+    errs.extend(_check_security(model.security, v))
 
     for t, r in model.pins:
         if v.reg.get(t) != r:
@@ -924,84 +916,66 @@ def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
     return errs
 
 
-def _check_constraint(model: ExtendedModel, v: SolutionView, c: Constraint) -> list[str]:
+def _check_base_families(model: ExtendedModel, v: SolutionView) -> list[str]:
+    """Spill chains, two-address, memory order and the register preassignments."""
     prog = model.program
     errs = []
-    if c.family == "spill-chain":
-        store, load = c.args
-        if load in v.active:
+    for op in prog.ops:
+        if op.id not in v.active:
+            continue
+        if op.kind == "spill_load":
+            store = op.id - 1
             if store not in v.active:
-                errs.append(f"spill load o{load} without its store")
-            elif v.cycle[store] + model.latency(prog.op(store)) > v.cycle[load]:
-                errs.append(f"spill load o{load} before store data ready")
-    elif c.family == "mem-order":
-        o1, o2 = c.args
-        if o1 in v.active and o2 in v.active and v.cycle[o1] >= v.cycle[o2]:
-            errs.append(f"memory order violated: o{o1} must precede o{o2}")
-    elif c.family == "two-address":
-        (op_id,) = c.args
-        if op_id in v.active:
-            op = prog.op(op_id)
-            src_regs = [
-                v.reg[v.selmap[(op_id, i)]]
-                for i, slot in enumerate(op.operands)
-                if isinstance(slot, TempOperand)
-            ]
-            d = op.defs[0]
-            if src_regs and v.reg[d] not in src_regs:
+                errs.append(f"spill load {op} without its store")
+            elif v.cycle[store] + model.latency(prog.op(store)) > v.cycle[op.id]:
+                errs.append(f"spill load {op} before store data ready")
+        if model.two_address(op):
+            # an unselected slot or unplaced temp is reported above
+            src_regs = [v.reg.get(v.selmap.get((op.id, i))) for i, _ in op.temp_slots()]
+            if src_regs and v.reg.get(op.defs[0]) not in src_regs:
                 errs.append(f"two-address {op} writes outside its source registers")
-    elif c.family == "preassign-arg":
-        t, reg = c.args
-        if t in v.live and v.reg.get(t) != reg:
-            errs.append(f"input t{t} not in argument register {reg}")
-    elif c.family == "preassign-result":
-        (result_reg,) = c.args
-        out_op = next(o for o in prog.ops if o.kind == "out")
-        first = v.selmap.get((out_op.id, 0))
-        if first is not None and v.reg.get(first) != result_reg:
-            errs.append("first output not in result register")
-    elif c.family == "rpairs":
-        t1, t2 = c.args
+    for o2, deps in sorted(prog.mem_deps.items()):
+        for o1 in deps:
+            if o1 in v.active and o2 in v.active and v.cycle[o1] >= v.cycle[o2]:
+                errs.append(f"memory order violated: o{o1} must precede o{o2}")
+    for t, _cls in prog.inputs:
+        reg = prog.temps[t.id].input_index
+        if t.id in v.live and v.reg.get(t.id) != reg:
+            errs.append(f"input t{t.id} not in argument register {reg}")
+    first = v.selmap.get((prog.out_op.id, 0))
+    if first is not None and v.reg.get(first) != model.result_reg:
+        errs.append("first output not in result register")
+    return errs
+
+
+def _check_security(sec: SecurityTables, v: SolutionView) -> list[str]:
+    errs = []
+    for t1, t2 in sec.rpairs:
         if v.subseq(t1, t2) or v.subseq(t2, t1):
             errs.append(f"rpairs violated for (t{t1}, t{t2})")
-    elif c.family == "spairs":
-        ts, hiders = c.args
+    for ts, hiders in sec.spairs.items():
         if v.is_live(ts):
             if not any(v.is_live(h) and v.subseq(h, ts) for h in hiders):
                 errs.append(f"spairs: no hider precedes t{ts}")
             if not any(v.is_live(h) and v.subseq(ts, h) for h in hiders):
                 errs.append(f"spairs: no hider follows t{ts}")
-    elif c.family == "sec-input-guard":
-        ts, bad = c.args
-        for b in bad:
+    for ts, bad in sec.sec_input.items():
+        for b in sorted(bad):
             if v.subseq(ts, b):
                 errs.append(f"secret input t{ts} overwritten by leaking t{b}")
-    elif c.family == "mmpairs":
-        o1, o2 = c.args
+    for o1, o2 in sorted(sec.mmpairs):
         if o1 in v.active and o2 in v.active:
             if v.msubseq(o1, o2) or v.msubseq(o2, o1):
                 errs.append(f"mmpairs violated for (o{o1}, o{o2})")
-    elif c.family == "mspairs":
-        os_, hiders = c.args
+    for os_, hiders in sec.mspairs.items():
         if os_ in v.active:
             if not any(h in v.active and v.msubseq(h, os_) for h in hiders):
                 errs.append(f"mspairs: no random memory op precedes o{os_}")
             if not any(h in v.active and v.msubseq(os_, h) for h in hiders):
                 errs.append(f"mspairs: no random memory op follows o{os_}")
-    elif c.family == "implied-accumulator":
-        op_id, slot, d, s = c.args
+    for op_id, slot, d, s in sec.accumulator:
         if op_id in v.active and v.selmap.get((op_id, slot)) == s and v.samereg(d, s):
             errs.append(f"implied-accumulator: t{d}, t{s} share a register")
-    elif c.family == "implied-preassign":
-        t1, t2 = c.args
-        if v.samereg(t1, t2):
-            for t in (t1, t2):
-                if not any(
-                    v.subseq(t, x) or v.subseq(x, t)
-                    for x in v.live
-                    if x != t and prog.temps[x].kind == "reg"
-                ):
-                    errs.append(f"implied-preassign: t{t} has no register neighbour")
     return errs
 
 
@@ -1011,7 +985,7 @@ def dump_model(model: ExtendedModel) -> dict:
     return {
         "program": prog.name,
         "target": model.target.name,
-        "objective": model.objective,
+        "objective": "makespan",
         "maxc": model.vars.maxc,
         "operations": [
             {

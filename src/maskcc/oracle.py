@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from .model import (
     ExtendedModel,
     ModelOp,
+    SecurityTables,
     Solution,
-    TempOperand,
     make_solution,
 )
-from .solver import SolveBudget, _SecurityTables, solve
+from .solver import SolveBudget, solve
 
 
 class OracleError(Exception):
@@ -54,10 +54,6 @@ class OracleReport:
         }
 
 
-def _real_ops(model: ExtendedModel) -> list[ModelOp]:
-    return [o for o in model.program.ops if o.kind not in ("in", "out")]
-
-
 def _valid_active_sets(model: ExtendedModel, max_real: int):
     optional = [o for o in model.program.ops if not o.mandatory]
     mandatory = {o.id for o in model.program.ops if o.mandatory}
@@ -76,19 +72,11 @@ def _valid_active_sets(model: ExtendedModel, max_real: int):
         yield mandatory | chosen
 
 
-def _slots(op: ModelOp):
-    for i, slot in enumerate(op.operands):
-        if isinstance(slot, TempOperand):
-            yield i, slot
-    if isinstance(op.mem_addr, TempOperand):
-        yield -1, op.mem_addr
-
-
 def _selection_combos(ops: list[ModelOp]):
     keys = []
     pools = []
     for op in ops:
-        for i, slot in _slots(op):
+        for i, slot in op.temp_slots():
             keys.append((op.id, i))
             pools.append(slot.alts)
     for combo in itertools.product(*pools):
@@ -98,7 +86,6 @@ def _selection_combos(ops: list[ModelOp]):
 def _walk_validate(model: ExtendedModel, order, sels, regs, cycles) -> bool:
     """Execute the order on a register file; False on any broken read/write."""
     prog = model.program
-    target = model.target
     contents: dict[int, int] = {}
     for t, _cls in prog.inputs:
         contents[prog.temps[t.id].input_index] = t.id
@@ -112,7 +99,7 @@ def _walk_validate(model: ExtendedModel, order, sels, regs, cycles) -> bool:
     for op in order:
         c = cycles[op.id]
         src_locs = []
-        for i, slot in _slots(op):
+        for i, slot in op.temp_slots():
             t = sels[(op.id, i)]
             loc = regs.get(t, prog.temps[t].input_index)
             if contents.get(loc) != t:
@@ -128,15 +115,15 @@ def _walk_validate(model: ExtendedModel, order, sels, regs, cycles) -> bool:
                 return False
             contents[loc] = d
             ready[d] = c + model.latency(op)
-    out_op = next(o for o in prog.ops if o.kind == "out")
+    out_op = prog.out_op
     first = sels.get((out_op.id, 0))
     if first is not None:
         reg = regs.get(first, prog.temps[first].input_index)
         if contents.get(reg) != first:
             return False
-        if reg != target.registers.index(target.result):
+        if reg != model.result_reg:
             return False
-    for i, slot in _slots(out_op):
+    for i, slot in out_op.temp_slots():
         t = sels[(out_op.id, i)]
         loc = regs.get(t, prog.temps[t].input_index)
         if contents.get(loc) != t:
@@ -169,7 +156,7 @@ def _chain_pairs(model: ExtendedModel, order, sels, regs):
     return succ, mems, written
 
 
-def _security_ok(sec: _SecurityTables, succ, mems, written) -> bool:
+def _security_ok(sec: SecurityTables, succ, mems, written) -> bool:
     succ_of = {a: b for a, b in succ}
     pred_of = {b: a for a, b in succ}
     for a, b in succ:
@@ -203,8 +190,8 @@ WORK_LIMIT = 5_000_000  # candidate walks per level before giving up
 def _enumerate_level(model: ExtendedModel, level: int, exact: bool):
     """All canonical solutions with makespan == level (exact) or <= level."""
     prog = model.program
-    out_op = next(o for o in prog.ops if o.kind == "out")
-    sec = _SecurityTables(model)
+    out_op = prog.out_op
+    sec = model.security
     found = []
     work = 0
     for active in _valid_active_sets(model, max_real=level - 1):
@@ -257,7 +244,7 @@ def _compact(model: ExtendedModel, perm, sels):
     """Cycles from the issue order; None if the order breaks a dependency."""
     prog = model.program
     ready = {t.id: 1 for t, _ in prog.inputs}
-    cycles = {next(o.id for o in prog.ops if o.kind == "in"): 0}
+    cycles = {prog.in_op.id: 0}
     last = 0
     for op in perm:
         c = last + 1
@@ -265,7 +252,7 @@ def _compact(model: ExtendedModel, perm, sels):
             if dep not in cycles:
                 return None  # aliasing memory op out of program order
             c = max(c, cycles[dep] + 1)
-        for i, slot in _slots(op):
+        for i, slot in op.temp_slots():
             t = sels[(op.id, i)]
             if t not in ready:
                 return None  # producer not yet issued
@@ -274,9 +261,9 @@ def _compact(model: ExtendedModel, perm, sels):
         last = c
         for d in op.defs:
             ready[d] = c + model.latency(op)
-    out_op = next(o for o in prog.ops if o.kind == "out")
+    out_op = prog.out_op
     c = last + 1
-    for i, slot in _slots(out_op):
+    for i, slot in out_op.temp_slots():
         t = sels[(out_op.id, i)]
         if t not in ready:
             return None

@@ -9,9 +9,11 @@ objective of a leaf is its makespan.
 
 Pruning: a makespan lower bound against the incumbent (the cardinality of
 an activeness subset already bounds its best makespan), plus forward checks
-of the security families on every register overwrite and memory adjacency
-as they form. Every returned solution is re-validated against the full
-constraint list (`model.check_solution`).
+of the security families (`model.security`, one table per family) on every
+register overwrite and memory adjacency as they form. Every returned
+solution is re-validated by `model.check_solution`, which checks the base
+families from the program and target and each security family from the
+same tables.
 
 A solve call is single-threaded and self-contained; models are never
 mutated, so independent solves may run concurrently on shared models.
@@ -26,7 +28,6 @@ from .model import (
     ExtendedModel,
     ModelOp,
     Solution,
-    TempOperand,
     check_solution,
     make_solution,
 )
@@ -36,7 +37,6 @@ from .model import (
 class SolveBudget:
     seconds: float | None = 60.0
     nodes: int | None = None
-    objective_cutoff: int | None = None
 
     def __post_init__(self):
         if self.seconds is None and self.nodes is None:
@@ -64,54 +64,23 @@ class _Budget(Exception):
     pass
 
 
-class _SecurityTables:
-    def __init__(self, model: ExtendedModel):
-        self.rpairs: set[tuple[int, int]] = set()
-        self.spairs: dict[int, frozenset[int]] = {}
-        self.sec_input: dict[int, frozenset[int]] = {}
-        self.mmpairs: set[tuple[int, int]] = set()
-        self.mspairs: dict[int, frozenset[int]] = {}
-        for c in model.constraints:
-            if c.family == "rpairs":
-                self.rpairs.add(tuple(sorted(c.args)))
-            elif c.family == "spairs":
-                ts, hiders = c.args
-                self.spairs[ts] = frozenset(hiders)
-            elif c.family == "sec-input-guard":
-                ts, bad = c.args
-                self.sec_input[ts] = frozenset(bad)
-            elif c.family == "mmpairs":
-                self.mmpairs.add(tuple(sorted(c.args)))
-            elif c.family == "mspairs":
-                op, hiders = c.args
-                self.mspairs[op] = frozenset(hiders)
-
-    def rpair(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.rpairs
-
-    def mmpair(self, a: int, b: int) -> bool:
-        return tuple(sorted((a, b))) in self.mmpairs
-
-
 def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
     """Static unsatisfiability checks that can name the failing family."""
     prog = model.program
-    for c in model.constraints:
-        if c.family == "spairs":
-            ts, hiders = c.args
-            if not hiders and prog.op(prog.temps[ts].defined_by).mandatory:
-                return (
-                    "spairs",
-                    f"secret temp t{ts} is always live but no random temp can hide it",
-                )
-        if c.family == "mspairs":
-            op, hiders = c.args
-            if not hiders and prog.op(op).mandatory:
-                return (
-                    "mspairs",
-                    f"memory operation o{op} carries secret data but no random "
-                    f"memory operation can hide it",
-                )
+    sec = model.security
+    for ts, hiders in sec.spairs.items():
+        if not hiders and prog.op(prog.temps[ts].defined_by).mandatory:
+            return (
+                "spairs",
+                f"secret temp t{ts} is always live but no random temp can hide it",
+            )
+    for op, hiders in sec.mspairs.items():
+        if not hiders and prog.op(op).mandatory:
+            return (
+                "mspairs",
+                f"memory operation o{op} carries secret data but no random "
+                f"memory operation can hide it",
+            )
     return None
 
 
@@ -126,20 +95,18 @@ class _Searcher:
         self.enumerate_all = enumerate_all
         self.cap = cap
         self.makespan_cap = makespan_cap
-        self.sec = _SecurityTables(model)
+        self.sec = model.security
         self.stats = SolveStats()
         self.t0 = time.monotonic()
         self.nregs = self.target.num_registers
         self.best: Solution | None = None
-        self.best_obj: int | None = budget.objective_cutoff
+        self.best_obj: int | None = None
         self.solutions: list[Solution] = []
         self.truncated = False
 
-        self.in_op = next(o for o in self.prog.ops if o.kind == "in")
-        self.out_op = next(o for o in self.prog.ops if o.kind == "out")
         self.optional = [o for o in self.prog.ops if not o.mandatory]
         self.mandatory = [o for o in self.prog.ops if o.mandatory]
-        self.result_reg = self.target.registers.index(self.target.result)
+        self.result_reg = model.result_reg
         self.pins = dict(model.pins)
 
     # -- bookkeeping -------------------------------------------------------
@@ -200,7 +167,7 @@ class _Searcher:
     def _walk_init(self, active: set[int]) -> None:
         st = {
             "active": active,
-            "issued": {self.in_op.id: 0},
+            "issued": {self.prog.in_op.id: 0},
             "last_cycle": 0,
             "ready_at": {},  # temp -> cycle its value becomes readable
             "loc_of": {},  # temp -> location while intact
@@ -241,12 +208,8 @@ class _Searcher:
         for dep in self.prog.mem_deps.get(op.id, ()):
             if dep not in st["issued"]:
                 return False
-        for slot in op.operands:
-            if isinstance(slot, TempOperand):
-                if not any(t in st["loc_of"] for t in slot.alts):
-                    return False
-        if isinstance(op.mem_addr, TempOperand):
-            if not any(t in st["loc_of"] for t in op.mem_addr.alts):
+        for _i, slot in op.temp_slots():
+            if not any(t in st["loc_of"] for t in slot.alts):
                 return False
         return True
 
@@ -261,15 +224,7 @@ class _Searcher:
             return
         for op in self._ready_ops(st):
             self._tick()
-            self._branch_selections(st, op, [], list(self._slots(op)))
-
-    @staticmethod
-    def _slots(op: ModelOp):
-        for i, slot in enumerate(op.operands):
-            if isinstance(slot, TempOperand):
-                yield i, slot
-        if isinstance(op.mem_addr, TempOperand):
-            yield -1, op.mem_addr
+            self._branch_selections(st, op, [], list(op.temp_slots()))
 
     def _branch_selections(self, st, op: ModelOp, chosen, slots) -> None:
         if slots:
@@ -412,7 +367,7 @@ class _Searcher:
             if op_id in st["issued"]:
                 continue
             op = self.prog.op(op_id)
-            for _i, slot in self._slots(op):
+            for _i, slot in op.temp_slots():
                 ok = False
                 for t in slot.alts:
                     if t in st["loc_of"]:

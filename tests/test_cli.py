@@ -271,3 +271,21 @@ def test_simulate_exhaustive_beyond_bound_exits_2(tmp_path, capsys):
     assert out == ""
     assert "--exhaustive" in err and "--samples" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_simulate_runs_two_leak_stats_passes(write_fixture, capsys, monkeypatch):
+    """One pass per secret assignment; the first also fills `per_position`."""
+    from maskcc import leakage
+
+    calls = []
+    real = leakage.leak_stats
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(leakage, "leak_stats", counting)
+    rc, out, _ = run_cli(capsys, "simulate", write_fixture("xor_p0"))
+    assert rc == 0
+    assert json.loads(out)["per_position"]
+    assert len(calls) == 2

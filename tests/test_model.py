@@ -236,6 +236,86 @@ def test_result_register_violation_detected(thumb_models):
     assert any("result register" in e for e in errs)
 
 
+def test_unselected_two_address_slot_reported(thumb_models):
+    base, _, _ = thumb_models
+    bad = make_solution(
+        base,
+        active={1, 5, 7, 9},
+        cycles={1: 0, 5: 1, 7: 2, 9: 3},
+        regs={0: 0, 1: 1, 2: 2, 6: 1, 8: 0},
+        sels={(5, 0): 1, (7, 0): 0, (7, 1): 6, (9, 0): 8},  # o5[1] missing
+    )
+    assert "o5 slot 1 unselected" in check_solution(base, bad)
+
+
+def test_spill_chain_violation_detected(thumb_models):
+    base, _, _ = thumb_models
+    bad = make_solution(
+        base,
+        active={1, 5, 7, 9, 11},  # o11 reloads t0's slot, its store o10 is off
+        cycles={1: 0, 5: 1, 7: 2, 11: 3, 9: 4},
+        regs={0: 0, 1: 1, 2: 2, 6: 1, 8: 0, 12: 3},
+        sels={(5, 0): 1, (5, 1): 2, (7, 0): 0, (7, 1): 6, (11, 0): 11, (9, 0): 8},
+    )
+    errs = check_solution(base, bad)
+    assert "spill load o11 without its store" in errs
+
+
+def test_mem_order_violation_detected():
+    src = "func f width 4\nin t0:random\nstore 0, t0\nt1 = load 0\nout t1\n"
+    model = build_base_model(parse_program(src), MINI, "none")
+    bad = make_solution(
+        model,
+        active={1, 2, 3, 4},
+        cycles={1: 0, 3: 1, 2: 3, 4: 4},  # the load overtakes the store
+        regs={0: 0, 1: 1},
+        sels={(2, 0): 0, (4, 0): 1},
+    )
+    errs = check_solution(model, bad)
+    assert "memory order violated: o2 must precede o3" in errs
+
+
+def test_preassign_arg_violation_detected(thumb_models):
+    base, _, _ = thumb_models
+    bad = make_solution(
+        base,
+        active={1, 5, 7, 9},
+        cycles={1: 0, 5: 1, 7: 2, 9: 3},
+        regs={0: 3, 1: 1, 2: 2, 6: 1, 8: 0},  # t0 claimed outside R0
+        sels={(5, 0): 1, (5, 1): 2, (7, 0): 0, (7, 1): 6, (9, 0): 8},
+    )
+    errs = check_solution(base, bad)
+    assert "input t0 not in argument register 0" in errs
+
+
+def test_checker_agrees_with_oracle_on_insecure_solutions():
+    """The secure checker accepts exactly the solutions the oracle's walk keeps.
+
+    Every insecure solution up to the insecure optimum + 1 of each oracle
+    combo is judged twice: by `check_solution` on the secure model (with the
+    implied family) and by membership in the oracle's secure enumeration.
+    """
+    from conftest import ORACLE_CASES
+    from maskcc.oracle import brute_force, enumerate_all
+
+    mismatches, messages, judged = [], [], 0
+    for name, tgt, budget in ORACLE_CASES:
+        base, secure, _ = build_models(name, tgt, budget, implied=True)
+        opt, _ = brute_force(base)
+        secure_keys = {s.sort_key() for s in enumerate_all(secure, opt + 1)}
+        for sol in enumerate_all(base, opt + 1):
+            errs = check_solution(secure, sol)
+            judged += 1
+            messages.extend(errs)
+            if (errs == []) != (sol.sort_key() in secure_keys):
+                mismatches.append((name, tgt, budget, sol.to_dict(), errs))
+    assert mismatches == []
+    assert judged > 1000
+    for family in ("rpairs violated", "spairs: no hider", "secret input",
+                   "mmpairs violated", "mspairs: no random", "implied-accumulator"):
+        assert any(e.startswith(family) for e in messages), family
+
+
 def test_empty_sets_leave_model_unchanged():
     base, secure, sets = build_models("allpub", "thumb-like", "none")
     assert sets.is_empty()
@@ -253,8 +333,8 @@ def test_empty_sets_leave_model_unchanged():
 def test_implied_constraints_are_neutral(case):
     """Adding the implied family never removes a secure solution."""
     name, tgt, budget = case
-    _, secure, sets = build_models(name, tgt, budget)
-    with_implied = add_implied_constraints(secure, sets)
+    _, secure, _ = build_models(name, tgt, budget)
+    with_implied = add_implied_constraints(secure)
     from maskcc.solver import solve
 
     opt = solve(secure).solution

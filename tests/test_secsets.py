@@ -166,3 +166,16 @@ def test_sets_across_fixtures_consistent():
             assert env.cls(sets.tm[key]) is S
             for h in hiders:
                 assert env.cls(sets.tm[h]) is R
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SOURCES))
+def test_no_rpair_joins_two_input_classes(name):
+    """Distinct input leaves xor to Random or Public, never Secret.
+
+    So two preassigned input temps never form an rpair, and no constraint
+    on inputs sharing an argument register is needed.
+    """
+    elab = elaborate(fixture_program(name), "full")
+    sets = compute_sets(elab, infer_types(elab))
+    inputs = {t.id for t, _ in elab.inputs}
+    assert not [p for p in sets.class_rpairs if set(p) <= inputs]
