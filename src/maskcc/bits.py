@@ -1,10 +1,13 @@
 """Fixed-width word arithmetic shared by the simulator and the type checkers.
 
-Words are plain ints masked to the program width. Finite-field multiplication
+Words are plain ints masked to the program width, or int64 numpy arrays of
+such words for the elementwise (`_vec`) forms. Finite-field multiplication
 uses one fixed reduction polynomial per width (see REDUCTION_POLY).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 WIDTHS = (4, 8, 16, 32)
 
@@ -49,6 +52,21 @@ def gf_mul(a: int, b: int, width: int) -> int:
     return acc & m
 
 
+def gf_mul_vec(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """`gf_mul` elementwise over int64 arrays of words."""
+    poly = REDUCTION_POLY[width]
+    m = mask(width)
+    aa = a & m
+    bb = b & m
+    acc = np.zeros(np.broadcast_shapes(aa.shape, bb.shape), dtype=np.int64)
+    for _ in range(width):
+        acc ^= np.where(bb & 1, aa, 0)
+        bb >>= 1
+        aa <<= 1
+        aa = np.where(aa >> width, aa ^ poly, aa)
+    return acc & m
+
+
 def apply_binop(opcode: str, a: int, b: int, width: int) -> int:
     m = mask(width)
     if opcode == "xor":
@@ -70,3 +88,10 @@ def apply_unop(opcode: str, a: int, width: int) -> int:
     if opcode == "copy":
         return a & mask(width)
     raise ValueError(f"not a unary opcode: {opcode}")
+
+
+def apply_binop_vec(opcode: str, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
+    """`apply_binop` elementwise over int64 arrays of words."""
+    if opcode == "gf_mul":
+        return gf_mul_vec(a, b, width)
+    return apply_binop(opcode, a, b, width)

@@ -365,9 +365,10 @@ def cmd_simulate(args) -> int:
     else:
         sampling = MonteCarlo(seed=args.seed)
 
-    stats = leakage.leak_stats(harness, {**pub, **s1}, sampling)
+    draws = leakage.draw_assignments(harness, sampling)
+    stats = leakage.leak_stats(harness, {**pub, **s1}, sampling, draws)
     verdict = leakage.compare_stats(
-        harness, stats, leakage.leak_stats(harness, {**pub, **s2}, sampling), sampling
+        harness, stats, leakage.leak_stats(harness, {**pub, **s2}, sampling, draws), sampling
     )
     values = {**pub, **s1}
     for t in prog.random_inputs():

@@ -9,13 +9,22 @@ Observables, per executed instruction:
   one leaks against the constant initial bus word. Loads place the loaded
   word on the bus and then write it to a register, in that order.
 
-Two independent implementations produce the trace: a forward machine walk
-(`simulate`) and a literal backwards recursion over the instruction sequence
-(`leak_trace_recursive`); tests compare them on every fixture.
+Two independent pure-Python implementations produce the trace of one input
+assignment: a forward machine walk (`simulate`) and a literal backwards
+recursion over the instruction sequence (`leak_trace_recursive`); tests
+compare them on every fixture, and they are the references for the
+statistics below.
 
-Statistics are exact rationals under exhaustive enumeration of the random
-inputs. Equivalence of two secret instances compares the sums of means and
-of variances over all leak positions.
+`leak_stats` walks the random-input assignments in chunks of CHUNK lanes:
+each register, the bus and each memory cell is one numpy array over the
+chunk, each instruction is one numpy op, and each leak is a
+`np.bitwise_count`. A memory address taken from a register that differs
+across the lanes of a chunk sends that chunk to the scalar `simulate` loop.
+Per-position sums and sums of squares are Python ints, so means and
+variances are exact rationals, under exhaustive enumeration of the random
+inputs or over a seeded Monte Carlo sample. Equivalence of two secret
+instances compares the sums of means and of variances over all leak
+positions.
 """
 
 from __future__ import annotations
@@ -25,13 +34,16 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bits import apply_binop, apply_unop, hw, mask
+import numpy as np
+
+from .bits import apply_binop, apply_binop_vec, apply_unop, hw, mask
 from .ir import SecurityClass
 from .model import ExtendedModel, LitOperand, Solution, SolutionView
 
 EXHAUSTIVE_BOUND = 2**20
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 2024
+CHUNK = 1 << 12  # lanes per vector walk; bounds the walk's memory
 
 
 class SimulationError(Exception):
@@ -307,44 +319,166 @@ class LeakStats:
         return sum(self.var.values(), Fraction(0))
 
 
-def _random_assignments(harness: Harness, sampling: Sampling):
-    rand = harness.random_inputs()
+def draw_assignments(harness: Harness, sampling: Sampling) -> np.ndarray | None:
+    """The Monte Carlo random-input assignments, one row per sample.
+
+    Row i holds the values of `harness.random_inputs()` in order, drawn as
+    `random.Random(sampling.seed).randrange(1 << width)` sample by sample.
+    Under Exhaustive there is nothing to draw: `leak_stats` computes each
+    chunk of assignments from its index.
+    """
+    if isinstance(sampling, Exhaustive):
+        return None
+    w = harness.width
+    k = len(harness.random_inputs())
+    n = sampling.samples * k
+    draws = map(random.Random(sampling.seed).randrange, itertools.repeat(1 << w, n))
+    return np.fromiter(draws, np.min_scalar_type(mask(w)), n).reshape(sampling.samples, k)
+
+
+def _assignment_chunks(harness: Harness, sampling: Sampling, draws: np.ndarray | None):
+    """Random-input assignments as (inputs, lanes) int64 arrays of up to CHUNK lanes."""
+    k = len(harness.random_inputs())
     w = harness.width
     if isinstance(sampling, Exhaustive):
-        total = (1 << w) ** len(rand)
+        total = (1 << w) ** k
         if total > EXHAUSTIVE_BOUND:
             raise SimulationError(
                 f"exhaustive enumeration of {total} assignments exceeds the bound"
             )
-        for combo in itertools.product(range(1 << w), repeat=len(rand)):
-            yield dict(zip(rand, combo))
-    else:
-        rng = random.Random(sampling.seed)
-        for _ in range(sampling.samples):
-            yield {t: rng.randrange(1 << w) for t in rand}
+        # itertools.product order: the first random input varies slowest
+        shifts = np.array([w * (k - 1 - i) for i in range(k)], dtype=np.int64)[:, None]
+        for start in range(0, total, CHUNK):
+            index = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+            yield (index >> shifts) & mask(w)
+        return
+    if draws is None:
+        draws = draw_assignments(harness, sampling)
+    for start in range(0, sampling.samples, CHUNK):
+        yield draws[start : start + CHUNK].T.astype(np.int64)
+
+
+def _positions(instrs) -> list[tuple[int, str]]:
+    """Trace keys in `simulate` order; the same for every input assignment."""
+    order = []
+    for ins in instrs:
+        if ins.opcode in ("load", "store"):
+            order.append((ins.pos, "MRE"))
+        if ins.opcode != "store":
+            order.append((ins.pos, "ROT"))
+    return order
+
+
+class _LaneDependentAddress(Exception):
+    """A register address differs across the lanes of one chunk."""
+
+
+def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> np.ndarray:
+    """`simulate` over every lane of `lanes` at once, one numpy op per instruction.
+
+    `lanes` holds one row of values per random input. Returns the leak
+    values as a (trace position, lane) uint8 array. Raises
+    `_LaneDependentAddress` when a memory address is not the same in every
+    lane, since memory is held as one array per address.
+    """
+    w = harness.width
+    m = mask(w)
+    n = lanes.shape[1]
+    zero = np.zeros(n, dtype=np.int64)
+    values = {**fixed, **dict(zip(harness.random_inputs(), lanes))}
+    regs = {
+        r: np.broadcast_to(np.asarray(v, dtype=np.int64), (n,))
+        for r, v in harness.initial_regs(values).items()
+    }
+    bus = zero
+    memory: dict[object, np.ndarray] = {}
+    leaks = np.empty((len(_positions(harness.instrs)), n), dtype=np.uint8)
+    row = 0
+
+    def resolve(src: tuple[str, int]) -> np.ndarray:
+        kind, x = src
+        if kind == "lit":
+            return np.broadcast_to(np.int64(x & m), (n,))
+        return regs.get(x, zero)
+
+    def memkey(ref: tuple[str, int]) -> object:
+        kind, x = ref
+        if kind == "slot":
+            return ("slot", x)
+        if kind == "lit":
+            return ("abs", x)
+        addr = regs.get(x, zero)
+        if (addr != addr[0]).any():
+            raise _LaneDependentAddress
+        return ("abs", int(addr[0]))
+
+    def leak(a: np.ndarray, b: np.ndarray) -> None:
+        nonlocal row
+        np.bitwise_count(a ^ b, out=leaks[row])
+        row += 1
+
+    for ins in harness.instrs:
+        if ins.opcode == "store":
+            val = resolve(ins.srcs[0])
+            leak(val, bus)
+            bus = memory[memkey(ins.mem)] = val
+            continue
+        if ins.opcode == "load":
+            key = memkey(ins.mem)
+            if key not in memory:
+                raise SimulationError(f"read of uninitialized memory address {key}")
+            val = memory[key]
+            leak(val, bus)
+            bus = val
+        elif ins.opcode in ("not", "copy"):
+            val = apply_unop(ins.opcode, resolve(ins.srcs[0]), w)
+        else:
+            val = apply_binop_vec(ins.opcode, resolve(ins.srcs[0]), resolve(ins.srcs[1]), w)
+        leak(val, regs.get(ins.dest, zero))
+        regs[ins.dest] = val
+    return leaks
+
+
+def _simulate_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> np.ndarray:
+    """The fallback for `_walk_lanes`: one `simulate` run per lane."""
+    rand = harness.random_inputs()
+    leaks = np.empty((len(_positions(harness.instrs)), lanes.shape[1]), dtype=np.uint8)
+    for j, column in enumerate(lanes.T.tolist()):
+        values = {**fixed, **dict(zip(rand, column))}
+        _, trace = simulate(harness.instrs, harness.width, harness.initial_regs(values))
+        leaks[:, j] = [o.value for o in trace]
+    return leaks
 
 
 def leak_stats(
-    harness: Harness, fixed: dict[int, int], sampling: Sampling = Exhaustive()
+    harness: Harness,
+    fixed: dict[int, int],
+    sampling: Sampling = Exhaustive(),
+    draws: np.ndarray | None = None,
 ) -> LeakStats:
-    """Per-position mean and variance over the random-input distribution."""
+    """Per-position mean and variance over the random-input distribution.
+
+    The assignments are walked in chunks of CHUNK lanes (`_walk_lanes`);
+    per-position sums and sums of squares are kept as Python ints, so the
+    Fractions are exact. `draws` passes Monte Carlo assignments already
+    drawn by `draw_assignments` for the same harness and sampling, so that
+    two secret instances under one seed draw them once.
+    """
+    order = _positions(harness.instrs)
+    sums = dict.fromkeys(order, 0)
+    sqs = dict.fromkeys(order, 0)
     counts = 0
-    sums: dict[tuple[int, str], int] = {}
-    sqs: dict[tuple[int, str], int] = {}
-    order: list[tuple[int, str]] = []
-    for rvals in _random_assignments(harness, sampling):
-        values = dict(fixed)
-        values.update(rvals)
-        _, trace = simulate(
-            harness.instrs, harness.width, harness.initial_regs(values)
-        )
-        counts += 1
-        if not order:
-            order = [(o.pos, o.kind) for o in trace]
-        for o in trace:
-            key = (o.pos, o.kind)
-            sums[key] = sums.get(key, 0) + o.value
-            sqs[key] = sqs.get(key, 0) + o.value * o.value
+    for lanes in _assignment_chunks(harness, sampling, draws):
+        try:
+            leaks = _walk_lanes(harness, fixed, lanes)
+        except _LaneDependentAddress:
+            leaks = _simulate_lanes(harness, fixed, lanes)
+        counts += lanes.shape[1]
+        s = leaks.sum(axis=1, dtype=np.int64)
+        q = np.square(leaks, dtype=np.uint16).sum(axis=1, dtype=np.int64)
+        for key, si, qi in zip(order, s.tolist(), q.tolist()):
+            sums[key] += si
+            sqs[key] += qi
     mean = {k: Fraction(s, counts) for k, s in sums.items()}
     var = {
         k: Fraction(sqs[k], counts) - mean[k] * mean[k] for k in sums
@@ -377,10 +511,11 @@ def check_equivalence(
 ) -> Verdict:
     """Compare the leak distributions of two secret instances."""
     s1, s2 = secrets
+    draws = draw_assignments(harness, sampling)
     return compare_stats(
         harness,
-        leak_stats(harness, {**pub, **s1}, sampling),
-        leak_stats(harness, {**pub, **s2}, sampling),
+        leak_stats(harness, {**pub, **s1}, sampling, draws),
+        leak_stats(harness, {**pub, **s2}, sampling, draws),
         sampling,
         tolerance,
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import mask
+from .bits import apply_binop_vec, mask
 from .ir import Literal, SecurityClass
 
 REWRITE_DEPTH = 3
@@ -431,27 +431,6 @@ def eval_expr_vec(e: Expr, values: dict[int, np.ndarray], width: int) -> np.ndar
         return np.full(shape, e.value & m, dtype=np.int64)
     if isinstance(e, Unary):
         return ~eval_expr_vec(e.child, values, width) & m
-    a = eval_expr_vec(e.left, values, width)
-    b = eval_expr_vec(e.right, values, width)
-    if e.op == "xor":
-        return (a ^ b) & m
-    if e.op == "and":
-        return a & b
-    if e.op == "or":
-        return a | b
-    if e.op == "add":
-        return (a + b) & m
-    if e.op == "gf_mul":
-        acc = np.zeros_like(a)
-        aa = a.copy()
-        bb = b.copy()
-        from .bits import REDUCTION_POLY
-
-        poly = REDUCTION_POLY[width]
-        for _ in range(width):
-            acc ^= np.where(bb & 1, aa, 0)
-            bb >>= 1
-            aa <<= 1
-            aa = np.where(aa >> width, aa ^ poly, aa)
-        return acc & m
-    raise ValueError(e.op)
+    return apply_binop_vec(
+        e.op, eval_expr_vec(e.left, values, width), eval_expr_vec(e.right, values, width), width
+    )

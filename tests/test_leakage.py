@@ -1,25 +1,34 @@
 """Transition-leakage simulation and equivalence checking."""
 
+import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import EQUIV_CASES, build_models
-from maskcc.bits import gf_mul, hw, mask
+from conftest import EQUIV_CASES, FIXTURE_SOURCES, TARGETS, build_models
+from maskcc import leakage
+from maskcc.bits import gf_mul, gf_mul_vec, hw, mask
+from maskcc.cli import front_end
 from maskcc.leakage import (
+    CHUNK,
+    EXHAUSTIVE_BOUND,
     Exhaustive,
     Harness,
+    LeakStats,
     MInstr,
     MonteCarlo,
     SimulationError,
     check_equivalence,
+    compare_stats,
     exhaustive_ok,
     leak_stats,
     leak_trace_recursive,
     linearize,
     simulate,
 )
-from maskcc.ir import SecurityClass
+from maskcc.ir import SecurityClass, parse_program
 from maskcc.solver import SolveBudget, solve
 
 
@@ -44,6 +53,15 @@ def test_gf_mul_field_properties():
         # distributivity over xor
         a, b, c = 0x1234 & mask(w), 0xF00D & mask(w), 0x0DDC & mask(w)
         assert gf_mul(a, b ^ c, w) == gf_mul(a, b, w) ^ gf_mul(a, c, w)
+
+
+@pytest.mark.parametrize("w", [4, 8, 16, 32])
+def test_gf_mul_vec_matches_scalar(w):
+    rng = random.Random(w)
+    a = np.array([rng.randrange(1 << w) for _ in range(200)] + [0, mask(w)], dtype=np.int64)
+    b = np.array([rng.randrange(1 << w) for _ in range(200)] + [mask(w), 1], dtype=np.int64)
+    got = gf_mul_vec(a, b, w)
+    assert got.tolist() == [gf_mul(x, y, w) for x, y in zip(a.tolist(), b.tolist())]
 
 
 def raw_sequence():
@@ -207,3 +225,194 @@ def test_trace_lengths_match_instruction_structure():
         n_mem_ops = sum(1 for i in h.instrs if i.opcode in ("load", "store"))
         assert sum(1 for o in trace if o.kind == "ROT") == n_reg_writes
         assert sum(1 for o in trace if o.kind == "MRE") == n_mem_ops
+
+
+# -- the vector walk against the per-assignment reference ----------------------
+
+
+def reference_leak_stats(harness, fixed, sampling=Exhaustive()):
+    """`leak_stats` as one `simulate` run per random assignment, in order."""
+    rand = harness.random_inputs()
+    w = harness.width
+    if isinstance(sampling, Exhaustive):
+        total = (1 << w) ** len(rand)
+        if total > EXHAUSTIVE_BOUND:
+            raise SimulationError(
+                f"exhaustive enumeration of {total} assignments exceeds the bound"
+            )
+        assignments = (
+            dict(zip(rand, combo))
+            for combo in itertools.product(range(1 << w), repeat=len(rand))
+        )
+    else:
+        rng = random.Random(sampling.seed)
+        assignments = (
+            {t: rng.randrange(1 << w) for t in rand} for _ in range(sampling.samples)
+        )
+    counts = 0
+    sums: dict = {}
+    sqs: dict = {}
+    order: list = []
+    for rvals in assignments:
+        values = dict(fixed)
+        values.update(rvals)
+        _, trace = simulate(harness.instrs, w, harness.initial_regs(values))
+        counts += 1
+        if not order:
+            order = [(o.pos, o.kind) for o in trace]
+        for o in trace:
+            key = (o.pos, o.kind)
+            sums[key] = sums.get(key, 0) + o.value
+            sqs[key] = sqs.get(key, 0) + o.value * o.value
+    mean = {k: Fraction(v, counts) for k, v in sums.items()}
+    var = {k: Fraction(sqs[k], counts) - mean[k] * mean[k] for k in sums}
+    return LeakStats(tuple(order), mean, var)
+
+
+def assert_same_stats(got, want, case=None):
+    assert got.positions == want.positions, case
+    assert got.mean == want.mean, case
+    assert got.var == want.var, case
+
+
+def fixture_harnesses(width=None):
+    """(case, harness, fixed inputs) for the secure and base solution of each EQUIV_CASES combo."""
+    for name, tgt, budget in EQUIV_CASES:
+        src = FIXTURE_SOURCES[name]
+        if width is not None:
+            src = src.replace("width 4", f"width {width}", 1)
+        base, _, secure = front_end(parse_program(src), TARGETS[tgt], budget)
+        prog = secure.program
+        fixed = {
+            t.id: 0xA5 & mask(prog.width) if cls is SecurityClass.SECRET else 0
+            for t, cls in prog.inputs
+            if cls is not SecurityClass.RANDOM
+        }
+        for model in (secure, base):
+            out = solve(model, SolveBudget(seconds=120))
+            if out.solution is not None:
+                yield (name, tgt, model is secure), linearize(model, out.solution), fixed
+
+
+@pytest.mark.parametrize(
+    "sampling",
+    [Exhaustive(), MonteCarlo(samples=CHUNK + 905, seed=11)],
+    ids=["exhaustive", "montecarlo"],
+)
+def test_vector_walk_matches_reference_on_fixture_solutions(sampling):
+    if isinstance(sampling, MonteCarlo):
+        assert sampling.samples % CHUNK
+    cases = list(fixture_harnesses())
+    assert len(cases) == 2 * len(EQUIV_CASES)  # every combo solves, secure and base
+    for case, h, fixed in cases:
+        got = leak_stats(h, fixed, sampling)
+        assert_same_stats(got, reference_leak_stats(h, fixed, sampling), case)
+
+
+def test_vector_walk_matches_reference_at_width_8_over_several_chunks():
+    sampling = MonteCarlo(samples=2 * CHUNK + 7, seed=5)
+    for case, h, fixed in fixture_harnesses(width=8):
+        assert h.width == 8
+        got = leak_stats(h, fixed, sampling)
+        assert_same_stats(got, reference_leak_stats(h, fixed, sampling), case)
+    # one exhaustive secret instance over (2^8)^2 assignments, 16 chunks
+    src = FIXTURE_SOURCES["goubin_mask"].replace("width 4", "width 8", 1)
+    _, _, secure = front_end(parse_program(src), TARGETS["thumb-like"], "reg")
+    h = linearize(secure, solve(secure).solution)
+    assert (1 << 16) // CHUNK > 1 and len(h.random_inputs()) == 2
+    fixed = {t.id: 0x3C for t, cls in secure.program.inputs if cls is SecurityClass.SECRET}
+    assert_same_stats(leak_stats(h, fixed), reference_leak_stats(h, fixed))
+
+
+def test_exhaustive_chunks_follow_product_order():
+    inputs = ((5, SecurityClass.RANDOM, 0), (9, SecurityClass.RANDOM, 1))
+    h = Harness(instrs=(), inputs=inputs, width=8)
+    chunks = list(leakage._assignment_chunks(h, Exhaustive(), None))
+    assert len(chunks) == (1 << 16) // CHUNK
+    lanes = np.concatenate(chunks, axis=1)
+    assert lanes.T.tolist() == [list(c) for c in itertools.product(range(256), repeat=2)]
+
+
+def random_address_harness():
+    """Stores and reloads a secret word at an address held by a random input."""
+    return Harness(
+        instrs=(
+            MInstr(1, "xor", 2, (("reg", 1), ("reg", 0))),
+            MInstr(2, "store", None, (("reg", 2),), ("reg", 0)),
+            MInstr(3, "store", None, (("reg", 1),), ("lit", 3)),
+            MInstr(4, "load", 3, (), ("reg", 0)),
+            MInstr(5, "load", 4, (), ("lit", 3)),
+        ),
+        inputs=((0, SecurityClass.RANDOM, 0), (1, SecurityClass.SECRET, 1)),
+        width=4,
+    )
+
+
+@pytest.mark.parametrize(
+    "sampling", [Exhaustive(), MonteCarlo(samples=300, seed=2)], ids=["exhaustive", "montecarlo"]
+)
+def test_lane_dependent_address_falls_back_to_simulate(monkeypatch, sampling):
+    calls = []
+    real = leakage._simulate_lanes
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(leakage, "_simulate_lanes", counting)
+    h = random_address_harness()
+    for secret in (0x0, 0x9):
+        got = leak_stats(h, {1: secret}, sampling)
+        assert_same_stats(got, reference_leak_stats(h, {1: secret}, sampling))
+    assert len(calls) == 2
+
+
+def test_uniform_register_address_stays_vectorized(monkeypatch):
+    monkeypatch.setattr(leakage, "_simulate_lanes", None)
+    h = random_address_harness()
+    # the address register holds a fixed (public) word in every lane
+    h = Harness(h.instrs, ((0, SecurityClass.PUBLIC, 0), (1, SecurityClass.RANDOM, 1)), 4)
+    assert_same_stats(leak_stats(h, {0: 6}), reference_leak_stats(h, {0: 6}))
+
+
+@pytest.mark.parametrize(
+    "address, inputs, fixed",
+    [
+        (("lit", 99), ((0, SecurityClass.RANDOM, 0),), {}),
+        (("reg", 0), ((0, SecurityClass.PUBLIC, 0), (1, SecurityClass.RANDOM, 1)), {0: 7}),
+        (("reg", 0), ((0, SecurityClass.RANDOM, 0),), {}),  # differs per lane: fallback
+    ],
+    ids=["literal", "uniform-register", "random-register"],
+)
+def test_uninitialized_load_message_unchanged(address, inputs, fixed):
+    h = Harness((MInstr(1, "load", 2, (), address),), inputs, 4)
+    with pytest.raises(SimulationError) as want:
+        reference_leak_stats(h, fixed)
+    with pytest.raises(SimulationError) as got:
+        leak_stats(h, fixed)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("read of uninitialized memory address ('abs', ")
+
+
+def test_shared_draws_give_the_verdict_of_separate_draws():
+    # leaky: the product of the secret and a random is always 0 for a zero secret
+    h = Harness(
+        instrs=(
+            MInstr(1, "xor", 2, (("reg", 1), ("reg", 0))),
+            MInstr(2, "copy", 2, (("reg", 1),)),
+            MInstr(3, "gf_mul", 3, (("reg", 2), ("reg", 0))),
+        ),
+        inputs=((0, SecurityClass.RANDOM, 0), (1, SecurityClass.SECRET, 1)),
+        width=8,
+    )
+    mc = MonteCarlo(samples=CHUNK + 1, seed=42)
+    shared = check_equivalence(h, {}, ({1: 0x00}, {1: 0xFF}), mc)
+    separate = compare_stats(
+        h, leak_stats(h, {1: 0x00}, mc), leak_stats(h, {1: 0xFF}, mc), mc
+    )
+    assert shared == separate
+    assert not shared.equivalent and shared.positions
+    reference = compare_stats(
+        h, reference_leak_stats(h, {1: 0x00}, mc), reference_leak_stats(h, {1: 0xFF}, mc), mc
+    )
+    assert shared == reference
