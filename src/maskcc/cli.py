@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import leakage, oracle, secsets, solver
 from .bits import mask
-from .ir import ParseError, parse_program, validate
+from .ir import ParseError, parse_program
 from .leakage import Exhaustive, MonteCarlo
 from .model import (
     ModelBuildError,
@@ -25,10 +25,10 @@ from .model import (
     add_security_constraints,
     build_base_model,
     dump_model,
+    elab_types,
     elaborate,
 )
 from .target import TargetError, resolve_target
-from .typeinf import infer_types
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -158,11 +158,7 @@ def _read_program(path: str):
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    prog = parse_program(p.read_text())
-    diags = validate(prog)
-    if diags:
-        raise ParseError(1, 1, "; ".join(str(d) for d in diags))
-    return prog
+    return parse_program(p.read_text())
 
 
 def _default_secret_pair(prog, width):
@@ -291,7 +287,7 @@ def cmd_analyze(args) -> int:
     try:
         prog = _read_program(args.ir)
         elab = elaborate(prog, copy_budget=args.copy_budget)
-        env = infer_types(elab)
+        env = elab_types(elab)
     except (ParseError, FileNotFoundError, ModelBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

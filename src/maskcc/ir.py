@@ -62,7 +62,7 @@ Operand = Temp | Literal
 
 @dataclass(frozen=True)
 class IrOperation:
-    """One source statement. Pseudo-ops 'in'/'out' bracket the body.
+    """One body statement (the 'in'/'out' lines live on Program).
 
     For 'store', uses = (address, data) and defs is None.
     For 'load', uses = (address,).
@@ -72,7 +72,6 @@ class IrOperation:
     opcode: str
     uses: tuple[Operand, ...]
     defs: Temp | None
-    mandatory: bool = True
 
 
 @dataclass(frozen=True)
@@ -82,15 +81,6 @@ class Program:
     inputs: tuple[tuple[Temp, SecurityClass], ...]
     body: tuple[IrOperation, ...]
     outputs: tuple[Temp, ...]
-
-    @property
-    def operations(self) -> tuple[IrOperation, ...]:
-        """All operations including the bracketing in/out pseudo-ops."""
-        in_op = IrOperation(0, "in", (), None)
-        out_op = IrOperation(
-            len(self.body) + 1, "out", tuple(self.outputs), None
-        )
-        return (in_op,) + self.body + (out_op,)
 
     def random_inputs(self) -> tuple[Temp, ...]:
         return tuple(t for t, c in self.inputs if c is SecurityClass.RANDOM)

@@ -121,13 +121,7 @@ def linearize(model: ExtendedModel, sol: Solution) -> Harness:
         op = prog.op(op_id)
         if op.kind in ("in", "out"):
             continue
-        if op.kind == "spill_store":
-            instrs.append(
-                MInstr(op.id, "store", None, (src_of(op.id, 0, op.operands[0]),), mem_of(op))
-            )
-        elif op.kind == "spill_load":
-            instrs.append(MInstr(op.id, "load", v.reg[op.defs[0]], (), mem_of(op)))
-        elif op.opcode == "store":
+        if op.opcode == "store":
             instrs.append(
                 MInstr(op.id, "store", None, (src_of(op.id, 0, op.operands[0]),), mem_of(op))
             )

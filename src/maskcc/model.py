@@ -52,7 +52,7 @@ OperandSlot = TempOperand | LitOperand
 class ModelTemp:
     id: int
     rep: int  # id of the original temp carrying this value
-    kind: str  # 'reg' | 'stack'
+    kind: str  # 'reg' | 'stack' | 'out' (report-only, never allocated)
     defined_by: int  # op id
     input_index: int | None = None
 
@@ -88,18 +88,6 @@ class ModelOp:
         return f"o{self.id}"
 
 
-class _OpView:
-    """IrOperation-shaped adapter so typeinf can walk elaborated programs."""
-
-    __slots__ = ("id", "opcode", "uses", "defs")
-
-    def __init__(self, id, opcode, uses, defs):
-        self.id = id
-        self.opcode = opcode
-        self.uses = uses
-        self.defs = defs
-
-
 @dataclass
 class ElabProgram:
     source: Program
@@ -115,38 +103,6 @@ class ElabProgram:
     copy_budget: str
     src2elab: dict[int, int]
     mem_deps: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def operations(self):
-        """Expression-building view: copies/spills transparent, loads tracked."""
-        views = []
-        for op in self.ops:
-            if op.kind == "in":
-                views.append(_OpView(op.id, "in", (), None))
-            elif op.kind in ("copy", "spill_store", "spill_load"):
-                src = op.operands[0].alts[0]
-                views.append(_OpView(op.id, "copy", (Temp(src),), Temp(op.defs[0])))
-            elif op.kind == "out":
-                for slot, dt in zip(op.operands, op.defs):
-                    views.append(_OpView(op.id, "out", (Temp(slot.alts[0]),), Temp(dt)))
-            else:  # body
-                views.append(self._body_view(op))
-        return tuple(views)
-
-    def _body_view(self, op: ModelOp) -> _OpView:
-        def slot_use(slot: OperandSlot):
-            if isinstance(slot, LitOperand):
-                return Literal(slot.value)
-            return Temp(slot.alts[0])
-
-        if op.opcode == "store":
-            return _OpView(
-                op.id, "store", (slot_use(op.mem_addr), slot_use(op.operands[0])), None
-            )
-        if op.opcode == "load":
-            return _OpView(op.id, "load", (slot_use(op.mem_addr),), Temp(op.defs[0]))
-        uses = tuple(slot_use(s) for s in op.operands)
-        return _OpView(op.id, op.opcode, uses, Temp(op.defs[0]))
 
     def op(self, op_id: int) -> ModelOp:
         return self.ops[op_id - 1]
@@ -296,30 +252,14 @@ def elaborate(p: Program, copy_budget: str = "full") -> ElabProgram:
         add_copy(did)
 
     # out op defines one report-only temp per output
-    out_defs = []
-    out_slots = []
-    for t in p.outputs:
-        out_slots.append(TempOperand(alts_of(t)))
-        oid = new_temp(src2elab[t.id], "reg", next_op)
-        out_defs.append(oid)
-    out_op_id = next_op
-    ops.append(
-        ModelOp(out_op_id, "out", "out", tuple(out_defs), tuple(out_slots), True)
-    )
+    out_temps = tuple(new_temp(src2elab[t.id], "out", next_op) for t in p.outputs)
+    out_slots = tuple(TempOperand(alts_of(t)) for t in p.outputs)
+    ops.append(ModelOp(next_op, "out", "out", out_temps, out_slots, True))
     next_op += 1
-    out_temps = tuple(out_defs)
-    for oid in out_defs:
-        del temps[oid]  # report-only; re-added below as pseudo entries
-    # keep out temps known but not register-allocatable
-    pseudo_out = {
-        oid: ModelTemp(oid, src2elab[t.id], "out", out_op_id)
-        for oid, t in zip(out_defs, p.outputs)
-    }
 
     # spill pairs per value class, appended after the visible program
     if copy_budget == "full":
         for rep in sorted(classes):
-            orig = rep
             sid = new_temp(rep, "stack", next_op)
             ops.append(
                 ModelOp(
@@ -327,7 +267,7 @@ def elaborate(p: Program, copy_budget: str = "full") -> ElabProgram:
                     "spill_store",
                     "store",
                     (sid,),
-                    (TempOperand((orig,)),),
+                    (TempOperand((rep,)),),
                     False,
                     is_memory=True,
                 )
@@ -379,15 +319,13 @@ def elaborate(p: Program, copy_budget: str = "full") -> ElabProgram:
         if deps:
             mem_deps[o2] = tuple(deps)
 
-    all_temps = dict(temps)
-    all_temps.update(pseudo_out)
     return ElabProgram(
         source=p,
         name=p.name,
         width=p.width,
         inputs=tuple(elab_inputs),
         ops=tuple(final_ops),
-        temps=all_temps,
+        temps=temps,
         classes={r: tuple(ms) for r, ms in classes.items()},
         out_temps=out_temps,
         mem_candidates=tuple(mem_candidates),
@@ -452,11 +390,8 @@ class SecurityTables:
 
 @dataclass
 class DecisionVars:
-    maxc: int
-    a_dom: dict[int, tuple[bool, ...]]  # op -> allowed activeness
-    c_dom: dict[int, tuple[int, int]]  # op -> cycle bounds
+    maxc: int  # cycle horizon
     r_dom: dict[int, tuple[int, ...]]  # temp -> allowed locations
-    y_dom: dict[tuple[int, int], tuple[int, ...]]  # (op, slot) -> alternatives
 
 
 @dataclass
@@ -514,6 +449,23 @@ class ExtendedModel:
         return op.kind == "body" and self.target.two_address(op.opcode)
 
 
+def elab_types(prog: ElabProgram) -> TypeEnv:
+    """Types of every elaborated temp, inferred once on the source program.
+
+    Copies, spill slots, reloads and out temps carry the value of their class
+    representative, so each takes the expression object and the class of the
+    source temp behind that representative.
+    """
+    env = typeinf.infer_types(prog.source)
+    src_of = {e: s for s, e in prog.src2elab.items()}
+    srcs = {t: src_of[mt.rep] for t, mt in prog.temps.items()}
+    return TypeEnv(
+        {t: env.classes[s] for t, s in srcs.items()},
+        {t: env.exprs[s] for t, s in srcs.items()},
+        env.classifier,
+    )
+
+
 def _capacity_check(prog: ElabProgram, target: TargetDesc) -> None:
     """Reject programs whose mandatory pressure cannot fit registers + slots."""
     capacity = target.num_registers + target.stack_slots
@@ -552,17 +504,13 @@ def build_base_model(
             f"{len(p.inputs)} inputs exceed {len(target.args)} argument registers"
         )
     _capacity_check(prog, target)
-    env = typeinf.infer_types(prog)
+    env = elab_types(prog)
 
     maxc = sum(
         (1 if op.kind == "in" else 0 if op.kind == "out" else target.latency(op.opcode))
         for op in prog.ops
     ) + len(prog.ops) + 1
     nregs = target.num_registers
-    a_dom = {
-        op.id: ((True,) if op.mandatory else (False, True)) for op in prog.ops
-    }
-    c_dom = {op.id: ((0, 0) if op.kind == "in" else (1, maxc)) for op in prog.ops}
     r_dom: dict[int, tuple[int, ...]] = {}
     for tid, mt in prog.temps.items():
         if mt.kind == "reg":
@@ -572,14 +520,11 @@ def build_base_model(
                 r_dom[tid] = tuple(range(nregs))
         elif mt.kind == "stack":
             r_dom[tid] = tuple(range(nregs, nregs + target.stack_slots))
-    y_dom = {
-        (op.id, i): slot.alts for op in prog.ops for i, slot in op.temp_slots()
-    }
     return ExtendedModel(
         program=prog,
         target=target,
         env=env,
-        vars=DecisionVars(maxc, a_dom, c_dom, r_dom, y_dom),
+        vars=DecisionVars(maxc, r_dom),
     )
 
 

@@ -194,17 +194,22 @@ def _enumerate_level(model: ExtendedModel, level: int, exact: bool):
     sec = model.security
     found = []
     work = 0
+
+    def spend() -> None:
+        nonlocal work
+        work += 1
+        if work > WORK_LIMIT:
+            raise OracleError(
+                f"enumeration at makespan {level} exceeds the oracle "
+                f"work limit; the model is too large for brute force"
+            )
+
     for active in _valid_active_sets(model, max_real=level - 1):
         real = [o for o in prog.ops if o.id in active and o.kind not in ("in", "out")]
         for perm in itertools.permutations(real):
             ops_for_sel = list(perm) + [out_op]
             for sels in _selection_combos(ops_for_sel):
-                work += 1
-                if work > WORK_LIMIT:
-                    raise OracleError(
-                        f"enumeration at makespan {level} exceeds the oracle "
-                        f"work limit; the model is too large for brute force"
-                    )
+                spend()
                 cycles = _compact(model, perm, sels)
                 if cycles is None:
                     continue
@@ -214,12 +219,7 @@ def _enumerate_level(model: ExtendedModel, level: int, exact: bool):
                 def_temps = [o.defs[0] for o in perm if o.defs]
                 pools = [model.vars.r_dom[t] for t in def_temps]
                 for combo in itertools.product(*pools):
-                    work += 1
-                    if work > WORK_LIMIT:
-                        raise OracleError(
-                            f"enumeration at makespan {level} exceeds the oracle "
-                            f"work limit; the model is too large for brute force"
-                        )
+                    spend()
                     regs = dict(zip(def_temps, combo))
                     for t, _c in prog.inputs:
                         regs[t.id] = prog.temps[t.id].input_index
@@ -272,6 +272,14 @@ def _compact(model: ExtendedModel, perm, sels):
     return cycles
 
 
+def _check_op_bound(model: ExtendedModel, op_bound: int) -> None:
+    n_mand = sum(1 for o in model.program.ops if o.mandatory)
+    if n_mand > op_bound:
+        raise OracleError(
+            f"model has {n_mand} mandatory operations; oracle bound is {op_bound}"
+        )
+
+
 def brute_force(
     model: ExtendedModel,
     op_bound: int = 8,
@@ -281,11 +289,7 @@ def brute_force(
 
     (None, []) means the model is infeasible up to the horizon.
     """
-    n_mand = sum(1 for o in model.program.ops if o.mandatory)
-    if n_mand > op_bound:
-        raise OracleError(
-            f"model has {n_mand} mandatory operations; oracle bound is {op_bound}"
-        )
+    _check_op_bound(model, op_bound)
     lb = sum(
         1 for o in model.program.ops if o.mandatory and o.kind not in ("in", "out")
     ) + 1
@@ -301,11 +305,7 @@ def enumerate_all(
     model: ExtendedModel, makespan_cap: int, op_bound: int = 8
 ) -> list[Solution]:
     """Every canonical solution with makespan <= cap."""
-    n_mand = sum(1 for o in model.program.ops if o.mandatory)
-    if n_mand > op_bound:
-        raise OracleError(
-            f"model has {n_mand} mandatory operations; oracle bound is {op_bound}"
-        )
+    _check_op_bound(model, op_bound)
     sols = _enumerate_level(model, makespan_cap, exact=False)
     return sorted(set(sols), key=lambda s: s.sort_key())
 

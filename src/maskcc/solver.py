@@ -21,6 +21,7 @@ mutated, so independent solves may run concurrently on shared models.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -135,8 +136,6 @@ class _Searcher:
         the first feasible leaf gives a tight incumbent and the cardinality
         bound then prunes whole subset families at once.
         """
-        import itertools
-
         n_mand_real = sum(
             1 for o in self.mandatory if o.kind not in ("in", "out")
         )
@@ -233,12 +232,11 @@ class _Searcher:
                 if t in st["loc_of"]:
                     self._branch_selections(st, op, chosen + [(idx, t)], slots[1:])
             return
-        # distinct-class sanity for binary ops with two temp slots: selections
-        # are per-slot; equal temps would read one value twice, which is fine
-        # semantically, so no extra filtering is needed here.
-        if op.kind == "out":
-            self._issue_out(st, op, chosen)
-            return
+        if op.kind == "out":  # the first output must sit in the result register
+            first = next((t for i, t in chosen if i == 0), None)
+            if first is not None and st["loc_of"].get(first) != self.result_reg:
+                self.stats.propagations += 1
+                return
         cycle = st["last_cycle"] + 1
         for idx, t in chosen:
             cycle = max(cycle, st["ready_at"][t])
@@ -247,7 +245,7 @@ class _Searcher:
         if self._bound_exceeded(cycle + rest):
             self.stats.propagations += 1
             return
-        if not op.defs:
+        if op.kind == "out" or not op.defs:
             self._issue(st, op, chosen, cycle, None, None)
             return
         d = op.defs[0]
@@ -381,28 +379,6 @@ class _Searcher:
                     self.stats.propagations += 1
                     return False
         return True
-
-    def _issue_out(self, st, op: ModelOp, chosen) -> None:
-        first = next((t for i, t in chosen if i == 0), None)
-        if first is not None and st["loc_of"].get(first) != self.result_reg:
-            self.stats.propagations += 1
-            return
-        cycle = st["last_cycle"] + 1
-        for _i, t in chosen:
-            cycle = max(cycle, st["ready_at"][t])
-        if self._bound_exceeded(cycle):
-            self.stats.propagations += 1
-            return
-        st["issued"][op.id] = cycle
-        old_last = st["last_cycle"]
-        st["last_cycle"] = cycle
-        for idx, t in chosen:
-            st["sels"][(op.id, idx)] = t
-        self._walk(st)
-        del st["issued"][op.id]
-        st["last_cycle"] = old_last
-        for idx, _t in chosen:
-            del st["sels"][(op.id, idx)]
 
     def _leaf(self, st) -> None:
         if st["s_pending"] or st["ms_pending"]:

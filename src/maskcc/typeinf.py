@@ -1,7 +1,8 @@
-"""Security-class inference for straight-line programs.
+"""Security-class inference for straight-line source programs.
 
-Every temporary gets an expression over input leaves (copies are transparent:
-a copy shares its source's expression object), and a class:
+Every source temporary gets an expression over input leaves, and a class
+(the backend's copies, spills and reloads inherit them through
+`model.elab_types`):
 
   Random  -- uniformly distributed for every fixed secret/public assignment
   Public  -- distribution independent of the secrets
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import apply_binop_vec, mask
-from .ir import Literal, SecurityClass
+from .ir import Literal, Program, SecurityClass
 
 REWRITE_DEPTH = 3
 
@@ -362,13 +363,12 @@ class TypeEnv:
         return sorted(self.classes)
 
 
-def build_exprs(p) -> dict[int, Expr]:
-    """Forward-substitute every temp to an expression over input leaves.
+def build_exprs(p: Program) -> dict[int, Expr]:
+    """Forward-substitute every temp of a source program to an expression.
 
-    Accepts anything with `.inputs` and `.operations` shaped like ir.Program.
-    Copies are transparent; a load takes the expression last stored at the
-    same address key (literal value, or address temp), defaulting to the
-    constant initial memory content.
+    A load takes the expression last stored at the same address key (literal
+    value, or address temp), defaulting to the constant initial memory
+    content.
     """
     exprs: dict[int, Expr] = {}
     for t, cls in p.inputs:
@@ -385,23 +385,12 @@ def build_exprs(p) -> dict[int, Expr]:
             return ("lit", u.value)
         return ("tmp", u.id)
 
-    for op in p.operations:
-        if op.opcode == "in":
-            continue
+    for op in p.body:
         if op.opcode == "store":
             memory[addr_key(op.uses[0])] = operand_expr(op.uses[1])
-            continue
-        if op.opcode == "load":
-            if op.defs is not None:
-                exprs[op.defs.id] = memory.get(addr_key(op.uses[0]), Const(0))
-            continue
-        if op.opcode in ("copy", "out"):
-            if op.defs is not None:
-                exprs[op.defs.id] = operand_expr(op.uses[0])
-            continue
-        if op.defs is None:
-            continue
-        if op.opcode == "not":
+        elif op.opcode == "load":
+            exprs[op.defs.id] = memory.get(addr_key(op.uses[0]), Const(0))
+        elif op.opcode == "not":
             exprs[op.defs.id] = Unary("not", operand_expr(op.uses[0]))
         else:
             exprs[op.defs.id] = Binary(
@@ -410,8 +399,8 @@ def build_exprs(p) -> dict[int, Expr]:
     return exprs
 
 
-def infer_types(p) -> TypeEnv:
-    """Classify every temp of a (source or elaborated) program."""
+def infer_types(p: Program) -> TypeEnv:
+    """Classify every temp of a source program."""
     cl = Classifier()
     exprs = build_exprs(p)
     classes = {t: cl.classify(e) for t, e in exprs.items()}

@@ -12,11 +12,10 @@ from conftest import EQUIV_CASES, FIXTURE_SOURCES, ORACLE_CASES, build_models, f
 from maskcc.cli import main as cli_main
 from maskcc.ir import SecurityClass
 from maskcc.leakage import check_equivalence, linearize
-from maskcc.model import SolutionView, elaborate
+from maskcc.model import SolutionView, elab_types, elaborate
 from maskcc.oracle import compare_with_solver, enumerate_all, trace_msubseq, trace_subseq
 from maskcc.secsets import compute_sets
 from maskcc.solver import SolveBudget, enumerate_solutions, solve
-from maskcc.typeinf import infer_types
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 
@@ -28,7 +27,7 @@ def report(n, text):
 def test_criterion_1_type_inference_golden():
     t0 = time.time()
     elab = elaborate(fixture_program("xor_p0"), "full")
-    env = infer_types(elab)
+    env = elab_types(elab)
     got = {t: env.cls(t) for t in elab.visible_temps()}
     expected = {
         0: P, 3: P,
@@ -44,7 +43,7 @@ def test_criterion_1_type_inference_golden():
 def test_criterion_2_security_sets_golden():
     t0 = time.time()
     elab = elaborate(fixture_program("xor_p0"), "full")
-    sets = compute_sets(elab, infer_types(elab))
+    sets = compute_sets(elab, elab_types(elab))
     assert sets.rpairs == frozenset(
         {
             (1, 6), (1, 7), (1, 8), (1, 9),
@@ -198,7 +197,7 @@ def test_criterion_8_type_soundness_exhaustive():
         if len(prog.random_inputs()) > 3 or prog.width != 4:
             continue
         elab = elaborate(prog, "full")
-        env = infer_types(elab)
+        env = elab_types(elab)
         for t in elab.visible_temps():
             cls = env.cls(t)
             if cls is R:

@@ -4,9 +4,8 @@ import pytest
 
 from conftest import FIXTURE_SOURCES, fixture_program
 from maskcc.ir import SecurityClass, parse_program
-from maskcc.model import elaborate
+from maskcc.model import elab_types, elaborate
 from maskcc.secsets import compute_sets, xor_class
-from maskcc.typeinf import infer_types
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 
@@ -24,7 +23,7 @@ GOLDEN_RPAIRS = frozenset(
 @pytest.fixture(scope="module")
 def xor_env():
     elab = elaborate(fixture_program("xor_p0"), "full")
-    return elab, infer_types(elab)
+    return elab, elab_types(elab)
 
 
 def test_xor_class_examples(xor_env):
@@ -63,13 +62,13 @@ def test_mspairs_running_example(xor_env):
 
 def test_all_public_program_has_empty_sets():
     elab = elaborate(fixture_program("allpub"), "full")
-    sets = compute_sets(elab, infer_types(elab))
+    sets = compute_sets(elab, elab_types(elab))
     assert sets.is_empty()
 
 
 def _sets_of(src: str):
     elab = elaborate(parse_program(src), "none")
-    return elab, compute_sets(elab, infer_types(elab))
+    return elab, compute_sets(elab, elab_types(elab))
 
 
 def test_two_independent_randoms_not_rpaired():
@@ -109,7 +108,7 @@ def test_two_stores_of_one_temp_not_mmpaired():
 def test_no_memory_candidates_no_memory_sets():
     src = "func f width 4\nin t0:random t1:secret\nt2 = xor t0, t1\nout t2\n"
     elab = elaborate(parse_program(src), "none")
-    env = infer_types(elab)
+    env = elab_types(elab)
     sets = compute_sets(elab, env)
     assert sets.mmpairs == frozenset() and sets.mspairs == {}
 
@@ -157,7 +156,7 @@ def test_memory_membership_tracks_register_membership(xor_env):
 def test_sets_across_fixtures_consistent():
     for name in FIXTURE_SOURCES:
         elab = elaborate(fixture_program(name), "full")
-        env = infer_types(elab)
+        env = elab_types(elab)
         sets = compute_sets(elab, env)
         inputs = {t.id for t, _ in elab.inputs}
         for key in sets.spairs:
@@ -176,6 +175,6 @@ def test_no_rpair_joins_two_input_classes(name):
     on inputs sharing an argument register is needed.
     """
     elab = elaborate(fixture_program(name), "full")
-    sets = compute_sets(elab, infer_types(elab))
+    sets = compute_sets(elab, elab_types(elab))
     inputs = {t.id for t, _ in elab.inputs}
     assert not [p for p in sets.class_rpairs if set(p) <= inputs]

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import FIXTURE_SOURCES, fixture_program
 from maskcc.ir import SecurityClass, parse_program
-from maskcc.model import elaborate
+from maskcc.model import elab_types, elaborate
 from maskcc.typeinf import (
     Binary,
     Classifier,
@@ -258,7 +258,7 @@ def test_classification_is_sound_on_random_expressions():
 
 def test_infer_types_shapes_running_example():
     elab = elaborate(fixture_program("xor_p0"), "full")
-    env = infer_types(elab)
+    env = elab_types(elab)
     got = {t: env.cls(t) for t in elab.visible_temps()}
     assert got == {
         0: P, 3: P,
@@ -269,15 +269,50 @@ def test_infer_types_shapes_running_example():
 
 def test_infer_types_all_public():
     p_ = parse_program(FIXTURE_SOURCES["allpub"])
-    env = infer_types(elaborate(p_, "none"))
+    env = elab_types(elaborate(p_, "none"))
     assert all(c is P for c in env.classes.values())
 
 
 def test_copies_share_expression_objects():
     elab = elaborate(fixture_program("xor_p0"), "full")
-    exprs = build_exprs(elab)
+    exprs = elab_types(elab).exprs
     assert exprs[7] is exprs[6]
     assert exprs[4] is exprs[1]
+
+
+def _carried_source_temp(elab, t):
+    """The source temp whose value elaborated temp t carries.
+
+    Follows copies, spill stores, reloads and out slots back to an input or
+    body definition.
+    """
+    elab2src = {e: s for s, e in elab.src2elab.items()}
+    while t not in elab2src:
+        op = elab.op(elab.temps[t].defined_by)
+        slot = op.operands[op.defs.index(t)] if op.kind == "out" else op.operands[0]
+        t = slot.alts[0]
+    return elab2src[t]
+
+
+@pytest.mark.parametrize("budget", ["none", "reg", "full"])
+@pytest.mark.parametrize("name", sorted(FIXTURE_SOURCES))
+def test_every_elaborated_temp_takes_its_source_type(name, budget):
+    prog = fixture_program(name)
+    elab = elaborate(prog, budget)
+    src = infer_types(prog)
+    env = elab_types(elab)
+    assert set(env.classes) == set(env.exprs) == set(elab.temps)
+    def_kinds = set()
+    for t, mt in elab.temps.items():
+        s = _carried_source_temp(elab, t)
+        def_kinds.add(elab.op(mt.defined_by).kind)
+        assert env.expr(t) is env.expr(elab.src2elab[s]), (t, s)
+        assert env.expr(t) == src.expr(s), (t, s)
+        assert env.cls(t) is src.cls(s), (t, s)
+    want = {"in", "out"} | ({"copy"} if budget != "none" else set())
+    if budget == "full":
+        want |= {"spill_store", "spill_load"}
+    assert want <= def_kinds
 
 
 def test_load_of_stored_temp_shares_expression():
@@ -299,8 +334,8 @@ def test_load_of_unwritten_address_is_public_constant():
 
 def test_infer_types_deterministic():
     elab = elaborate(fixture_program("goubin_mask"), "full")
-    a = infer_types(elab).classes
-    b = infer_types(elab).classes
+    a = elab_types(elab).classes
+    b = elab_types(elab).classes
     assert a == b
 
 
@@ -311,7 +346,7 @@ def test_soundness_over_all_fixture_programs():
         if len(prog.random_inputs()) > 3:
             continue
         elab = elaborate(prog, "full")
-        env = infer_types(elab)
+        env = elab_types(elab)
         for t in elab.visible_temps():
             e = env.expr(t)
             cls = env.cls(t)
