@@ -169,23 +169,20 @@ def _default_secret_pair(prog, width):
     return s1, s2
 
 
-def front_end(prog, target, copy_budget: str, implied: bool = True):
+def front_end(prog, target, copy_budget: str):
     """(base model, security sets, secure model) for a parsed program.
 
     Types and sets are computed once. The secure model carries the security
-    constraints, plus the implied family unless `implied` is false; the
-    solver never reads that family, only the post-solve re-check and
-    `--dump-model` do.
+    constraints and the implied family; the solver never reads that family,
+    only the post-solve re-check and `--dump-model` do.
     """
     base = build_base_model(prog, target, copy_budget=copy_budget)
     sets = secsets.compute_sets(base.program, base.env)
-    secure = add_security_constraints(base, sets)
-    if implied:
-        secure = add_implied_constraints(secure)
+    secure = add_implied_constraints(add_security_constraints(base, sets))
     return base, sets, secure
 
 
-def _load(args, implied: bool = True):
+def _load(args):
     """Read the program and target and run the front end.
 
     Returns (program, base, sets, secure), or None after printing an input
@@ -194,14 +191,14 @@ def _load(args, implied: bool = True):
     try:
         prog = _read_program(args.ir)
         target = resolve_target(args.target)
-        return (prog, *front_end(prog, target, args.copy_budget, implied))
+        return (prog, *front_end(prog, target, args.copy_budget))
     except (ParseError, FileNotFoundError, TargetError, ModelBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
         return None
 
 
 def cmd_compile(args) -> int:
-    loaded = _load(args, implied=not args.no_implied)
+    loaded = _load(args)
     if loaded is None:
         return EXIT_INPUT
     prog, base, sets, secure = loaded
@@ -419,7 +416,6 @@ def main(argv=None) -> int:
     c.add_argument("--target", default="thumb-like")
     c.add_argument("--secure", dest="secure", action="store_true", default=True)
     c.add_argument("--insecure", dest="secure", action="store_false")
-    c.add_argument("--no-implied", action="store_true")
     c.add_argument("--copy-budget", default="full", choices=["none", "reg", "full"])
     c.add_argument("--budget-seconds", type=float, default=60.0)
     c.add_argument("--budget-nodes", type=int, default=None)

@@ -389,17 +389,12 @@ class SecurityTables:
 
 
 @dataclass
-class DecisionVars:
-    maxc: int  # cycle horizon
-    r_dom: dict[int, tuple[int, ...]]  # temp -> allowed locations
-
-
-@dataclass
 class ExtendedModel:
     program: ElabProgram
     target: TargetDesc
     env: TypeEnv
-    vars: DecisionVars
+    maxc: int  # cycle horizon
+    r_dom: dict[int, tuple[int, ...]]  # temp -> allowed locations
     security: SecurityTables = field(default_factory=SecurityTables)
     pins: tuple[tuple[int, int], ...] = ()  # forced (temp, location) pairs
 
@@ -524,7 +519,8 @@ def build_base_model(
         program=prog,
         target=target,
         env=env,
-        vars=DecisionVars(maxc, r_dom),
+        maxc=maxc,
+        r_dom=r_dom,
     )
 
 
@@ -674,17 +670,7 @@ class SolutionView:
                 self.live.add(tid)
                 start = self.cycle[mt.defined_by]
                 self.ls[tid] = start
-                use_cycles = [
-                    self.cycle[o]
-                    for o in readers.get(tid, [])
-                    if self.prog.op(o).kind != "out"
-                ]
-                out_users = [
-                    self.cycle[o]
-                    for o in readers.get(tid, [])
-                    if self.prog.op(o).kind == "out"
-                ]
-                self.le[tid] = max(use_cycles + out_users + [start + 1])
+                self.le[tid] = max([self.cycle[o] for o in readers.get(tid, [])] + [start + 1])
 
     # -- predicates ------------------------------------------------------
 
@@ -832,7 +818,7 @@ def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
         if r is None:
             errs.append(f"live t{t} has no location")
             continue
-        if r not in model.vars.r_dom[t]:
+        if r not in model.r_dom[t]:
             errs.append(f"t{t} location {r} outside domain")
 
     # no-overlap per location
@@ -931,7 +917,7 @@ def dump_model(model: ExtendedModel) -> dict:
         "program": prog.name,
         "target": model.target.name,
         "objective": "makespan",
-        "maxc": model.vars.maxc,
+        "maxc": model.maxc,
         "operations": [
             {
                 "id": f"o{op.id}",
@@ -954,7 +940,7 @@ def dump_model(model: ExtendedModel) -> dict:
                 "id": f"t{t}",
                 "class": f"t{mt.rep}",
                 "kind": mt.kind,
-                "locations": list(model.vars.r_dom.get(t, ())),
+                "locations": list(model.r_dom.get(t, ())),
             }
             for t, mt in sorted(prog.temps.items())
         ],

@@ -23,9 +23,10 @@ from .model import (
     ModelOp,
     SecurityTables,
     Solution,
+    SolutionView,
     make_solution,
 )
-from .solver import SolveBudget, solve
+from .solver import SolveBudget, enumerate_solutions, solve
 
 
 class OracleError(Exception):
@@ -83,76 +84,62 @@ def _selection_combos(ops: list[ModelOp]):
         yield dict(zip(keys, combo))
 
 
-def _walk_validate(model: ExtendedModel, order, sels, regs, cycles) -> bool:
-    """Execute the order on a register file; False on any broken read/write."""
+def _walk_order(model: ExtendedModel, order, sels, regs, cycles):
+    """Execute the order on the register file and the stack slots.
+
+    `regs` places every temp the order reads or writes. Returns the
+    register-overwrite adjacencies, the memory-op order and the temps written
+    to registers, or None on any broken read or write.
+    """
     prog = model.program
+    nregs = model.target.num_registers
     contents: dict[int, int] = {}
     for t, _cls in prog.inputs:
         contents[prog.temps[t.id].input_index] = t.id
     ready = {t.id: 1 for t, _ in prog.inputs}
     pins = dict(model.pins)
     for t, loc in regs.items():
-        if loc not in model.vars.r_dom[t]:
-            return False
+        if loc not in model.r_dom[t]:
+            return None
         if t in pins and loc != pins[t]:
-            return False
+            return None
+    succ: list[tuple[int, int]] = []
     for op in order:
         c = cycles[op.id]
         src_locs = []
         for i, slot in op.temp_slots():
             t = sels[(op.id, i)]
-            loc = regs.get(t, prog.temps[t].input_index)
+            loc = regs[t]
             if contents.get(loc) != t:
-                return False
+                return None
             if ready.get(t, 10**9) > c:
-                return False
+                return None
             if i >= 0:
                 src_locs.append(loc)
         if op.defs and op.kind != "out":
             d = op.defs[0]
             loc = regs[d]
             if model.two_address(op) and src_locs and loc not in src_locs:
-                return False
+                return None
+            if loc < nregs and loc in contents:
+                succ.append((contents[loc], d))
             contents[loc] = d
             ready[d] = c + model.latency(op)
     out_op = prog.out_op
     first = sels.get((out_op.id, 0))
     if first is not None:
-        reg = regs.get(first, prog.temps[first].input_index)
-        if contents.get(reg) != first:
-            return False
-        if reg != model.result_reg:
-            return False
+        if contents.get(regs[first]) != first:
+            return None
+        if regs[first] != model.result_reg:
+            return None
     for i, slot in out_op.temp_slots():
         t = sels[(out_op.id, i)]
-        loc = regs.get(t, prog.temps[t].input_index)
-        if contents.get(loc) != t:
-            return False
-    return True
-
-
-def _chain_pairs(model: ExtendedModel, order, sels, regs):
-    """Register-overwrite adjacencies and the memory-op order, from the walk."""
-    prog = model.program
-    nregs = model.target.num_registers
-    contents: dict[int, int] = {}
-    for t, _cls in prog.inputs:
-        contents[prog.temps[t.id].input_index] = t.id
-    succ: list[tuple[int, int]] = []
-    mems: list[int] = []
-    written: set[int] = set()
-    for op in order:
-        if op.is_memory:
-            mems.append(op.id)
-        if op.defs and op.kind != "out":
-            d = op.defs[0]
-            loc = regs[d]
-            if loc < nregs:
-                prev = contents.get(loc)
-                if prev is not None:
-                    succ.append((prev, d))
-                contents[loc] = d
-                written.add(d)
+        if contents.get(regs[t]) != t:
+            return None
+    # only the few valid candidates get here, so these two are not kept per op
+    mems = [op.id for op in order if op.is_memory]
+    written = {op.defs[0] for op in order
+               if op.defs and op.kind != "out" and regs[op.defs[0]] < nregs}
     return succ, mems, written
 
 
@@ -217,17 +204,15 @@ def _enumerate_level(model: ExtendedModel, level: int, exact: bool):
                 if (exact and obj != level) or obj > level:
                     continue
                 def_temps = [o.defs[0] for o in perm if o.defs]
-                pools = [model.vars.r_dom[t] for t in def_temps]
+                pools = [model.r_dom[t] for t in def_temps]
                 for combo in itertools.product(*pools):
                     spend()
                     regs = dict(zip(def_temps, combo))
                     for t, _c in prog.inputs:
                         regs[t.id] = prog.temps[t.id].input_index
                     order = list(perm) + [out_op]
-                    if not _walk_validate(model, order, sels, regs, cycles):
-                        continue
-                    succ, mems, written = _chain_pairs(model, order, sels, regs)
-                    if not _security_ok(sec, succ, mems, written):
+                    walked = _walk_order(model, order, sels, regs, cycles)
+                    if walked is None or not _security_ok(sec, *walked):
                         continue
                     live_regs = {
                         t: regs[t]
@@ -293,7 +278,7 @@ def brute_force(
     lb = sum(
         1 for o in model.program.ops if o.mandatory and o.kind not in ("in", "out")
     ) + 1
-    hi = max_makespan if max_makespan is not None else model.vars.maxc
+    hi = max_makespan if max_makespan is not None else model.maxc
     for level in range(lb, hi + 1):
         sols = _enumerate_level(model, level, exact=True)
         if sols:
@@ -354,9 +339,6 @@ def compare_with_solver(
     count_slack: int = 0,
 ) -> OracleReport:
     """Full cross-check: optima, counts and subsequence characterizations."""
-    from .model import SolutionView
-    from .solver import enumerate_solutions
-
     prog = base_model.program
     report = OracleReport(
         program=prog.name,

@@ -7,10 +7,16 @@ its operand selections (original temp first), and the definition's location
 (ascending index). Cycles follow from the issue order by compaction, so the
 objective of a leaf is its makespan.
 
+The walk state (issued ops, locations, selections, the last memory op and
+the spairs/mspairs keys still waiting for a hider) lives on the searcher.
+Each issue undoes its own changes, so one state, set up once with the
+inputs in their argument registers, serves every activeness subset.
+
 Pruning: a makespan lower bound against the incumbent (the cardinality of
-an activeness subset already bounds its best makespan), plus forward checks
-of the security families (`model.security`, one table per family) on every
-register overwrite and memory adjacency as they form. Every returned
+an activeness subset already bounds its best makespan), plus one forward
+check per resource of the security families (`model.security`, one table
+per family): `_write_ok` on every register overwrite, `_adjacent_ok` on
+every memory adjacency, as they form. Every returned
 solution is re-validated by `model.check_solution`, which checks the base
 families from the program and target and each security family from the
 same tables.
@@ -86,12 +92,13 @@ def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
 
 
 class _Searcher:
+    # Fewer than 30 attributes: past that, CPython 3.11 stops sharing the
+    # instance-dict keys and every attribute load in the walk gets slower.
     def __init__(self, model: ExtendedModel, budget: SolveBudget,
                  enumerate_all: bool = False, cap: int | None = None,
                  makespan_cap: int | None = None):
         self.model = model
         self.prog = model.program
-        self.target = model.target
         self.budget = budget
         self.enumerate_all = enumerate_all
         self.cap = cap
@@ -99,16 +106,33 @@ class _Searcher:
         self.sec = model.security
         self.stats = SolveStats()
         self.t0 = time.monotonic()
-        self.nregs = self.target.num_registers
+        self.nregs = model.target.num_registers
+        self.result_reg = model.result_reg
+        self.pins = dict(model.pins)
         self.best: Solution | None = None
         self.best_obj: int | None = None
         self.solutions: list[Solution] = []
         self.truncated = False
 
-        self.optional = [o for o in self.prog.ops if not o.mandatory]
-        self.mandatory = [o for o in self.prog.ops if o.mandatory]
-        self.result_reg = model.result_reg
-        self.pins = dict(model.pins)
+        # The walk state. Every `_issue` undoes its own changes, so each walk
+        # leaves it as set up here and one state serves every subset.
+        self.active: set[int] = set()  # the activeness subset being walked
+        self.issued = {self.prog.in_op.id: 0}  # op -> cycle
+        self.last_cycle = 0
+        self.ready_at: dict[int, int] = {}  # temp -> cycle its value becomes readable
+        self.loc_of: dict[int, int] = {}  # temp -> location while intact
+        self.occupant: dict[int, int] = {}  # location -> temp
+        self.assigned: dict[int, int] = {}  # temp -> location (permanent)
+        self.sels: dict[tuple[int, int], int] = {}  # (op, slot) -> temp
+        self.last_mem: int | None = None  # the memory op last on the bus
+        self.s_pending: set[int] = set()  # spairs keys still waiting for a hider
+        self.ms_pending: set[int] = set()  # mspairs keys still waiting for a hider
+        for t, _cls in self.prog.inputs:
+            loc = self.prog.temps[t.id].input_index
+            self.loc_of[t.id] = loc
+            self.occupant[loc] = t.id
+            self.assigned[t.id] = loc
+            self.ready_at[t.id] = 1  # available after entry
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -136,17 +160,15 @@ class _Searcher:
         the first feasible leaf gives a tight incumbent and the cardinality
         bound then prunes whole subset families at once.
         """
-        n_mand_real = sum(
-            1 for o in self.mandatory if o.kind not in ("in", "out")
-        )
-        opt_ids = [o.id for o in self.optional]
-        kind = {o.id: o.kind for o in self.optional}
+        mandatory = {o.id for o in self.prog.ops if o.mandatory}
+        n_mand_real = sum(1 for o in mandatory if self.prog.op(o).kind not in ("in", "out"))
+        optional = [o for o in self.prog.ops if not o.mandatory]
+        opt_ids = [o.id for o in optional]
+        kind = {o.id: o.kind for o in optional}
         for k in range(len(opt_ids) + 1):
             if self._bound_exceeded(n_mand_real + k + 1):
                 self.stats.propagations += 1
-                if not self.enumerate_all or self.makespan_cap is not None:
-                    break
-                continue
+                break
             for combo in itertools.combinations(opt_ids, k):
                 self._tick()
                 chosen = set(combo)
@@ -158,38 +180,14 @@ class _Searcher:
                 if self._bound_exceeded(n_mand_real + k + 1):
                     self.stats.propagations += 1
                     break
-                active = {o.id for o in self.mandatory} | chosen
-                self._walk_init(active)
+                self.active = mandatory | chosen
+                self._walk()
 
     # -- machine walk ---------------------------------------------------------
 
-    def _walk_init(self, active: set[int]) -> None:
-        st = {
-            "active": active,
-            "issued": {self.prog.in_op.id: 0},
-            "last_cycle": 0,
-            "ready_at": {},  # temp -> cycle its value becomes readable
-            "loc_of": {},  # temp -> location while intact
-            "occupant": {},  # location -> temp
-            "assigned": {},  # temp -> location (permanent)
-            "sels": {},
-            "last_mem": None,
-            "s_pending": set(),
-            "ms_pending": set(),
-        }
-        for t, _cls in self.prog.inputs:
-            mt = self.prog.temps[t.id]
-            loc = mt.input_index
-            st["loc_of"][t.id] = loc
-            st["occupant"][loc] = t.id
-            st["assigned"][t.id] = loc
-            st["ready_at"][t.id] = 1  # available after entry
-        self._walk(st)
-
-    def _ready_ops(self, st) -> list[ModelOp]:
-        active = st["active"]
-        issued = st["issued"]
-        unissued = [self.prog.op(o) for o in sorted(active) if o not in issued]
+    def _ready_ops(self) -> list[ModelOp]:
+        issued = self.issued
+        unissued = [self.prog.op(o) for o in sorted(self.active) if o not in issued]
         if not unissued:
             return []
         only_out_left = len(unissued) == 1 and unissued[0].kind == "out"
@@ -199,180 +197,171 @@ class _Searcher:
                 if only_out_left:
                     ready.append(op)
                 continue
-            if self._operands_selectable(st, op):
+            if self._operands_selectable(op):
                 ready.append(op)
         return ready
 
-    def _operands_selectable(self, st, op: ModelOp) -> bool:
+    def _operands_selectable(self, op: ModelOp) -> bool:
         for dep in self.prog.mem_deps.get(op.id, ()):
-            if dep not in st["issued"]:
+            if dep not in self.issued:
                 return False
         for _i, slot in op.temp_slots():
-            if not any(t in st["loc_of"] for t in slot.alts):
+            if not any(t in self.loc_of for t in slot.alts):
                 return False
         return True
 
-    def _walk(self, st) -> None:
-        issued = st["issued"]
-        if len(issued) == len(st["active"]):
-            self._leaf(st)
+    def _walk(self) -> None:
+        if len(self.issued) == len(self.active):
+            self._leaf()
             return
-        remaining = len(st["active"]) - len(issued)
-        if self._bound_exceeded(st["last_cycle"] + remaining):
+        remaining = len(self.active) - len(self.issued)
+        if self._bound_exceeded(self.last_cycle + remaining):
             self.stats.propagations += 1
             return
-        for op in self._ready_ops(st):
+        for op in self._ready_ops():
             self._tick()
-            self._branch_selections(st, op, [], list(op.temp_slots()))
+            self._branch_selections(op, [], list(op.temp_slots()))
 
-    def _branch_selections(self, st, op: ModelOp, chosen, slots) -> None:
+    def _branch_selections(self, op: ModelOp, chosen, slots) -> None:
         if slots:
             idx, slot = slots[0]
             for t in slot.alts:
-                if t in st["loc_of"]:
-                    self._branch_selections(st, op, chosen + [(idx, t)], slots[1:])
+                if t in self.loc_of:
+                    self._branch_selections(op, chosen + [(idx, t)], slots[1:])
             return
         if op.kind == "out":  # the first output must sit in the result register
             first = next((t for i, t in chosen if i == 0), None)
-            if first is not None and st["loc_of"].get(first) != self.result_reg:
+            if first is not None and self.loc_of.get(first) != self.result_reg:
                 self.stats.propagations += 1
                 return
-        cycle = st["last_cycle"] + 1
+        cycle = self.last_cycle + 1
         for idx, t in chosen:
-            cycle = max(cycle, st["ready_at"][t])
+            cycle = max(cycle, self.ready_at[t])
         # ops still unissued after this one, each on a later distinct cycle
-        rest = len(st["active"]) - len(st["issued"]) - 1
+        rest = len(self.active) - len(self.issued) - 1
         if self._bound_exceeded(cycle + rest):
             self.stats.propagations += 1
             return
         if op.kind == "out" or not op.defs:
-            self._issue(st, op, chosen, cycle, None, None)
+            self._issue(op, chosen, cycle, None, None)
             return
         d = op.defs[0]
-        for loc in self._loc_candidates(st, op, chosen, d):
-            self._issue(st, op, chosen, cycle, d, loc)
+        for loc in self._loc_candidates(op, chosen, d):
+            self._issue(op, chosen, cycle, d, loc)
 
-    def _loc_candidates(self, st, op: ModelOp, chosen, d: int):
-        dom = self.model.vars.r_dom[d]
+    def _loc_candidates(self, op: ModelOp, chosen, d: int):
+        dom = self.model.r_dom[d]
         if d in self.pins:
             dom = tuple(loc for loc in dom if loc == self.pins[d])
         if self.model.two_address(op):
-            src_locs = {st["loc_of"][t] for i, t in chosen if i >= 0}
+            src_locs = {self.loc_of[t] for i, t in chosen if i >= 0}
             dom = tuple(loc for loc in dom if loc in src_locs)
         return dom
 
-    def _issue(self, st, op: ModelOp, chosen, cycle, d, loc) -> None:
+    def _write_ok(self, prev: int | None, d: int) -> bool:
+        """May `d` overwrite `prev` (None: an empty register)?
+
+        Checks rpairs and the secret-input guard, that a pending spairs key
+        `prev` gets `d` as its hider, and that a new key `d` overwrites one.
+        """
         sec = self.sec
-        prog = self.prog
-        occupant = st["occupant"].get(loc) if loc is not None else None
+        if prev is not None:
+            if sec.rpair(prev, d) or d in sec.sec_input.get(prev, ()):
+                return False
+            if prev in self.s_pending and d not in sec.spairs[prev]:
+                return False
+        hiders = sec.spairs.get(d)
+        return hiders is None or prev in hiders
 
-        if d is not None and loc is not None and loc < self.nregs:
-            new_is_key = d in sec.spairs
-            if occupant is not None:
-                if sec.rpair(occupant, d):
-                    self.stats.propagations += 1
-                    return
-                if occupant in sec.sec_input and d in sec.sec_input[occupant]:
-                    self.stats.propagations += 1
-                    return
-                if occupant in st["s_pending"]:
-                    if d not in sec.spairs.get(occupant, frozenset()):
-                        self.stats.propagations += 1
-                        return
-            if new_is_key:
-                if occupant is None or occupant not in sec.spairs[d]:
-                    self.stats.propagations += 1
-                    return
+    def _adjacent_ok(self, prev: int | None, o: int) -> bool:
+        """May memory op `o` follow `prev` on the bus (None: the first one)?
 
-        if op.is_memory and (sec.mmpairs or sec.mspairs):
-            prev = st["last_mem"]
-            if prev is not None:
-                if sec.mmpair(prev, op.id):
-                    self.stats.propagations += 1
-                    return
-                if prev in st["ms_pending"] and op.id not in sec.mspairs.get(prev, frozenset()):
-                    self.stats.propagations += 1
-                    return
-            if op.id in sec.mspairs:
-                if prev is None or prev not in sec.mspairs[op.id]:
-                    self.stats.propagations += 1
-                    return
+        Checks mmpairs, that a pending mspairs key `prev` gets `o` as its
+        hider, and that a new key `o` follows one.
+        """
+        sec = self.sec
+        if prev is not None:
+            if sec.mmpair(prev, o):
+                return False
+            if prev in self.ms_pending and o not in sec.mspairs[prev]:
+                return False
+        hiders = sec.mspairs.get(o)
+        return hiders is None or prev in hiders
 
-        # commit
-        undo_occ = st["occupant"].get(loc) if loc is not None else None
-        st["issued"][op.id] = cycle
-        old_last = st["last_cycle"]
-        st["last_cycle"] = cycle
+    def _issue(self, op: ModelOp, chosen, cycle, d, loc) -> None:
+        occupant = self.occupant.get(loc) if d is not None else None
+        prev_mem = self.last_mem
+        if (d is not None and loc < self.nregs and not self._write_ok(occupant, d)) or (
+            op.is_memory and not self._adjacent_ok(prev_mem, op.id)
+        ):
+            self.stats.propagations += 1
+            return
+
+        # commit; the checks passed, so a pending neighbour is now hidden
+        s_resolved = occupant in self.s_pending
+        ms_resolved = op.is_memory and prev_mem in self.ms_pending
+        self.issued[op.id] = cycle
+        last_cycle, self.last_cycle = self.last_cycle, cycle
         for idx, t in chosen:
-            st["sels"][(op.id, idx)] = t
-        removed_loc = None
+            self.sels[(op.id, idx)] = t
         if d is not None:
             if occupant is not None:
-                del st["loc_of"][occupant]
-                removed_loc = occupant
-            st["occupant"][loc] = d
-            st["loc_of"][d] = loc
-            st["assigned"][d] = loc
-            st["ready_at"][d] = cycle + self.model.latency(op)
-        mem_prev = st["last_mem"]
-        s_resolved = None
-        ms_resolved = None
-        if d is not None and loc is not None and loc < self.nregs:
-            if occupant is not None and occupant in st["s_pending"]:
-                st["s_pending"].discard(occupant)
-                s_resolved = occupant
-            if d in sec.spairs:
-                st["s_pending"].add(d)
+                del self.loc_of[occupant]
+            self.occupant[loc] = d
+            self.loc_of[d] = loc
+            self.assigned[d] = loc
+            self.ready_at[d] = cycle + self.model.latency(op)
+            if d in self.sec.spairs:  # keys are register temps: `_write_ok` ran
+                self.s_pending.add(d)
+        if s_resolved:
+            self.s_pending.discard(occupant)
         if op.is_memory:
-            prev = st["last_mem"]
-            if prev is not None and prev in st["ms_pending"] and op.id in sec.mspairs.get(prev, frozenset()):
-                st["ms_pending"].discard(prev)
-                ms_resolved = prev
-            if op.id in sec.mspairs:
-                st["ms_pending"].add(op.id)
-            st["last_mem"] = op.id
+            if ms_resolved:
+                self.ms_pending.discard(prev_mem)
+            if op.id in self.sec.mspairs:
+                self.ms_pending.add(op.id)
+            self.last_mem = op.id
 
-        if removed_loc is None or self._still_satisfiable(st):
-            self._walk(st)
+        if occupant is None or self._still_satisfiable():
+            self._walk()
 
         # undo
-        del st["issued"][op.id]
-        st["last_cycle"] = old_last
+        del self.issued[op.id]
+        self.last_cycle = last_cycle
         for idx, _t in chosen:
-            del st["sels"][(op.id, idx)]
+            del self.sels[(op.id, idx)]
         if d is not None:
-            del st["loc_of"][d]
-            del st["assigned"][d]
-            del st["ready_at"][d]
-            if undo_occ is not None:
-                st["occupant"][loc] = undo_occ
-                st["loc_of"][undo_occ] = loc
+            del self.loc_of[d]
+            del self.assigned[d]
+            del self.ready_at[d]
+            if occupant is not None:
+                self.occupant[loc] = occupant
+                self.loc_of[occupant] = loc
             else:
-                del st["occupant"][loc]
-            if d in st["s_pending"]:
-                st["s_pending"].discard(d)
-        if s_resolved is not None:
-            st["s_pending"].add(s_resolved)
+                del self.occupant[loc]
+            self.s_pending.discard(d)
+        if s_resolved:
+            self.s_pending.add(occupant)
         if op.is_memory:
-            st["last_mem"] = mem_prev
-            st["ms_pending"].discard(op.id)
-            if ms_resolved is not None:
-                st["ms_pending"].add(ms_resolved)
+            self.last_mem = prev_mem
+            self.ms_pending.discard(op.id)
+            if ms_resolved:
+                self.ms_pending.add(prev_mem)
 
-    def _still_satisfiable(self, st) -> bool:
+    def _still_satisfiable(self) -> bool:
         """After a clobber, every pending operand must keep one obtainable alt."""
-        for op_id in st["active"]:
-            if op_id in st["issued"]:
+        for op_id in self.active:
+            if op_id in self.issued:
                 continue
             op = self.prog.op(op_id)
             for _i, slot in op.temp_slots():
                 ok = False
                 for t in slot.alts:
-                    if t in st["loc_of"]:
+                    if t in self.loc_of:
                         ok = True
                         break
                     def_op = self.prog.temps[t].defined_by
-                    if def_op in st["active"] and def_op not in st["issued"]:
+                    if def_op in self.active and def_op not in self.issued:
                         ok = True
                         break
                 if not ok:
@@ -380,18 +369,12 @@ class _Searcher:
                     return False
         return True
 
-    def _leaf(self, st) -> None:
-        if st["s_pending"] or st["ms_pending"]:
+    def _leaf(self) -> None:
+        if self.s_pending or self.ms_pending:
             self.stats.propagations += 1
             return
         self.stats.leaves += 1
-        sol = make_solution(
-            self.model,
-            st["active"],
-            dict(st["issued"]),
-            dict(st["assigned"]),
-            dict(st["sels"]),
-        )
+        sol = make_solution(self.model, self.active, self.issued, self.assigned, self.sels)
         if self.enumerate_all:
             self.solutions.append(sol)
             if self.cap is not None and len(self.solutions) > self.cap:
@@ -442,10 +425,10 @@ def enumerate_solutions(
 
     Returns (solutions, truncated). `truncated` reports that the cap was hit.
     """
-    budget = budget or SolveBudget(seconds=600.0)
-    s = _Searcher(model, budget, enumerate_all=True, cap=cap, makespan_cap=makespan_cap)
     if preflight_infeasible(model) is not None:
         return [], False
+    budget = budget or SolveBudget(seconds=600.0)
+    s = _Searcher(model, budget, enumerate_all=True, cap=cap, makespan_cap=makespan_cap)
     try:
         s.run()
     except _Budget:

@@ -200,14 +200,9 @@ def fixture_program(name: str):
     return parse_program(FIXTURE_SOURCES[name])
 
 
-def build_models(name: str, target: str, copy_budget: str, implied: bool = False):
-    """(base model, secure model, sets) for a fixture combo.
-
-    The implied family is off by default so tests can add it themselves.
-    """
-    base, sets, secure = front_end(
-        fixture_program(name), TARGETS[target], copy_budget, implied=implied
-    )
+def build_models(name: str, target: str, copy_budget: str):
+    """(base model, secure model, sets) for a fixture combo."""
+    base, sets, secure = front_end(fixture_program(name), TARGETS[target], copy_budget)
     return base, secure, sets
 
 

@@ -164,17 +164,6 @@ def test_report_schema_validator_flags_problems():
     assert any("status" in p for p in validate_report({"status": "Weird"}))
 
 
-def test_no_implied_flag_keeps_result(write_fixture, capsys, tmp_path):
-    args = ["compile", write_fixture("xor_p0"), "--target", "thumb-like",
-            "--out-dir", str(tmp_path)]
-    rc1, _, _ = run_cli(capsys, *args)
-    with_implied = json.loads((tmp_path / "xor_p0.report.json").read_text())
-    rc2, _, _ = run_cli(capsys, *args, "--no-implied")
-    without = json.loads((tmp_path / "xor_p0.report.json").read_text())
-    assert rc1 == rc2 == 0
-    assert with_implied["objective"] == without["objective"]
-
-
 def test_json_flag_echoes_report(write_fixture, capsys, tmp_path):
     rc, out, _ = run_cli(
         capsys,
@@ -211,6 +200,13 @@ def test_top_level_seed_rejected(write_fixture, capsys, tmp_path):
     """--seed belongs to the subcommand; before it argparse rejects it."""
     with pytest.raises(SystemExit) as exc:
         main(["--seed", "7", "compile", write_fixture("xor_p0"), "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_no_implied_rejected(write_fixture, capsys, tmp_path):
+    """The implied family always runs; there is no switch to leave it out."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", write_fixture("xor_p0"), "--out-dir", str(tmp_path), "--no-implied"])
     assert exc.value.code == 2
 
 

@@ -7,7 +7,7 @@ from maskcc.ir import parse_program
 from maskcc.model import (
     ModelBuildError,
     SolutionView,
-    add_implied_constraints,
+    add_security_constraints,
     build_base_model,
     check_solution,
     dump_model,
@@ -300,7 +300,7 @@ def test_checker_agrees_with_oracle_on_insecure_solutions():
 
     mismatches, messages, judged = [], [], 0
     for name, tgt, budget in ORACLE_CASES:
-        base, secure, _ = build_models(name, tgt, budget, implied=True)
+        base, secure, _ = build_models(name, tgt, budget)
         opt, _ = brute_force(base)
         secure_keys = {s.sort_key() for s in enumerate_all(secure, opt + 1)}
         for sol in enumerate_all(base, opt + 1):
@@ -333,13 +333,13 @@ def test_empty_sets_leave_model_unchanged():
 def test_implied_constraints_are_neutral(case):
     """Adding the implied family never removes a secure solution."""
     name, tgt, budget = case
-    _, secure, _ = build_models(name, tgt, budget)
-    with_implied = add_implied_constraints(secure)
+    base, with_implied, sets = build_models(name, tgt, budget)
+    plain = add_security_constraints(base, sets)
     from maskcc.solver import solve
 
-    opt = solve(secure).solution
+    opt = solve(plain).solution
     cap = opt.objective + 1 if opt else 6
-    plain_sols, _ = enumerate_solutions(secure, makespan_cap=cap)
+    plain_sols, _ = enumerate_solutions(plain, makespan_cap=cap)
     implied_sols, _ = enumerate_solutions(with_implied, makespan_cap=cap)
     assert {s.sort_key() for s in plain_sols} == {s.sort_key() for s in implied_sols}
     for sol in plain_sols:
@@ -360,8 +360,8 @@ def test_two_address_allows_either_commutative_operand(thumb_models):
 
 
 def test_dump_model_structure(thumb_models):
-    _, secure, _ = thumb_models
-    d = dump_model(secure)
+    base, _, sets = thumb_models
+    d = dump_model(add_security_constraints(base, sets))
     assert d["program"] == "xor_p0"
     assert {c["kind"] for c in d["constraints"]} == {"base", "security"}
     assert any(c["family"] == "rpairs" for c in d["constraints"])

@@ -1,10 +1,12 @@
 """Solver behaviour: statuses, budgets, determinism, soundness."""
 
+import copy
+
 import pytest
 
 from conftest import EQUIV_CASES, ORACLE_CASES, build_models
 from maskcc.model import check_solution
-from maskcc.solver import SolveBudget, enumerate_solutions, solve
+from maskcc.solver import SolveBudget, _Searcher, enumerate_solutions, solve
 
 
 def test_budget_requires_a_limit():
@@ -135,3 +137,42 @@ def test_solver_stats_populated():
     assert out.stats.nodes > 0
     assert out.stats.leaves >= 1
     assert out.stats.wall_time >= 0
+
+
+WALK_FIELDS = ("issued", "last_cycle", "ready_at", "loc_of", "occupant", "assigned",
+               "sels", "last_mem", "s_pending", "ms_pending")
+
+
+class _CheckedSearcher(_Searcher):
+    """A searcher that asserts each walk leaves the state as it found it."""
+
+    walks = 0
+
+    def _walk(self):
+        before = {f: copy.deepcopy(getattr(self, f)) for f in WALK_FIELDS + ("active",)}
+        super()._walk()
+        assert {f: getattr(self, f) for f in before} == before
+        self.walks += 1
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_walk_state_restored_after_search(enumerate_all):
+    """Every issue undoes its own changes, so all subsets share one walk state.
+
+    On mem_secret (thumb-like, reg) the exhaustive search overwrites
+    registers, issues memory ops and leaves spairs and mspairs keys pending.
+    `active` is left out of the run-level comparison: `run` sets it to each
+    subset in turn.
+    """
+    _, secure, _ = build_models("mem_secret", "thumb-like", "reg")
+    assert secure.security.spairs and secure.security.mspairs
+    s = _CheckedSearcher(secure, SolveBudget(seconds=None, nodes=10**6),
+                         enumerate_all=enumerate_all,
+                         makespan_cap=8 if enumerate_all else None)
+    before = {f: copy.deepcopy(getattr(s, f)) for f in WALK_FIELDS}
+    assert before["loc_of"] and before["issued"]  # inputs sit in argument registers
+    assert len(vars(s)) < 30  # see the note on _Searcher
+    s.run()
+    assert s.stats.nodes < 10**6
+    assert s.stats.propagations > 0 and s.stats.leaves > 0 and s.walks > 0
+    assert {f: getattr(s, f) for f in WALK_FIELDS} == before

@@ -65,7 +65,7 @@ def test_generated_kernels_cross_validate(seed):
     has_memory = any(op.opcode in ("load", "store") for op in prog.body)
     budget = "reg" if seed % 5 == 0 and n_body <= 2 and not has_memory else "none"
     try:
-        base, _, secure = front_end(prog, target, budget, implied=False)
+        base, _, secure = front_end(prog, target, budget)
     except ModelBuildError:
         pytest.skip("kernel does not fit the target")
 

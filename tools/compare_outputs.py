@@ -5,7 +5,7 @@
 
 Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `--json compile --verify --dump-model` (thumb-like/mips-like x none/reg/full),
-`simulate`, `compile --insecure`/`--no-implied`, the `ORACLE_CASES` under
+`simulate`, `compile --insecure`, the `ORACLE_CASES` under
 `oracle`, and the benchmark's ladder and deep kernels under `analyze` and
 `compile`. Node budgets stand in for time budgets so every run is
 deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
@@ -83,9 +83,8 @@ for name, path in kernels.items():
         record(f"simulate_{name}_{preset}", ["simulate", str(path), "--target", preset,
                "--copy-budget", "none", "--budget-nodes", "60000", "--budget-seconds", "10000"])
     for budget in ("none", "reg"):
-        for flag in ("--insecure", "--no-implied"):
-            compile_into(f"compile_{name}_{budget}{flag}", path, "--copy-budget", budget,
-                         "--budget-nodes", "60000", flag)
+        compile_into(f"compile_{name}_{budget}--insecure", path, "--copy-budget", budget,
+                     "--budget-nodes", "60000", "--insecure")
         record(f"simulate_{name}_{budget}_insecure", ["simulate", str(path), "--insecure",
                "--copy-budget", budget, "--budget-nodes", "60000", "--budget-seconds", "10000"])
 
