@@ -387,6 +387,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.slack < 0:
+        print(f"error: --slack must not be negative, got {args.slack}", file=sys.stderr)
+        return EXIT_INPUT
     loaded = _load(args)
     if loaded is None:
         return EXIT_INPUT

@@ -1,16 +1,20 @@
-"""Brute-force reference: exhaustive generate-and-test over small models.
+"""Brute-force reference: an exhaustive walk over small models.
 
 The oracle shares the Solution type with the solver but none of its search
-machinery: candidates are produced by raw recursive generation (activeness
-subsets, operation permutations, operand selections, register assignments)
-and filtered by directly executing the machine walk. Security families are
-judged from the walked register-overwrite chains and the memory-operation
-order, not from the model's live-range algebra, so comparing the two sides
+machinery. For each activeness subset one recursive walk issues the
+subset's operations in every order; each operation takes every operand
+selection whose reads find their temps in place and every allowed location
+of its definition, and the walk state is passed down as fresh dicts rather
+than undone. Security families are judged only on complete candidates,
+from the walked register-overwrite chains and the memory-operation order,
+not from the model's live-range algebra, so comparing the two sides
 exercises the subsequence characterizations end to end.
 
-Schedules are canonical (compacted from the operation order), which makes
-the solution space finite and directly comparable with the solver's
-enumeration. Optima are found by iterative deepening over the makespan.
+Schedules are canonical (each operation at the first cycle after the
+previous one that its operands and aliasing memory predecessors allow),
+which makes the solution space finite and directly comparable with the
+solver's enumeration. Optima are found by
+iterative deepening over the makespan.
 """
 
 from __future__ import annotations
@@ -73,76 +77,6 @@ def _valid_active_sets(model: ExtendedModel, max_real: int):
         yield mandatory | chosen
 
 
-def _selection_combos(ops: list[ModelOp]):
-    keys = []
-    pools = []
-    for op in ops:
-        for i, slot in op.temp_slots():
-            keys.append((op.id, i))
-            pools.append(slot.alts)
-    for combo in itertools.product(*pools):
-        yield dict(zip(keys, combo))
-
-
-def _walk_order(model: ExtendedModel, order, sels, regs, cycles):
-    """Execute the order on the register file and the stack slots.
-
-    `regs` places every temp the order reads or writes. Returns the
-    register-overwrite adjacencies, the memory-op order and the temps written
-    to registers, or None on any broken read or write.
-    """
-    prog = model.program
-    nregs = model.target.num_registers
-    contents: dict[int, int] = {}
-    for t, _cls in prog.inputs:
-        contents[prog.temps[t.id].input_index] = t.id
-    ready = {t.id: 1 for t, _ in prog.inputs}
-    pins = dict(model.pins)
-    for t, loc in regs.items():
-        if loc not in model.r_dom[t]:
-            return None
-        if t in pins and loc != pins[t]:
-            return None
-    succ: list[tuple[int, int]] = []
-    for op in order:
-        c = cycles[op.id]
-        src_locs = []
-        for i, slot in op.temp_slots():
-            t = sels[(op.id, i)]
-            loc = regs[t]
-            if contents.get(loc) != t:
-                return None
-            if ready.get(t, 10**9) > c:
-                return None
-            if i >= 0:
-                src_locs.append(loc)
-        if op.defs and op.kind != "out":
-            d = op.defs[0]
-            loc = regs[d]
-            if model.two_address(op) and src_locs and loc not in src_locs:
-                return None
-            if loc < nregs and loc in contents:
-                succ.append((contents[loc], d))
-            contents[loc] = d
-            ready[d] = c + model.latency(op)
-    out_op = prog.out_op
-    first = sels.get((out_op.id, 0))
-    if first is not None:
-        if contents.get(regs[first]) != first:
-            return None
-        if regs[first] != model.result_reg:
-            return None
-    for i, slot in out_op.temp_slots():
-        t = sels[(out_op.id, i)]
-        if contents.get(regs[t]) != t:
-            return None
-    # only the few valid candidates get here, so these two are not kept per op
-    mems = [op.id for op in order if op.is_memory]
-    written = {op.defs[0] for op in order
-               if op.defs and op.kind != "out" and regs[op.defs[0]] < nregs}
-    return succ, mems, written
-
-
 def _security_ok(sec: SecurityTables, succ, mems, written) -> bool:
     succ_of = {a: b for a, b in succ}
     pred_of = {b: a for a, b in succ}
@@ -171,90 +105,95 @@ def _security_ok(sec: SecurityTables, succ, mems, written) -> bool:
     return True
 
 
-WORK_LIMIT = 5_000_000  # candidate walks per level before giving up
+WORK_LIMIT = 5_000_000  # operand selections tried per level before giving up
 
 
-def _enumerate_level(model: ExtendedModel, level: int, exact: bool):
-    """All canonical solutions with makespan == level (exact) or <= level."""
+def _enumerate_level(model: ExtendedModel, level: int) -> list[Solution]:
+    """Every canonical solution with makespan <= level.
+
+    One walk per activeness subset issues the subset's operations in every
+    order. Each operation takes every operand selection whose reads find
+    their temps issued and still in place, its canonical cycle, and every
+    location of its definition that `r_dom`, the pins and the two-address
+    rule allow. An order is dropped once one cycle per remaining operation
+    would pass the level. Security is judged only on complete candidates.
+    Iterative deepening makes the first non-empty level exact.
+    """
     prog = model.program
     out_op = prog.out_op
-    sec = model.security
+    nregs = model.target.num_registers
+    pins = dict(model.pins)
     found = []
     work = 0
 
-    def spend() -> None:
+    def selections(op, contents, regs):
         nonlocal work
-        work += 1
-        if work > WORK_LIMIT:
-            raise OracleError(
-                f"enumeration at makespan {level} exceeds the oracle "
-                f"work limit; the model is too large for brute force"
-            )
+        keys = [(op.id, i) for i, _slot in op.temp_slots()]
+        pools = [[t for t in slot.alts if t in regs and contents[regs[t]] == t]
+                 for _i, slot in op.temp_slots()]
+        for combo in itertools.product(*pools):
+            work += 1
+            if work > WORK_LIMIT:
+                raise OracleError(
+                    f"enumeration at makespan {level} exceeds the oracle "
+                    f"work limit; the model is too large for brute force"
+                )
+            yield dict(zip(keys, combo))
 
+    def finish(last, contents, regs, ready, cycles, sels, succ):
+        for sel in selections(out_op, contents, regs):
+            first = sel.get((out_op.id, 0))
+            if first is not None and regs[first] != model.result_reg:
+                continue
+            c = max([last + 1] + [ready[t] for t in sel.values()])
+            if c > level:
+                continue
+            mems = sorted((o for o in cycles if prog.op(o).is_memory), key=cycles.get)
+            written = {t for t, loc in regs.items() if loc < nregs}
+            if _security_ok(model.security, succ, mems, written):
+                cycles_out = {**cycles, out_op.id: c}  # its keys are the active ops
+                found.append(make_solution(model, cycles_out, cycles_out, regs,
+                                           {**sels, **sel}))
+
+    def walk(rest, last, contents, regs, ready, cycles, sels, succ):
+        if not rest:
+            finish(last, contents, regs, ready, cycles, sels, succ)
+            return
+        for op in rest:
+            deps = prog.mem_deps.get(op.id, ())
+            if any(dep not in cycles for dep in deps):
+                continue  # aliasing memory ops keep program order
+            later = [o for o in rest if o is not op]
+            start = max([last + 1] + [cycles[dep] + 1 for dep in deps])
+            for sel in selections(op, contents, regs):
+                c = max([start] + [ready[t] for t in sel.values()])
+                if c + len(later) + 1 > level:
+                    continue  # one cycle per op left, the out op included
+                now_cycles, now_sels = {**cycles, op.id: c}, {**sels, **sel}
+                if not op.defs:
+                    walk(later, c, contents, regs, ready, now_cycles, now_sels, succ)
+                    continue
+                d = op.defs[0]
+                src_locs = [regs[t] for (_o, i), t in sel.items() if i >= 0]
+                for loc in model.r_dom[d]:
+                    if pins.get(d, loc) != loc:
+                        continue
+                    if model.two_address(op) and src_locs and loc not in src_locs:
+                        continue
+                    pair = ((contents[loc], d),) if loc < nregs and loc in contents else ()
+                    walk(later, c, {**contents, loc: d}, {**regs, d: loc},
+                         {**ready, d: c + model.latency(op)}, now_cycles, now_sels,
+                         succ + pair)
+
+    regs = {t.id: prog.temps[t.id].input_index for t, _cls in prog.inputs}
+    if any(loc not in model.r_dom[t] or pins.get(t, loc) != loc for t, loc in regs.items()):
+        return found
+    contents = {loc: t for t, loc in regs.items()}
+    ready = dict.fromkeys(regs, 1)
     for active in _valid_active_sets(model, max_real=level - 1):
         real = [o for o in prog.ops if o.id in active and o.kind not in ("in", "out")]
-        for perm in itertools.permutations(real):
-            ops_for_sel = list(perm) + [out_op]
-            for sels in _selection_combos(ops_for_sel):
-                spend()
-                cycles = _compact(model, perm, sels)
-                if cycles is None:
-                    continue
-                obj = cycles[out_op.id]
-                if (exact and obj != level) or obj > level:
-                    continue
-                def_temps = [o.defs[0] for o in perm if o.defs]
-                pools = [model.r_dom[t] for t in def_temps]
-                for combo in itertools.product(*pools):
-                    spend()
-                    regs = dict(zip(def_temps, combo))
-                    for t, _c in prog.inputs:
-                        regs[t.id] = prog.temps[t.id].input_index
-                    order = list(perm) + [out_op]
-                    walked = _walk_order(model, order, sels, regs, cycles)
-                    if walked is None or not _security_ok(sec, *walked):
-                        continue
-                    live_regs = {
-                        t: regs[t]
-                        for t in regs
-                        if prog.temps[t].defined_by in active or prog.temps[t].is_input
-                    }
-                    found.append(
-                        make_solution(model, active, cycles, live_regs, sels)
-                    )
+        walk(real, 0, contents, regs, ready, {prog.in_op.id: 0}, {}, ())
     return found
-
-
-def _compact(model: ExtendedModel, perm, sels):
-    """Cycles from the issue order; None if the order breaks a dependency."""
-    prog = model.program
-    ready = {t.id: 1 for t, _ in prog.inputs}
-    cycles = {prog.in_op.id: 0}
-    last = 0
-    for op in perm:
-        c = last + 1
-        for dep in prog.mem_deps.get(op.id, ()):
-            if dep not in cycles:
-                return None  # aliasing memory op out of program order
-            c = max(c, cycles[dep] + 1)
-        for i, slot in op.temp_slots():
-            t = sels[(op.id, i)]
-            if t not in ready:
-                return None  # producer not yet issued
-            c = max(c, ready[t])
-        cycles[op.id] = c
-        last = c
-        for d in op.defs:
-            ready[d] = c + model.latency(op)
-    out_op = prog.out_op
-    c = last + 1
-    for i, slot in out_op.temp_slots():
-        t = sels[(out_op.id, i)]
-        if t not in ready:
-            return None
-        c = max(c, ready[t])
-    cycles[out_op.id] = c
-    return cycles
 
 
 def _check_op_bound(model: ExtendedModel, op_bound: int) -> None:
@@ -280,7 +219,7 @@ def brute_force(
     ) + 1
     hi = max_makespan if max_makespan is not None else model.maxc
     for level in range(lb, hi + 1):
-        sols = _enumerate_level(model, level, exact=True)
+        sols = _enumerate_level(model, level)
         if sols:
             return level, sorted(set(sols), key=lambda s: s.sort_key())
     return None, []
@@ -291,7 +230,7 @@ def enumerate_all(
 ) -> list[Solution]:
     """Every canonical solution with makespan <= cap."""
     _check_op_bound(model, op_bound)
-    sols = _enumerate_level(model, makespan_cap, exact=False)
+    sols = _enumerate_level(model, makespan_cap)
     return sorted(set(sols), key=lambda s: s.sort_key())
 
 

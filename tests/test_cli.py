@@ -142,6 +142,19 @@ def test_oracle_subcommand_clean(write_fixture, capsys):
     assert payload["insecure_optimum"] == payload["secure_optimum"] == 3
 
 
+def test_oracle_rejects_negative_slack(write_fixture, capsys, monkeypatch):
+    from maskcc import cli
+
+    def no_models(*args):
+        raise AssertionError("models built for a rejected --slack")
+
+    monkeypatch.setattr(cli, "front_end", no_models)
+    rc, out, err = run_cli(capsys, "oracle", write_fixture("xor_p0"), "--slack", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --slack must not be negative, got -1\n"
+
+
 def test_dump_model_and_solution(write_fixture, capsys, tmp_path):
     model_path = tmp_path / "model.json"
     sol_path = tmp_path / "sol.json"

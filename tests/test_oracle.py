@@ -1,8 +1,12 @@
 """Brute-force cross-validation of the solver and the subsequence algebra."""
 
+import re
+
 import pytest
 
-from conftest import ORACLE_CASES, build_models
+from conftest import FIXTURE_SOURCES, ORACLE_CASES, build_models
+from maskcc import oracle
+from maskcc.cli import main
 from maskcc.leakage import check_equivalence, linearize
 from maskcc.model import SolutionView, check_solution
 from maskcc.oracle import (
@@ -24,7 +28,7 @@ def reports():
         out[(name, tgt, budget)] = (
             base,
             secure,
-            compare_with_solver(base, secure, op_bound=8, count_slack=0),
+            compare_with_solver(base, secure, op_bound=8, count_slack=1),
         )
     return out
 
@@ -59,6 +63,24 @@ def test_op_bound_enforced():
     base, _, _ = build_models("spill_force", "mini", "full")
     with pytest.raises(OracleError):
         brute_force(base, op_bound=6)  # seven mandatory operations
+
+
+def test_work_limit_raises(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(oracle, "WORK_LIMIT", 5)
+    base, _, _ = build_models("xor_p0", "thumb-like", "none")
+    with pytest.raises(OracleError, match="exceeds the oracle work limit"):
+        brute_force(base, op_bound=8)
+    path = tmp_path / "xor_p0.ir"
+    path.write_text(FIXTURE_SOURCES["xor_p0"])
+    rc = main(["oracle", str(path), "--target", "thumb-like", "--copy-budget", "none"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert re.fullmatch(
+        r"error: enumeration at makespan \d+ exceeds the oracle work limit; "
+        r"the model is too large for brute force\n",
+        err,
+    )
 
 
 def test_trace_subseq_on_plain_xor_solution():

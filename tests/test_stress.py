@@ -55,7 +55,7 @@ def gen_kernel(rng: random.Random, idx: int, with_memory: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(200))
 def test_generated_kernels_cross_validate(seed):
     rng = random.Random(1000 + seed)
     src = gen_kernel(rng, seed, with_memory=seed % 3 == 0)
