@@ -148,11 +148,9 @@ def simulate(
     instrs: tuple[MInstr, ...] | list[MInstr],
     width: int,
     regs0: dict[int, int],
-    mem0: dict | None = None,
-    bus0: int = 0,
 ) -> tuple[MachineState, list[LeakObs]]:
     """Forward machine walk emitting one observation per transition."""
-    st = MachineState(width=width, regs=dict(regs0), bus=bus0 & mask(width), memory=dict(mem0 or {}))
+    st = MachineState(width=width, regs=dict(regs0))
     trace: list[LeakObs] = []
 
     def resolve(src: tuple[str, int]) -> int:
@@ -205,8 +203,6 @@ def leak_trace_recursive(
     instrs: tuple[MInstr, ...] | list[MInstr],
     width: int,
     regs0: dict[int, int],
-    mem0: dict | None = None,
-    bus0: int = 0,
 ) -> list[tuple[str, int]]:
     """The leakage recursion evaluated literally on the write-event sequence.
 
@@ -214,7 +210,7 @@ def leak_trace_recursive(
     write. The result is the (kind, observation) sequence in program order;
     it must agree with `simulate`'s trace values.
     """
-    st = MachineState(width=width, regs=dict(regs0), bus=bus0 & mask(width), memory=dict(mem0 or {}))
+    st = MachineState(width=width, regs=dict(regs0))
 
     # forward pass only to learn each event's written value
     events: list[tuple[str, int, int]] = []  # ('reg', regindex, value) | ('mem', -1, value)
@@ -269,13 +265,11 @@ def leak_trace_recursive(
             if prev is None:
                 prev = regs0.get(where, 0)
             return prefix + [("ROT", hw(value ^ prev))]
-        prev = None
+        prev = 0  # the bus starts at 0
         for j in range(k - 2, -1, -1):
             if events[j][0] == "mem":
                 prev = events[j][2]
                 break
-        if prev is None:
-            prev = bus0 & mask(width)
         return prefix + [("MRE", hw(value ^ prev))]
 
     return leakage(len(events))
@@ -501,7 +495,6 @@ def check_equivalence(
     pub: dict[int, int],
     secrets: tuple[dict[int, int], dict[int, int]],
     sampling: Sampling = Exhaustive(),
-    tolerance: Fraction | float | None = None,
 ) -> Verdict:
     """Compare the leak distributions of two secret instances."""
     s1, s2 = secrets
@@ -511,7 +504,6 @@ def check_equivalence(
         leak_stats(harness, {**pub, **s1}, sampling, draws),
         leak_stats(harness, {**pub, **s2}, sampling, draws),
         sampling,
-        tolerance,
     )
 
 
@@ -520,22 +512,20 @@ def compare_stats(
     st1: LeakStats,
     st2: LeakStats,
     sampling: Sampling,
-    tolerance: Fraction | float | None = None,
 ) -> Verdict:
     """Verdict on two secret instances from their `leak_stats`.
 
-    Exact comparison under Exhaustive. Under MonteCarlo the default
-    tolerance covers sampling noise (about four standard deviations of the
+    Exact comparison under Exhaustive. Under MonteCarlo the tolerance
+    covers sampling noise (about four standard deviations of the
     summed-mean estimate); matched seeds keep the verdict reproducible but
     cannot make a finite sample cancel exactly.
     """
-    if tolerance is None:
-        tolerance = Fraction(0)
-        if isinstance(sampling, MonteCarlo):
-            positions = max(1, len(st1.positions))
-            # per-position HW variance is at most width/4
-            sigma_sq = Fraction(positions * harness.width, 2 * sampling.samples)
-            tolerance = 4 * Fraction(int(float(sigma_sq) ** 0.5 * 10**9), 10**9)
+    tolerance = Fraction(0)
+    if isinstance(sampling, MonteCarlo):
+        positions = max(1, len(st1.positions))
+        # per-position HW variance is at most width/4
+        sigma_sq = Fraction(positions * harness.width, 2 * sampling.samples)
+        tolerance = 4 * Fraction(int(float(sigma_sq) ** 0.5 * 10**9), 10**9)
     dmean = st1.sum_mean - st2.sum_mean
     dvar = st1.sum_var - st2.sum_var
     if abs(dmean) <= tolerance and abs(dvar) <= tolerance:

@@ -73,7 +73,6 @@ class ModelOp:
     operands: tuple[OperandSlot, ...]
     mandatory: bool
     is_memory: bool = False
-    src_op: int | None = None  # originating source-IR operation id
     mem_addr: OperandSlot | None = None  # address slot for source load/store
 
     def temp_slots(self):
@@ -100,7 +99,6 @@ class ElabProgram:
     out_temps: tuple[int, ...]  # report-only, defined by the out op
     mem_candidates: tuple[int, ...]  # op ids treated as potential memory ops
     tm: dict[int, int]  # memory candidate op id -> data temp id
-    copy_budget: str
     src2elab: dict[int, int]
     mem_deps: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
@@ -134,179 +132,91 @@ def elaborate(p: Program, copy_budget: str = "full") -> ElabProgram:
         raise ModelBuildError(f"bad copy budget {copy_budget!r}")
     ops: list[ModelOp] = []
     temps: dict[int, ModelTemp] = {}
-    classes: dict[int, list[int]] = {}
+    classes: dict[int, list[int]] = {}  # rep -> register members, creation order
     src2elab: dict[int, int] = {}
     tm: dict[int, int] = {}
-    mem_candidates: list[int] = []
-    next_temp = 0
-    next_op = 1
-
-    def new_temp(rep, kind, op_id, input_index=None):
-        nonlocal next_temp
-        t = ModelTemp(next_temp, rep, kind, op_id, input_index)
-        temps[t.id] = t
-        next_temp += 1
-        return t.id
-
-    def add_copy(src_id: int) -> None:
-        nonlocal next_op
-        if copy_budget == "none":
-            return
-        cid = new_temp(temps[src_id].rep, "reg", next_op)
-        ops.append(
-            ModelOp(next_op, "copy", "copy", (cid,), (TempOperand((src_id,)),), False)
-        )
-        classes[temps[src_id].rep].append(cid)
-        tm[next_op] = cid
-        mem_candidates.append(next_op)
-        next_op += 1
-
-    # in op
-    in_defs = []
-    elab_inputs = []
-    for i, (t, cls) in enumerate(p.inputs):
-        tid = new_temp(None, "reg", 1, input_index=i)
-        temps[tid] = replace(temps[tid], rep=tid)
-        classes[tid] = [tid]
-        src2elab[t.id] = tid
-        in_defs.append(tid)
-        elab_inputs.append((Temp(tid), cls))
-    ops.append(ModelOp(1, "in", "in", tuple(in_defs), (), True))
-    next_op = 2
-    for tid in in_defs:
-        add_copy(tid)
-
-    def alts_of(src_temp: Temp) -> tuple[int, ...]:
-        rep = src2elab[src_temp.id]
-        return tuple(classes[rep])
-
-    def slot_of(u) -> OperandSlot:
-        if isinstance(u, Literal):
-            return LitOperand(u.value)
-        return TempOperand(alts_of(u))
-
-    # body ops, each def followed by its optional copy
     src_memops: list[tuple[int, bool, object]] = []  # (op id, is_store, addr key)
 
-    def addr_key(u) -> object:
-        return ("lit", u.value) if isinstance(u, Literal) else ("any",)
+    def new_temp(kind: str, rep: int | None = None, input_index: int | None = None) -> int:
+        """A temp defined by the next op; without `rep` it starts a new class."""
+        tid = len(temps)
+        rep = tid if rep is None else rep
+        temps[tid] = ModelTemp(tid, rep, kind, len(ops) + 1, input_index)
+        if kind == "reg":
+            classes.setdefault(rep, []).append(tid)
+        return tid
 
+    def add_op(kind, opcode, defs, operands, mandatory=True, data=None,
+               mem_addr=None) -> int:
+        """Append the next op; `data` is the temp a memory candidate moves."""
+        op_id = len(ops) + 1
+        ops.append(ModelOp(op_id, kind, opcode, defs, operands, mandatory,
+                           is_memory=opcode in ("load", "store"), mem_addr=mem_addr))
+        if data is not None:
+            tm[op_id] = data
+        return op_id
+
+    def add_copy(src_id: int) -> None:
+        if copy_budget != "none":
+            cid = new_temp("reg", temps[src_id].rep)
+            add_op("copy", "copy", (cid,), (TempOperand((src_id,)),), False, cid)
+
+    def slot_of(u) -> OperandSlot:
+        """The class representative; widened to the whole class at the end."""
+        if isinstance(u, Literal):
+            return LitOperand(u.value)
+        return TempOperand((src2elab[u.id],))
+
+    elab_inputs = []
+    for i, (t, cls) in enumerate(p.inputs):
+        src2elab[t.id] = new_temp("reg", input_index=i)
+        elab_inputs.append((Temp(src2elab[t.id]), cls))
+    add_op("in", "in", tuple(t.id for t, _cls in elab_inputs), ())
+    for t, _cls in elab_inputs:
+        add_copy(t.id)
+
+    # body ops, each def followed by its optional copy
     for sop in p.body:
-        if sop.opcode == "store":
-            op = ModelOp(
-                next_op,
-                "body",
-                "store",
-                (),
-                (slot_of(sop.uses[1]),),
-                True,
-                is_memory=True,
-                src_op=sop.id,
-                mem_addr=slot_of(sop.uses[0]),
-            )
-            ops.append(op)
-            tm[next_op] = op.operands[0].alts[0]
-            mem_candidates.append(next_op)
-            src_memops.append((next_op, True, addr_key(sop.uses[0])))
-            next_op += 1
-            continue
-        if sop.opcode == "load":
-            did = new_temp(None, "reg", next_op)
-            temps[did] = replace(temps[did], rep=did)
-            classes[did] = [did]
-            src2elab[sop.defs.id] = did
-            op = ModelOp(
-                next_op,
-                "body",
-                "load",
-                (did,),
-                (),
-                True,
-                is_memory=True,
-                src_op=sop.id,
-                mem_addr=slot_of(sop.uses[0]),
-            )
-            ops.append(op)
-            tm[next_op] = did
-            mem_candidates.append(next_op)
-            src_memops.append((next_op, False, addr_key(sop.uses[0])))
-            next_op += 1
-            add_copy(did)
-            continue
-        did = new_temp(None, "reg", next_op)
-        temps[did] = replace(temps[did], rep=did)
-        classes[did] = [did]
-        src2elab[sop.defs.id] = did
-        ops.append(
-            ModelOp(
-                next_op,
-                "body",
-                sop.opcode,
-                (did,),
-                tuple(slot_of(u) for u in sop.uses),
-                True,
-                src_op=sop.id,
-            )
-        )
-        next_op += 1
-        add_copy(did)
+        defs = () if sop.defs is None else (new_temp("reg"),)
+        if defs:
+            src2elab[sop.defs.id] = defs[0]
+        if sop.opcode not in ("load", "store"):
+            add_op("body", sop.opcode, defs, tuple(slot_of(u) for u in sop.uses))
+        else:
+            addr, *data = sop.uses
+            operands = tuple(slot_of(u) for u in data)
+            op_id = add_op("body", sop.opcode, defs, operands,
+                           data=defs[0] if defs else operands[0].alts[0],
+                           mem_addr=slot_of(addr))
+            key = ("lit", addr.value) if isinstance(addr, Literal) else ("any",)
+            src_memops.append((op_id, not defs, key))
+        if defs:
+            add_copy(defs[0])
+    mem_candidates = tuple(tm)  # the copies and source memory ops
 
     # out op defines one report-only temp per output
-    out_temps = tuple(new_temp(src2elab[t.id], "out", next_op) for t in p.outputs)
-    out_slots = tuple(TempOperand(alts_of(t)) for t in p.outputs)
-    ops.append(ModelOp(next_op, "out", "out", out_temps, out_slots, True))
-    next_op += 1
+    out_temps = tuple(new_temp("out", src2elab[t.id]) for t in p.outputs)
+    add_op("out", "out", out_temps, tuple(slot_of(t) for t in p.outputs))
 
     # spill pairs per value class, appended after the visible program
     if copy_budget == "full":
         for rep in sorted(classes):
-            sid = new_temp(rep, "stack", next_op)
-            ops.append(
-                ModelOp(
-                    next_op,
-                    "spill_store",
-                    "store",
-                    (sid,),
-                    (TempOperand((rep,)),),
-                    False,
-                    is_memory=True,
-                )
-            )
-            store_id = next_op
-            next_op += 1
-            lid = new_temp(rep, "reg", next_op)
-            ops.append(
-                ModelOp(
-                    next_op,
-                    "spill_load",
-                    "load",
-                    (lid,),
-                    (TempOperand((sid,)),),
-                    False,
-                    is_memory=True,
-                )
-            )
-            next_op += 1
-            classes[rep].append(lid)
-            tm[store_id] = sid
-            tm[store_id + 1] = lid
+            sid = new_temp("stack", rep)
+            add_op("spill_store", "store", (sid,), (TempOperand((rep,)),), False, sid)
+            lid = new_temp("reg", rep)
+            add_op("spill_load", "load", (lid,), (TempOperand((sid,)),), False, lid)
 
-    # widen operand alternatives now that classes are complete
-    final_ops = []
-    for op in ops:
-        if op.kind in ("body", "out"):
-            new_slots = tuple(
-                TempOperand(tuple(classes[temps[s.alts[0]].rep]))
-                if isinstance(s, TempOperand)
-                else s
-                for s in op.operands
-            )
-            new_addr = op.mem_addr
-            if isinstance(new_addr, TempOperand):
-                new_addr = TempOperand(tuple(classes[temps[new_addr.alts[0]].rep]))
-            final_ops.append(replace(op, operands=new_slots, mem_addr=new_addr))
-        else:
-            final_ops.append(op)
+    # widen source operands to their whole class now that classes are complete
+    def widen(slot):
+        if isinstance(slot, TempOperand):
+            return TempOperand(tuple(classes[slot.alts[0]]))
+        return slot
+
+    ops = [
+        replace(op, operands=tuple(map(widen, op.operands)), mem_addr=widen(op.mem_addr))
+        if op.kind in ("body", "out") else op
+        for op in ops
+    ]
 
     # program-order dependencies between aliasing source memory operations
     mem_deps: dict[int, tuple[int, ...]] = {}
@@ -324,13 +234,12 @@ def elaborate(p: Program, copy_budget: str = "full") -> ElabProgram:
         name=p.name,
         width=p.width,
         inputs=tuple(elab_inputs),
-        ops=tuple(final_ops),
+        ops=tuple(ops),
         temps=temps,
         classes={r: tuple(ms) for r, ms in classes.items()},
         out_temps=out_temps,
-        mem_candidates=tuple(mem_candidates),
+        mem_candidates=mem_candidates,
         tm=tm,
-        copy_budget=copy_budget,
         src2elab=src2elab,
         mem_deps=mem_deps,
     )
@@ -393,10 +302,14 @@ class ExtendedModel:
     program: ElabProgram
     target: TargetDesc
     env: TypeEnv
-    maxc: int  # cycle horizon
     r_dom: dict[int, tuple[int, ...]]  # temp -> allowed locations
     security: SecurityTables = field(default_factory=SecurityTables)
-    pins: tuple[tuple[int, int], ...] = ()  # forced (temp, location) pairs
+
+    @property
+    def maxc(self) -> int:
+        """Cycle horizon: every op issued one after another at full latency."""
+        ops = self.program.ops
+        return sum(self.latency(op) for op in ops) + len(ops) + 1
 
     @property
     def result_reg(self) -> int:
@@ -429,9 +342,6 @@ class ExtendedModel:
             )
         rows.append(ConstraintRow("preassign-result", "base", (self.result_reg,)))
         return tuple(rows + self.security.rows())
-
-    def with_pins(self, pins: dict[int, int]) -> "ExtendedModel":
-        return replace(self, pins=self.pins + tuple(sorted(pins.items())))
 
     def latency(self, op: ModelOp) -> int:
         if op.kind == "in":
@@ -500,11 +410,6 @@ def build_base_model(
         )
     _capacity_check(prog, target)
     env = elab_types(prog)
-
-    maxc = sum(
-        (1 if op.kind == "in" else 0 if op.kind == "out" else target.latency(op.opcode))
-        for op in prog.ops
-    ) + len(prog.ops) + 1
     nregs = target.num_registers
     r_dom: dict[int, tuple[int, ...]] = {}
     for tid, mt in prog.temps.items():
@@ -519,7 +424,6 @@ def build_base_model(
         program=prog,
         target=target,
         env=env,
-        maxc=maxc,
         r_dom=r_dom,
     )
 
@@ -840,10 +744,6 @@ def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
 
     errs.extend(_check_base_families(model, v))
     errs.extend(_check_security(model.security, v))
-
-    for t, r in model.pins:
-        if v.reg.get(t) != r:
-            errs.append(f"pin t{t}={r} violated")
     return errs
 
 

@@ -114,15 +114,14 @@ def _enumerate_level(model: ExtendedModel, level: int) -> list[Solution]:
     One walk per activeness subset issues the subset's operations in every
     order. Each operation takes every operand selection whose reads find
     their temps issued and still in place, its canonical cycle, and every
-    location of its definition that `r_dom`, the pins and the two-address
-    rule allow. An order is dropped once one cycle per remaining operation
+    location of its definition that `r_dom` and the two-address rule
+    allow. An order is dropped once one cycle per remaining operation
     would pass the level. Security is judged only on complete candidates.
     Iterative deepening makes the first non-empty level exact.
     """
     prog = model.program
     out_op = prog.out_op
     nregs = model.target.num_registers
-    pins = dict(model.pins)
     found = []
     work = 0
 
@@ -176,8 +175,6 @@ def _enumerate_level(model: ExtendedModel, level: int) -> list[Solution]:
                 d = op.defs[0]
                 src_locs = [regs[t] for (_o, i), t in sel.items() if i >= 0]
                 for loc in model.r_dom[d]:
-                    if pins.get(d, loc) != loc:
-                        continue
                     if model.two_address(op) and src_locs and loc not in src_locs:
                         continue
                     pair = ((contents[loc], d),) if loc < nregs and loc in contents else ()
@@ -186,7 +183,7 @@ def _enumerate_level(model: ExtendedModel, level: int) -> list[Solution]:
                          succ + pair)
 
     regs = {t.id: prog.temps[t.id].input_index for t, _cls in prog.inputs}
-    if any(loc not in model.r_dom[t] or pins.get(t, loc) != loc for t, loc in regs.items()):
+    if any(loc not in model.r_dom[t] for t, loc in regs.items()):
         return found
     contents = {loc: t for t, loc in regs.items()}
     ready = dict.fromkeys(regs, 1)

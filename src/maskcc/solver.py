@@ -75,6 +75,13 @@ def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
     """Static unsatisfiability checks that can name the failing family."""
     prog = model.program
     sec = model.security
+    for t, _cls in prog.inputs:
+        reg = prog.temps[t.id].input_index
+        if reg not in model.r_dom[t.id]:
+            return (
+                "preassign-arg",
+                f"input t{t.id} arrives in argument register {reg}, outside its domain",
+            )
     for ts, hiders in sec.spairs.items():
         if not hiders and prog.op(prog.temps[ts].defined_by).mandatory:
             return (
@@ -108,7 +115,6 @@ class _Searcher:
         self.t0 = time.monotonic()
         self.nregs = model.target.num_registers
         self.result_reg = model.result_reg
-        self.pins = dict(model.pins)
         self.best: Solution | None = None
         self.best_obj: int | None = None
         self.solutions: list[Solution] = []
@@ -186,20 +192,10 @@ class _Searcher:
     # -- machine walk ---------------------------------------------------------
 
     def _ready_ops(self) -> list[ModelOp]:
-        issued = self.issued
-        unissued = [self.prog.op(o) for o in sorted(self.active) if o not in issued]
-        if not unissued:
-            return []
-        only_out_left = len(unissued) == 1 and unissued[0].kind == "out"
-        ready = []
-        for op in unissued:
-            if op.kind == "out":
-                if only_out_left:
-                    ready.append(op)
-                continue
-            if self._operands_selectable(op):
-                ready.append(op)
-        return ready
+        unissued = [self.prog.op(o) for o in sorted(self.active) if o not in self.issued]
+        if len(unissued) == 1:  # the out op, ready exactly when it is alone
+            return unissued
+        return [op for op in unissued if op.kind != "out" and self._operands_selectable(op)]
 
     def _operands_selectable(self, op: ModelOp) -> bool:
         for dep in self.prog.mem_deps.get(op.id, ()):
@@ -211,52 +207,50 @@ class _Searcher:
         return True
 
     def _walk(self) -> None:
-        if len(self.issued) == len(self.active):
+        """Issue each ready op with every operand selection and location.
+
+        The selections are the product of the per-slot pools of temps still
+        in place, in slot order, so the recursion takes one `_walk` and one
+        `_issue` frame per issued op.
+        """
+        remaining = len(self.active) - len(self.issued)
+        if not remaining:
             self._leaf()
             return
-        remaining = len(self.active) - len(self.issued)
         if self._bound_exceeded(self.last_cycle + remaining):
             self.stats.propagations += 1
             return
+        loc_of, ready_at = self.loc_of, self.ready_at
         for op in self._ready_ops():
             self._tick()
-            self._branch_selections(op, [], list(op.temp_slots()))
-
-    def _branch_selections(self, op: ModelOp, chosen, slots) -> None:
-        if slots:
-            idx, slot = slots[0]
-            for t in slot.alts:
-                if t in self.loc_of:
-                    self._branch_selections(op, chosen + [(idx, t)], slots[1:])
-            return
-        if op.kind == "out":  # the first output must sit in the result register
-            first = next((t for i, t in chosen if i == 0), None)
-            if first is not None and self.loc_of.get(first) != self.result_reg:
-                self.stats.propagations += 1
-                return
-        cycle = self.last_cycle + 1
-        for idx, t in chosen:
-            cycle = max(cycle, self.ready_at[t])
-        # ops still unissued after this one, each on a later distinct cycle
-        rest = len(self.active) - len(self.issued) - 1
-        if self._bound_exceeded(cycle + rest):
-            self.stats.propagations += 1
-            return
-        if op.kind == "out" or not op.defs:
-            self._issue(op, chosen, cycle, None, None)
-            return
-        d = op.defs[0]
-        for loc in self._loc_candidates(op, chosen, d):
-            self._issue(op, chosen, cycle, d, loc)
-
-    def _loc_candidates(self, op: ModelOp, chosen, d: int):
-        dom = self.model.r_dom[d]
-        if d in self.pins:
-            dom = tuple(loc for loc in dom if loc == self.pins[d])
-        if self.model.two_address(op):
-            src_locs = {self.loc_of[t] for i, t in chosen if i >= 0}
-            dom = tuple(loc for loc in dom if loc in src_locs)
-        return dom
+            is_out = op.kind == "out"
+            d = op.defs[0] if op.defs and not is_out else None
+            two_address = self.model.two_address(op)
+            idxs, pools = [], []
+            for idx, slot in op.temp_slots():
+                idxs.append(idx)
+                pools.append([t for t in slot.alts if t in loc_of])
+            for combo in itertools.product(*pools):
+                # the first output must sit in the result register
+                if is_out and combo and loc_of[combo[0]] != self.result_reg:
+                    self.stats.propagations += 1
+                    continue
+                cycle = self.last_cycle + 1
+                for t in combo:
+                    if ready_at[t] > cycle:
+                        cycle = ready_at[t]
+                # the ops left after this one each take a later distinct cycle
+                if self._bound_exceeded(cycle + remaining - 1):
+                    self.stats.propagations += 1
+                    continue
+                chosen = list(zip(idxs, combo))
+                if d is None:
+                    self._issue(op, chosen, cycle, None, None)
+                    continue
+                src_locs = {loc_of[t] for i, t in chosen if i >= 0} if two_address else None
+                for loc in self.model.r_dom[d]:
+                    if src_locs is None or loc in src_locs:
+                        self._issue(op, chosen, cycle, d, loc)
 
     def _write_ok(self, prev: int | None, d: int) -> bool:
         """May `d` overwrite `prev` (None: an empty register)?
@@ -419,7 +413,6 @@ def enumerate_solutions(
     model: ExtendedModel,
     cap: int = 100000,
     makespan_cap: int | None = None,
-    budget: SolveBudget | None = None,
 ) -> tuple[list[Solution], bool]:
     """All canonical solutions (optionally bounded by makespan), sorted.
 
@@ -427,8 +420,8 @@ def enumerate_solutions(
     """
     if preflight_infeasible(model) is not None:
         return [], False
-    budget = budget or SolveBudget(seconds=600.0)
-    s = _Searcher(model, budget, enumerate_all=True, cap=cap, makespan_cap=makespan_cap)
+    s = _Searcher(model, SolveBudget(seconds=600.0), enumerate_all=True, cap=cap,
+                  makespan_cap=makespan_cap)
     try:
         s.run()
     except _Budget:

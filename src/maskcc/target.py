@@ -84,9 +84,6 @@ class TargetDesc:
             return self.registers[index]
         return f"S{index - len(self.registers)}"
 
-    def is_stack_slot(self, index: int) -> bool:
-        return index >= len(self.registers)
-
 
 def _ops(alu_two_address: bool, alu_lat: int = 1, mem_lat: int = 2) -> dict[str, OpInfo]:
     ops = {}

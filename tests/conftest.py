@@ -9,6 +9,8 @@ secret-carrying combos used for exhaustive leakage-equivalence sweeps.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from maskcc.cli import front_end
@@ -204,6 +206,11 @@ def build_models(name: str, target: str, copy_budget: str):
     """(base model, secure model, sets) for a fixture combo."""
     base, sets, secure = front_end(fixture_program(name), TARGETS[target], copy_budget)
     return base, secure, sets
+
+
+def narrow(model, placements: dict[int, int]):
+    """The model with each temp's location domain narrowed to one location."""
+    return replace(model, r_dom={**model.r_dom, **{t: (loc,) for t, loc in placements.items()}})
 
 
 @pytest.fixture

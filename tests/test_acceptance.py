@@ -8,7 +8,9 @@ budget is stated.
 import random
 import time
 
-from conftest import EQUIV_CASES, FIXTURE_SOURCES, ORACLE_CASES, build_models, fixture_program
+from conftest import (
+    EQUIV_CASES, FIXTURE_SOURCES, ORACLE_CASES, build_models, fixture_program, narrow,
+)
 from maskcc.cli import main as cli_main
 from maskcc.ir import SecurityClass
 from maskcc.leakage import check_equivalence, linearize
@@ -76,7 +78,7 @@ def test_criterion_3_zero_overhead_on_both_targets():
 def test_criterion_4_leak_detection_exact_delta():
     t0 = time.time()
     base, _, _ = build_models("xor_p0", "thumb-like", "none")
-    pinned = base.with_pins({3: 1})  # masked word over the mask's register
+    pinned = narrow(base, {3: 1})  # masked word over the mask's register
     out = solve(pinned, SolveBudget(seconds=5))
     h = linearize(pinned, out.solution)
     verdict = check_equivalence(h, {0: 0}, ({2: 0x0}, {2: 0xF}))
@@ -112,8 +114,7 @@ def test_criterion_5_secure_solutions_leakage_equivalent():
         opt = solve(secure, SolveBudget(seconds=60))
         assert opt.status == "Optimal", (name, tgt)
         sols, truncated = enumerate_solutions(
-            secure, cap=3000, makespan_cap=opt.solution.objective,
-            budget=SolveBudget(seconds=120),
+            secure, cap=3000, makespan_cap=opt.solution.objective
         )
         assert not truncated and sols, (name, tgt)
         pub = {t.id: 0x3 for t in prog.source.public_inputs()}
@@ -159,8 +160,7 @@ def test_criterion_6_subsequence_characterizations():
             if out.solution is None:
                 continue
             sols, _ = enumerate_solutions(
-                model, cap=60, makespan_cap=out.solution.objective,
-                budget=SolveBudget(seconds=120),
+                model, cap=60, makespan_cap=out.solution.objective
             )
             for sol in sols:
                 v = SolutionView(model, sol)

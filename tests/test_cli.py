@@ -77,6 +77,21 @@ def test_compile_insecure_objective_matches_secure_for_xor(write_fixture, capsys
     assert rep_secure["objective"] == rep_base["objective"]
 
 
+def test_compile_300_op_chain(capsys, tmp_path):
+    # the walk takes two frames per issued op, so the recursion limit holds
+    lines = ["func chain width 4", "in t0:secret t1:random t2:public", "t3 = xor t0, t1"]
+    lines += [f"t{i + 1} = xor t{i}, t{1 + i % 2}" for i in range(3, 302)]
+    path = tmp_path / "chain.ir"
+    path.write_text("\n".join(lines + ["out t302"]) + "\n")
+    rc, out, err = run_cli(
+        capsys,
+        "--json", "compile", str(path), "--target", "mips-like", "--copy-budget", "none",
+        "--insecure", "--budget-nodes", "20000", "--out-dir", str(tmp_path),
+    )
+    assert rc == 0 and "Traceback" not in err
+    assert json.loads(out)["status"] == "Optimal"
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "compile", str(tmp_path / "absent.ir"))
     assert rc == 2

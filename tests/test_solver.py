@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from conftest import EQUIV_CASES, ORACLE_CASES, build_models
+from conftest import EQUIV_CASES, ORACLE_CASES, build_models, narrow
 from maskcc.model import check_solution
 from maskcc.solver import SolveBudget, _Searcher, enumerate_solutions, solve
 
@@ -106,11 +106,21 @@ def test_enumerate_infeasible_model_is_empty():
 
 def test_pinned_register_is_respected():
     base, _, _ = build_models("xor_p0", "thumb-like", "none")
-    pinned = base.with_pins({3: 1})  # first xor lands on the mask's register
+    pinned = narrow(base, {3: 1})  # first xor lands on the mask's register
     out = solve(pinned)
     assert out.status == "Optimal"
     assert out.solution.reg_of(3) == 1
     assert check_solution(pinned, out.solution) == []
+
+
+def test_input_domain_without_argument_register_is_infeasible():
+    from maskcc.oracle import brute_force
+
+    base, _, _ = build_models("xor_p0", "thumb-like", "none")
+    model = narrow(base, {0: 3})  # t0 arrives in R0
+    out = solve(model)
+    assert out.status == "Infeasible" and out.infeasible_family == "preassign-arg"
+    assert brute_force(model) == (None, [])
 
 
 def test_literal_operands_supported():

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import MINI, QUAD
+from conftest import MINI, QUAD, narrow
 from maskcc.cli import front_end
 from maskcc.ir import parse_program
 from maskcc.leakage import check_equivalence, linearize
@@ -173,7 +173,7 @@ def test_forced_bad_register_choices_are_detected_as_leaky():
             ]
             for d in mandatory_defs:
                 for argreg in range(len(prog.inputs)):
-                    pinned = base.with_pins({d: argreg})
+                    pinned = narrow(base, {d: argreg})
                     out = solve(pinned, SolveBudget(seconds=30))
                     if out.solution is None:
                         continue

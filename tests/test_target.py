@@ -104,7 +104,6 @@ def test_stack_slot_naming():
     t = PRESETS["thumb-like"]
     assert t.reg_name(0) == "R0"
     assert t.reg_name(8) == "S0"
-    assert t.is_stack_slot(8) and not t.is_stack_slot(7)
 
 
 def test_resolve_preset_and_file(tmp_path):
