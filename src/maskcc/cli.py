@@ -236,7 +236,7 @@ def cmd_compile(args) -> int:
         _emit(args, report)
         return EXIT_INFEASIBLE
     if outcome.status == "Timeout":
-        print("budget exhausted without a solution", file=sys.stderr)
+        print(f"{outcome.message} without a solution", file=sys.stderr)
         _emit(args, report)
         return EXIT_TIMEOUT
 

@@ -10,16 +10,21 @@ objective of a leaf is its makespan.
 The walk state (issued ops, locations, selections, the last memory op and
 the spairs/mspairs keys still waiting for a hider) lives on the searcher.
 Each issue undoes its own changes, so one state, set up once with the
-inputs in their argument registers, serves every activeness subset.
+inputs in their argument registers, serves every activeness subset. What
+the walk reads of the program is fixed per search and built once: a
+per-op table (memory deps, temp slots and their alts, the definition and
+its locations, two-address, latency) and a temp -> reader-slots index.
 
 Pruning: a makespan lower bound against the incumbent (the cardinality of
 an activeness subset already bounds its best makespan), plus one forward
 check per resource of the security families (`model.security`, one table
 per family): `_write_ok` on every register overwrite, `_adjacent_ok` on
-every memory adjacency, as they form. Every returned
-solution is re-validated by `model.check_solution`, which checks the base
-families from the program and target and each security family from the
-same tables.
+every memory adjacency, as they form. After an overwrite,
+`_still_satisfiable` checks that each pending slot naming the lost temp
+keeps an alt in place or defined by a pending op; no other slot can have
+lost one. Every returned solution is re-validated by
+`model.check_solution`, which checks the base families from the program
+and target and each security family from the same tables.
 
 A solve call is single-threaded and self-contained; models are never
 mutated, so independent solves may run concurrently on shared models.
@@ -30,13 +35,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     ExtendedModel,
-    ModelOp,
     Solution,
     check_solution,
     make_solution,
+    walk_op_limit,
 )
 
 
@@ -98,14 +104,28 @@ def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
     return None
 
 
+class _OpFacts(NamedTuple):
+    """What the walk reads of one op; fixed for the whole search."""
+
+    deps: tuple[int, ...]  # memory ops that must issue first
+    idxs: tuple[int, ...]  # temp slot indices, the address slot as -1
+    alts: tuple[tuple[int, ...], ...]  # each temp slot's alts, in branch order
+    d: int | None  # the temp it defines, if any (never for the out op)
+    locs: tuple[int, ...]  # the locations `d` may take
+    two_address: bool
+    latency: int
+    is_out: bool
+    is_memory: bool
+
+
 class _Searcher:
     # Fewer than 30 attributes: past that, CPython 3.11 stops sharing the
     # instance-dict keys and every attribute load in the walk gets slower.
     def __init__(self, model: ExtendedModel, budget: SolveBudget,
                  enumerate_all: bool = False, cap: int | None = None,
                  makespan_cap: int | None = None):
+        prog = model.program
         self.model = model
-        self.prog = model.program
         self.budget = budget
         self.enumerate_all = enumerate_all
         self.cap = cap
@@ -120,10 +140,34 @@ class _Searcher:
         self.solutions: list[Solution] = []
         self.truncated = False
 
+        # Static tables. `facts[o]` describes op o (index 0 is unused);
+        # `readers[t]` lists (op, ((alt, alt's defining op), ...)) for each
+        # temp slot that names temp t (temp ids are dense).
+        self.facts: list[_OpFacts | None] = [None]
+        self.readers: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
+            [] for _t in prog.temps
+        ]
+        for op in prog.ops:
+            slots = list(op.temp_slots())
+            is_out = op.kind == "out"
+            d = op.defs[0] if op.defs and not is_out else None
+            self.facts.append(_OpFacts(
+                prog.mem_deps.get(op.id, ()),
+                tuple(i for i, _slot in slots),
+                tuple(slot.alts for _i, slot in slots),
+                d, model.r_dom[d] if d is not None else (),
+                model.two_address(op), model.latency(op), is_out, op.is_memory,
+            ))
+            for _i, slot in slots:
+                entry = (op.id, tuple((t, prog.temps[t].defined_by) for t in slot.alts))
+                for t in slot.alts:
+                    self.readers[t].append(entry)
+
         # The walk state. Every `_issue` undoes its own changes, so each walk
         # leaves it as set up here and one state serves every subset.
         self.active: set[int] = set()  # the activeness subset being walked
-        self.issued = {self.prog.in_op.id: 0}  # op -> cycle
+        self.order: list[int] = []  # the same subset, ascending
+        self.issued = {prog.in_op.id: 0}  # op -> cycle
         self.last_cycle = 0
         self.ready_at: dict[int, int] = {}  # temp -> cycle its value becomes readable
         self.loc_of: dict[int, int] = {}  # temp -> location while intact
@@ -133,8 +177,8 @@ class _Searcher:
         self.last_mem: int | None = None  # the memory op last on the bus
         self.s_pending: set[int] = set()  # spairs keys still waiting for a hider
         self.ms_pending: set[int] = set()  # mspairs keys still waiting for a hider
-        for t, _cls in self.prog.inputs:
-            loc = self.prog.temps[t.id].input_index
+        for t, _cls in prog.inputs:
+            loc = prog.temps[t.id].input_index
             self.loc_of[t.id] = loc
             self.occupant[loc] = t.id
             self.assigned[t.id] = loc
@@ -166,14 +210,18 @@ class _Searcher:
         the first feasible leaf gives a tight incumbent and the cardinality
         bound then prunes whole subset families at once.
         """
-        mandatory = {o.id for o in self.prog.ops if o.mandatory}
-        n_mand_real = sum(1 for o in mandatory if self.prog.op(o).kind not in ("in", "out"))
-        optional = [o for o in self.prog.ops if not o.mandatory]
-        opt_ids = [o.id for o in optional]
-        kind = {o.id: o.kind for o in optional}
+        ops = self.model.program.ops
+        mandatory = {o.id for o in ops if o.mandatory}
+        n_mand_real = sum(1 for o in ops if o.mandatory and o.kind not in ("in", "out"))
+        opt_ids = [o.id for o in ops if not o.mandatory]
+        kind = {o.id: o.kind for o in ops}
+        most = walk_op_limit()
         for k in range(len(opt_ids) + 1):
             if self._bound_exceeded(n_mand_real + k + 1):
                 self.stats.propagations += 1
+                break
+            if len(mandatory) + k > most:  # the walk would pass the recursion limit
+                self.truncated = True
                 break
             for combo in itertools.combinations(opt_ids, k):
                 self._tick()
@@ -187,24 +235,36 @@ class _Searcher:
                     self.stats.propagations += 1
                     break
                 self.active = mandatory | chosen
+                self.order = sorted(self.active)
                 self._walk()
 
     # -- machine walk ---------------------------------------------------------
 
-    def _ready_ops(self) -> list[ModelOp]:
-        unissued = [self.prog.op(o) for o in sorted(self.active) if o not in self.issued]
+    def _ready_ops(self) -> list[int]:
+        """Unissued ops whose memory deps issued and whose slots each have an
+        alt in place, lowest id first; the out op only when it is alone."""
+        issued, loc_of, facts = self.issued, self.loc_of, self.facts
+        unissued = [o for o in self.order if o not in issued]
         if len(unissued) == 1:  # the out op, ready exactly when it is alone
             return unissued
-        return [op for op in unissued if op.kind != "out" and self._operands_selectable(op)]
-
-    def _operands_selectable(self, op: ModelOp) -> bool:
-        for dep in self.prog.mem_deps.get(op.id, ()):
-            if dep not in self.issued:
-                return False
-        for _i, slot in op.temp_slots():
-            if not any(t in self.loc_of for t in slot.alts):
-                return False
-        return True
+        ready = []
+        for o in unissued:
+            f = facts[o]
+            if f.is_out:
+                continue
+            for dep in f.deps:
+                if dep not in issued:
+                    break
+            else:
+                for alts in f.alts:
+                    for t in alts:
+                        if t in loc_of:
+                            break
+                    else:
+                        break
+                else:
+                    ready.append(o)
+        return ready
 
     def _walk(self) -> None:
         """Issue each ready op with every operand selection and location.
@@ -221,18 +281,14 @@ class _Searcher:
             self.stats.propagations += 1
             return
         loc_of, ready_at = self.loc_of, self.ready_at
-        for op in self._ready_ops():
+        for o in self._ready_ops():
             self._tick()
-            is_out = op.kind == "out"
-            d = op.defs[0] if op.defs and not is_out else None
-            two_address = self.model.two_address(op)
-            idxs, pools = [], []
-            for idx, slot in op.temp_slots():
-                idxs.append(idx)
-                pools.append([t for t in slot.alts if t in loc_of])
+            f = self.facts[o]
+            idxs, d = f.idxs, f.d
+            pools = [[t for t in alts if t in loc_of] for alts in f.alts]
             for combo in itertools.product(*pools):
                 # the first output must sit in the result register
-                if is_out and combo and loc_of[combo[0]] != self.result_reg:
+                if f.is_out and combo and loc_of[combo[0]] != self.result_reg:
                     self.stats.propagations += 1
                     continue
                 cycle = self.last_cycle + 1
@@ -245,12 +301,12 @@ class _Searcher:
                     continue
                 chosen = list(zip(idxs, combo))
                 if d is None:
-                    self._issue(op, chosen, cycle, None, None)
+                    self._issue(o, f, chosen, cycle, None, None)
                     continue
-                src_locs = {loc_of[t] for i, t in chosen if i >= 0} if two_address else None
-                for loc in self.model.r_dom[d]:
+                src_locs = {loc_of[t] for i, t in chosen if i >= 0} if f.two_address else None
+                for loc in f.locs:
                     if src_locs is None or loc in src_locs:
-                        self._issue(op, chosen, cycle, d, loc)
+                        self._issue(o, f, chosen, cycle, d, loc)
 
     def _write_ok(self, prev: int | None, d: int) -> bool:
         """May `d` overwrite `prev` (None: an empty register)?
@@ -282,48 +338,49 @@ class _Searcher:
         hiders = sec.mspairs.get(o)
         return hiders is None or prev in hiders
 
-    def _issue(self, op: ModelOp, chosen, cycle, d, loc) -> None:
+    def _issue(self, o: int, f: _OpFacts, chosen, cycle, d, loc) -> None:
         occupant = self.occupant.get(loc) if d is not None else None
         prev_mem = self.last_mem
+        is_memory = f.is_memory
         if (d is not None and loc < self.nregs and not self._write_ok(occupant, d)) or (
-            op.is_memory and not self._adjacent_ok(prev_mem, op.id)
+            is_memory and not self._adjacent_ok(prev_mem, o)
         ):
             self.stats.propagations += 1
             return
 
         # commit; the checks passed, so a pending neighbour is now hidden
         s_resolved = occupant in self.s_pending
-        ms_resolved = op.is_memory and prev_mem in self.ms_pending
-        self.issued[op.id] = cycle
+        ms_resolved = is_memory and prev_mem in self.ms_pending
+        self.issued[o] = cycle
         last_cycle, self.last_cycle = self.last_cycle, cycle
         for idx, t in chosen:
-            self.sels[(op.id, idx)] = t
+            self.sels[(o, idx)] = t
         if d is not None:
             if occupant is not None:
                 del self.loc_of[occupant]
             self.occupant[loc] = d
             self.loc_of[d] = loc
             self.assigned[d] = loc
-            self.ready_at[d] = cycle + self.model.latency(op)
+            self.ready_at[d] = cycle + f.latency
             if d in self.sec.spairs:  # keys are register temps: `_write_ok` ran
                 self.s_pending.add(d)
         if s_resolved:
             self.s_pending.discard(occupant)
-        if op.is_memory:
+        if is_memory:
             if ms_resolved:
                 self.ms_pending.discard(prev_mem)
-            if op.id in self.sec.mspairs:
-                self.ms_pending.add(op.id)
-            self.last_mem = op.id
+            if o in self.sec.mspairs:
+                self.ms_pending.add(o)
+            self.last_mem = o
 
-        if occupant is None or self._still_satisfiable():
+        if occupant is None or self._still_satisfiable(occupant):
             self._walk()
 
         # undo
-        del self.issued[op.id]
+        del self.issued[o]
         self.last_cycle = last_cycle
         for idx, _t in chosen:
-            del self.sels[(op.id, idx)]
+            del self.sels[(o, idx)]
         if d is not None:
             del self.loc_of[d]
             del self.assigned[d]
@@ -336,31 +393,31 @@ class _Searcher:
             self.s_pending.discard(d)
         if s_resolved:
             self.s_pending.add(occupant)
-        if op.is_memory:
+        if is_memory:
             self.last_mem = prev_mem
-            self.ms_pending.discard(op.id)
+            self.ms_pending.discard(o)
             if ms_resolved:
                 self.ms_pending.add(prev_mem)
 
-    def _still_satisfiable(self) -> bool:
-        """After a clobber, every pending operand must keep one obtainable alt."""
-        for op_id in self.active:
-            if op_id in self.issued:
+    def _still_satisfiable(self, lost: int) -> bool:
+        """After `lost` is clobbered, every pending operand must keep one
+        obtainable alt: one in place or defined by a pending op.
+
+        Only slots that name `lost` need checking. Each subset starts with
+        every slot satisfiable (inputs sit in their argument registers, each
+        class representative is defined by a mandatory op, and `run` keeps
+        each spill load's store), and only a clobber takes an alt away.
+        """
+        active, issued, loc_of = self.active, self.issued, self.loc_of
+        for op_id, alts in self.readers[lost]:
+            if op_id not in active or op_id in issued:
                 continue
-            op = self.prog.op(op_id)
-            for _i, slot in op.temp_slots():
-                ok = False
-                for t in slot.alts:
-                    if t in self.loc_of:
-                        ok = True
-                        break
-                    def_op = self.prog.temps[t].defined_by
-                    if def_op in self.active and def_op not in self.issued:
-                        ok = True
-                        break
-                if not ok:
-                    self.stats.propagations += 1
-                    return False
+            for t, def_op in alts:
+                if t in loc_of or (def_op in active and def_op not in issued):
+                    break
+            else:
+                self.stats.propagations += 1
+                return False
         return True
 
     def _leaf(self) -> None:
@@ -389,9 +446,9 @@ def solve(model: ExtendedModel, budget: SolveBudget | None = None) -> SolveOutco
         family, msg = pre
         return SolveOutcome("Infeasible", None, stats, family, msg)
     s = _Searcher(model, budget)
-    exhausted = True
     try:
         s.run()
+        exhausted = not s.truncated
     except _Budget:
         exhausted = False
     s.stats.wall_time = time.monotonic() - s.t0
@@ -406,7 +463,8 @@ def solve(model: ExtendedModel, budget: SolveBudget | None = None) -> SolveOutco
             "Infeasible", None, s.stats,
             message="search exhausted without a feasible solution",
         )
-    return SolveOutcome("Timeout", None, s.stats, message="budget exhausted")
+    message = "walk size limit reached" if s.truncated else "budget exhausted"
+    return SolveOutcome("Timeout", None, s.stats, message=message)
 
 
 def enumerate_solutions(
@@ -416,7 +474,8 @@ def enumerate_solutions(
 ) -> tuple[list[Solution], bool]:
     """All canonical solutions (optionally bounded by makespan), sorted.
 
-    Returns (solutions, truncated). `truncated` reports that the cap was hit.
+    Returns (solutions, truncated). `truncated` reports that the cap was hit
+    or that subsets too large for the walk were left out.
     """
     if preflight_infeasible(model) is not None:
         return [], False

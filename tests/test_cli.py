@@ -77,19 +77,47 @@ def test_compile_insecure_objective_matches_secure_for_xor(write_fixture, capsys
     assert rep_secure["objective"] == rep_base["objective"]
 
 
+def _write_chain(tmp_path, n_ops: int) -> str:
+    """The chain t(i+1) = xor t(i), t1|t2 with `n_ops` body ops."""
+    lines = ["func chain width 4", "in t0:secret t1:random t2:public", "t3 = xor t0, t1"]
+    lines += [f"t{i + 1} = xor t{i}, t{1 + i % 2}" for i in range(3, n_ops + 2)]
+    path = tmp_path / "chain.ir"
+    path.write_text("\n".join(lines + [f"out t{n_ops + 2}"]) + "\n")
+    return str(path)
+
+
 def test_compile_300_op_chain(capsys, tmp_path):
     # the walk takes two frames per issued op, so the recursion limit holds
-    lines = ["func chain width 4", "in t0:secret t1:random t2:public", "t3 = xor t0, t1"]
-    lines += [f"t{i + 1} = xor t{i}, t{1 + i % 2}" for i in range(3, 302)]
-    path = tmp_path / "chain.ir"
-    path.write_text("\n".join(lines + ["out t302"]) + "\n")
     rc, out, err = run_cli(
         capsys,
-        "--json", "compile", str(path), "--target", "mips-like", "--copy-budget", "none",
+        "--json", "compile", _write_chain(tmp_path, 300), "--target", "mips-like",
+        "--copy-budget", "none", "--insecure", "--budget-nodes", "20000",
+        "--out-dir", str(tmp_path),
+    )
+    assert rc == 0 and "Traceback" not in err
+    assert json.loads(out)["status"] == "Optimal"
+
+
+def test_compile_150_op_chain_under_full_copy_budget(capsys, tmp_path):
+    # copies and spills are optional, so only the mandatory ops count
+    # against the walk's size limit, and the first leaf is already optimal
+    rc, out, err = run_cli(
+        capsys,
+        "--json", "compile", _write_chain(tmp_path, 150), "--target", "mips-like",
         "--insecure", "--budget-nodes", "20000", "--out-dir", str(tmp_path),
     )
     assert rc == 0 and "Traceback" not in err
     assert json.loads(out)["status"] == "Optimal"
+
+
+@pytest.mark.parametrize("cmd", ["compile", "simulate", "oracle"])
+def test_500_op_chain_rejected_before_solving(cmd, capsys, tmp_path):
+    # more mandatory ops than the recursive walk fits under the recursion
+    # limit: exit 2, whatever the copy budget
+    rc, out, err = run_cli(capsys, cmd, _write_chain(tmp_path, 500), "--target", "mips-like")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: program elaborates to 502 mandatory operations")
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -1,12 +1,23 @@
 """Solver behaviour: statuses, budgets, determinism, soundness."""
 
 import copy
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import EQUIV_CASES, ORACLE_CASES, build_models, narrow
-from maskcc.model import check_solution
-from maskcc.solver import SolveBudget, _Searcher, enumerate_solutions, solve
+from conftest import EQUIV_CASES, FIXTURE_SOURCES, MINI, ORACLE_CASES, QUAD, build_models, narrow
+from maskcc import model as model_mod
+from maskcc.cli import front_end
+from maskcc.ir import parse_program
+from maskcc.model import ModelBuildError, check_solution
+from maskcc.solver import SolveBudget, _Budget, _Searcher, enumerate_solutions, solve
+from maskcc.target import PRESETS
+from test_stress import gen_kernel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def test_budget_requires_a_limit():
@@ -123,6 +134,36 @@ def test_input_domain_without_argument_register_is_infeasible():
     assert brute_force(model) == (None, [])
 
 
+def _limit_walk(monkeypatch, n_ops: int) -> None:
+    """Make `walk_op_limit()` return `n_ops`."""
+    monkeypatch.setattr(model_mod, "WALK_HEADROOM", sys.getrecursionlimit() - 2 * n_ops)
+
+
+def test_mandatory_ops_past_walk_limit_rejected_at_build(monkeypatch):
+    base, _, _ = build_models("goubin_mask", "thumb-like", "full")
+    n_mand = sum(1 for o in base.program.ops if o.mandatory)
+    _limit_walk(monkeypatch, n_mand)
+    build_models("goubin_mask", "thumb-like", "full")  # exactly at the limit
+    _limit_walk(monkeypatch, n_mand - 1)
+    with pytest.raises(ModelBuildError, match=f"{n_mand} mandatory operations"):
+        build_models("goubin_mask", "thumb-like", "full")
+
+
+def test_subsets_past_walk_limit_are_not_walked(monkeypatch):
+    # the secure optimum needs an optional copy; the base one does not
+    base, secure, _ = build_models("goubin_mask", "thumb-like", "reg")
+    n_mand = sum(1 for o in secure.program.ops if o.mandatory)
+    _limit_walk(monkeypatch, n_mand)
+    out = solve(secure)
+    assert out.status == "Timeout" and out.message == "walk size limit reached"
+    # the makespan bound stops the base search before the limit does
+    assert solve(base).status == "Optimal"
+    assert enumerate_solutions(base, makespan_cap=5)[1] is False
+    sols, truncated = enumerate_solutions(base)
+    assert truncated and sols
+    assert all(len(s.active) == n_mand for s in sols)
+
+
 def test_literal_operands_supported():
     from maskcc.ir import parse_program
     from maskcc.leakage import linearize, simulate
@@ -159,7 +200,7 @@ class _CheckedSearcher(_Searcher):
     walks = 0
 
     def _walk(self):
-        before = {f: copy.deepcopy(getattr(self, f)) for f in WALK_FIELDS + ("active",)}
+        before = {f: copy.deepcopy(getattr(self, f)) for f in WALK_FIELDS + ("active", "order")}
         super()._walk()
         assert {f: getattr(self, f) for f in before} == before
         self.walks += 1
@@ -171,8 +212,8 @@ def test_walk_state_restored_after_search(enumerate_all):
 
     On mem_secret (thumb-like, reg) the exhaustive search overwrites
     registers, issues memory ops and leaves spairs and mspairs keys pending.
-    `active` is left out of the run-level comparison: `run` sets it to each
-    subset in turn.
+    `active` and `order` (the same subset, sorted) are left out of the
+    run-level comparison: `run` sets them to each subset in turn.
     """
     _, secure, _ = build_models("mem_secret", "thumb-like", "reg")
     assert secure.security.spairs and secure.security.mspairs
@@ -186,3 +227,138 @@ def test_walk_state_restored_after_search(enumerate_all):
     assert s.stats.nodes < 10**6
     assert s.stats.propagations > 0 and s.stats.leaves > 0 and s.walks > 0
     assert {f: getattr(s, f) for f in WALK_FIELDS} == before
+
+
+# The search itself is pinned: a change that only claims to make nodes cheaper
+# must reproduce these counts exactly. Rows: ladder (gen seed, body ops) ->
+# (status, objective, nodes, propagations, leaves), solved as the `ladder`
+# benchmark workload does (thumb-like, full copies, secure, 15k nodes).
+LADDER_COUNTS = {
+    (0, 3): ("Infeasible", None, 0, 0, 0),
+    (0, 5): ("Infeasible", None, 0, 0, 0),
+    (0, 7): ("Timeout", None, 15001, 8591, 0),
+    (0, 9): ("Timeout", None, 15001, 27182, 0),
+    (0, 12): ("Timeout", None, 15001, 26674, 0),
+    (1, 3): ("Optimal", 5, 80, 115, 1),
+    (1, 5): ("Timeout", None, 15001, 45994, 0),
+    (1, 7): ("Timeout", None, 15001, 21864, 0),
+    (1, 9): ("Timeout", None, 15001, 58261, 0),
+    (1, 12): ("Infeasible", None, 0, 0, 0),
+    (2, 3): ("Optimal", 4, 6, 5, 1),
+    (2, 5): ("Timeout", None, 15001, 34044, 0),
+    (2, 7): ("Timeout", None, 15001, 33174, 0),
+    (2, 9): ("Timeout", None, 15001, 25423, 0),
+    (2, 12): ("Infeasible", None, 0, 0, 0),
+    (3, 3): ("Timeout", None, 15001, 26937, 0),
+    (3, 5): ("Timeout", None, 15001, 21549, 0),
+    (3, 7): ("Timeout", None, 15001, 52136, 0),
+    (3, 9): ("Timeout", None, 15001, 30190, 0),
+    (3, 12): ("Timeout", None, 15001, 47579, 0),
+}
+
+# (fixture, target, copy budget, secure?, makespan cap) ->
+# (solutions, nodes, propagations, leaves) in enumerate mode
+ENUMERATE_COUNTS = {
+    ("xor_p0", "mips-like", "none", False, 4): (15, 257, 226, 15),
+    ("xor_p0", "mips-like", "none", True, 4): (14, 212, 212, 14),
+    ("xor_p0", "thumb-like", "reg", False, 4): (156, 509, 253, 156),
+    ("xor_p0", "thumb-like", "reg", True, 4): (57, 141, 124, 57),
+    ("secmult_gf", "quad", "reg", False, 4): (110, 550, 412, 110),
+    ("secmult_gf", "quad", "reg", True, 6): (25, 500, 1419, 25),
+    ("sec_reload", "quad", "reg", False, 4): (103, 512, 378, 103),
+    ("sec_reload", "quad", "reg", True, 6): (4, 182, 492, 4),
+    ("mem_secret", "mini", "reg", False, 7): (1023, 18749, 11979, 1023),
+    ("mem_secret", "mini", "reg", True, 7): (9, 466, 668, 9),
+    ("mem_pair", "mini", "none", False, 7): (32, 254, 111, 32),
+    ("mem_pair", "mini", "none", True, 7): (12, 155, 91, 12),
+    ("nohide", "thumb-like", "reg", False, 3): (31, 271, 275, 31),
+    ("nohide", "thumb-like", "reg", True, 8): (0, 10, 48, 0),
+}
+
+
+def test_ladder_search_counts_pinned():
+    got = {}
+    for seed, n_ops in LADDER_COUNTS:
+        prog = parse_program(workloads.ladder_kernel(seed, n_ops))
+        _, _, secure = front_end(prog, PRESETS["thumb-like"], "full")
+        out = solve(secure, SolveBudget(seconds=None, nodes=workloads.LADDER_NODES))
+        st = out.stats
+        got[seed, n_ops] = (out.status, out.solution and out.solution.objective,
+                            st.nodes, st.propagations, st.leaves)
+    assert got == LADDER_COUNTS
+
+
+def test_enumerate_search_counts_pinned():
+    got = {}
+    for name, tgt, budget, secure, cap in ENUMERATE_COUNTS:
+        base, sec_model, _ = build_models(name, tgt, budget)
+        s = _Searcher(sec_model if secure else base, SolveBudget(seconds=600.0),
+                      enumerate_all=True, cap=100000, makespan_cap=cap)
+        s.run()
+        st = s.stats
+        got[name, tgt, budget, secure, cap] = (len(s.solutions), st.nodes,
+                                               st.propagations, st.leaves)
+    assert got == ENUMERATE_COUNTS
+
+
+class _FullScanSearcher(_Searcher):
+    """Checks each clobber-local satisfiability test against a full scan.
+
+    The full scan asks of every operand slot of every pending op whether
+    one alt is in place or defined by a pending op. `by_pending_def` counts
+    the clobbers that some slot survives only through a pending definition
+    (a spill load whose store has issued, say).
+    """
+
+    checks = 0
+    by_pending_def = 0
+
+    def _still_satisfiable(self, lost):
+        local = super()._still_satisfiable(lost)
+        prog, pending = self.model.program, self.active - self.issued.keys()
+        slots = [slot.alts for o in pending for _i, slot in prog.op(o).temp_slots()]
+        full = all(
+            any(t in self.loc_of or prog.temps[t].defined_by in pending for t in alts)
+            for alts in slots
+        )
+        assert local == full, (lost, sorted(self.issued))
+        self.checks += 1
+        if full and not all(any(t in self.loc_of for t in alts) for alts in slots):
+            self.by_pending_def += 1
+        return local
+
+
+def _full_scan_models():
+    """Every fixture on thumb-like (none/reg/full) and, with spills, on mini,
+    plus some generated kernels; base and secure models each."""
+    for name in FIXTURE_SOURCES:
+        for target, budget in [("thumb-like", b) for b in ("none", "reg", "full")] + [
+            ("mini", "full")
+        ]:
+            try:
+                base, secure, _ = build_models(name, target, budget)
+            except ModelBuildError:
+                continue
+            yield from (base, secure)
+    for seed in range(0, 200, 7):
+        prog = parse_program(gen_kernel(random.Random(1000 + seed), seed, seed % 3 == 0))
+        try:
+            base, _, secure = front_end(prog, QUAD if seed % 2 else MINI, "reg")
+        except ModelBuildError:
+            continue
+        yield from (base, secure)
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_clobber_local_check_matches_full_scan(enumerate_all):
+    checks = by_pending_def = 0
+    for model in _full_scan_models():
+        s = _FullScanSearcher(model, SolveBudget(seconds=None, nodes=2000),
+                              enumerate_all=enumerate_all)
+        try:
+            s.run()
+        except _Budget:  # the node budget ends most searches
+            pass
+        checks += s.checks
+        by_pending_def += s.by_pending_def
+    assert checks > 1000 and by_pending_def > 0
