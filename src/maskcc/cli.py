@@ -74,7 +74,7 @@ def render_asm(model, sol, harness) -> list[str]:
         else:
             a, b = (_src_str(t, s) for s in ins.srcs)
             dest = t.reg_name(ins.dest)
-            if model.two_address(op):
+            if model.two_address(op) and dest in (a, b):  # not when both are literals
                 other = b if a == dest else a
                 text = f"{ins.opcode} {dest}, {other}"
             else:
@@ -197,6 +197,25 @@ def _load(args):
         return None
 
 
+def _unsolved(outcome) -> int:
+    """Say why a solve found no schedule; the exit code for it."""
+    if outcome.status == "Infeasible":
+        family = outcome.infeasible_family or "unknown"
+        print(f"infeasible: {outcome.message} (constraint family: {family})", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    print(f"{outcome.message} without a solution", file=sys.stderr)
+    return EXIT_TIMEOUT
+
+
+def _verdict_dict(verdict) -> dict:
+    return {
+        "verdict": "Equivalent" if verdict.equivalent else "Leaky",
+        "positions": [list(p) for p in verdict.positions],
+        "delta_mean": str(verdict.delta_mean),
+        "delta_var": str(verdict.delta_var),
+    }
+
+
 def cmd_compile(args) -> int:
     loaded = _load(args)
     if loaded is None:
@@ -205,8 +224,7 @@ def cmd_compile(args) -> int:
     model = secure if args.secure else base
     if args.dump_model:
         Path(args.dump_model).write_text(json.dumps(dump_model(model), indent=2))
-    budget = solver.SolveBudget(seconds=args.budget_seconds, nodes=args.budget_nodes)
-    outcome = solver.solve(model, budget)
+    outcome = solver.solve(model, solver.SolveBudget(args.budget_seconds, args.budget_nodes))
     report = {
         "program": prog.name,
         "target": model.target.name,
@@ -227,20 +245,12 @@ def cmd_compile(args) -> int:
         "verify": None,
         "asm": [],
     }
-    if outcome.status == "Infeasible":
-        family = outcome.infeasible_family or "unknown"
-        print(
-            f"infeasible: {outcome.message} (constraint family: {family})",
-            file=sys.stderr,
-        )
-        _emit(args, report)
-        return EXIT_INFEASIBLE
-    if outcome.status == "Timeout":
-        print(f"{outcome.message} without a solution", file=sys.stderr)
-        _emit(args, report)
-        return EXIT_TIMEOUT
-
     sol = outcome.solution
+    if sol is None:
+        rc = _unsolved(outcome)
+        _emit(args, report)
+        return rc
+
     harness = leakage.linearize(model, sol)
     report["asm"] = render_asm(model, sol, harness)
     if args.dump_solution:
@@ -248,12 +258,7 @@ def cmd_compile(args) -> int:
     rc = EXIT_OK
     if args.verify:
         verdict = _verify(prog, harness, args)
-        report["verify"] = {
-            "verdict": "Equivalent" if verdict.equivalent else "Leaky",
-            "positions": [list(p) for p in verdict.positions],
-            "delta_mean": str(verdict.delta_mean),
-            "delta_var": str(verdict.delta_var),
-        }
+        report["verify"] = _verdict_dict(verdict)
         if not verdict.equivalent:
             print("verification failed: output is leaky", file=sys.stderr)
             rc = EXIT_FAIL
@@ -342,14 +347,9 @@ def cmd_simulate(args) -> int:
         return EXIT_INPUT
 
     model = secure if args.secure else base
-    outcome = solver.solve(
-        model, solver.SolveBudget(seconds=args.budget_seconds, nodes=args.budget_nodes)
-    )
-    if outcome.status == "Infeasible":
-        print("infeasible model", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    if outcome.status == "Timeout":
-        return EXIT_TIMEOUT
+    outcome = solver.solve(model, solver.SolveBudget(args.budget_seconds, args.budget_nodes))
+    if outcome.solution is None:
+        return _unsolved(outcome)
     harness = leakage.linearize(model, outcome.solution)
     if args.samples:
         sampling = MonteCarlo(samples=args.samples, seed=args.seed)
@@ -369,10 +369,7 @@ def cmd_simulate(args) -> int:
     _, trace = leakage.simulate(harness.instrs, width, harness.initial_regs(values))
     payload = {
         "program": prog.name,
-        "verdict": "Equivalent" if verdict.equivalent else "Leaky",
-        "positions": [list(p) for p in verdict.positions],
-        "delta_mean": str(verdict.delta_mean),
-        "delta_var": str(verdict.delta_var),
+        **_verdict_dict(verdict),
         "per_position": {
             f"o{pos}:{kind}": {
                 "mean": str(stats.mean[(pos, kind)]),
@@ -413,15 +410,18 @@ def main(argv=None) -> int:
     ap.add_argument("--json", action="store_true", help="echo reports to stdout")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    c = sub.add_parser("compile", help="generate leak-free assembly")
-    c.add_argument("ir")
-    c.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    c.add_argument("--target", default="thumb-like")
-    c.add_argument("--secure", dest="secure", action="store_true", default=True)
-    c.add_argument("--insecure", dest="secure", action="store_false")
-    c.add_argument("--copy-budget", default="full", choices=["none", "reg", "full"])
-    c.add_argument("--budget-seconds", type=float, default=60.0)
-    c.add_argument("--budget-nodes", type=int, default=None)
+    # the options of the subcommands that solve and simulate
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("ir")
+    solving.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    solving.add_argument("--target", default="thumb-like")
+    solving.add_argument("--secure", dest="secure", action="store_true", default=True)
+    solving.add_argument("--insecure", dest="secure", action="store_false")
+    solving.add_argument("--copy-budget", default="full", choices=["none", "reg", "full"])
+    solving.add_argument("--budget-seconds", type=float, default=60.0)
+    solving.add_argument("--budget-nodes", type=int, default=None)
+
+    c = sub.add_parser("compile", parents=[solving], help="generate leak-free assembly")
     c.add_argument("--dump-model", default=None)
     c.add_argument("--dump-solution", default=None)
     c.add_argument("--verify", action="store_true")
@@ -433,21 +433,14 @@ def main(argv=None) -> int:
     a.add_argument("--copy-budget", default="full", choices=["none", "reg", "full"])
     a.set_defaults(func=cmd_analyze)
 
-    s = sub.add_parser("simulate", help="simulate a compiled kernel and check leakage")
-    s.add_argument("ir")
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    s.add_argument("--target", default="thumb-like")
-    s.add_argument("--secure", dest="secure", action="store_true", default=True)
-    s.add_argument("--insecure", dest="secure", action="store_false")
-    s.add_argument("--copy-budget", default="full", choices=["none", "reg", "full"])
+    s = sub.add_parser("simulate", parents=[solving],
+                       help="simulate a compiled kernel and check leakage")
     s.add_argument("--secrets", default=None,
                    help="comma list: one value per secret input for the first "
                    "assignment, then one per secret input for the second")
     s.add_argument("--pub", default=None, help="comma list, one per public input")
     s.add_argument("--exhaustive", action="store_true")
     s.add_argument("--samples", type=int, default=None)
-    s.add_argument("--budget-seconds", type=float, default=60.0)
-    s.add_argument("--budget-nodes", type=int, default=None)
     s.set_defaults(func=cmd_simulate)
 
     o = sub.add_parser("oracle", help="brute-force cross-check of the solver")
@@ -459,7 +452,11 @@ def main(argv=None) -> int:
     o.set_defaults(func=cmd_oracle)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except leakage.SimulationError as e:  # e.g. a load from a never-written address
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -165,7 +165,7 @@ def parse_program(text: str) -> Program:
         if saw_out:
             raise ParseError(lineno, col, "statement after 'out'")
         if toks[0] == "func":
-            if len(toks) != 4 or toks[2] != "width":
+            if len(toks) != 4 or toks[2] != "width" or not toks[3].isdecimal():
                 raise ParseError(lineno, col, "expected: func <name> width <bits>")
             if not _NAME_RE.match(toks[1]):
                 raise ParseError(lineno, col, f"bad function name {toks[1]!r}")

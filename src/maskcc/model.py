@@ -18,7 +18,6 @@ which keeps exhaustive enumeration meaningful.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
@@ -400,36 +399,11 @@ def _capacity_check(prog: ElabProgram, target: TargetDesc) -> None:
         )
 
 
-# Frames a solver walk needs beyond its two per issued op: its callers, a
-# test runner's included, and the calls below a node.
-WALK_HEADROOM = 100
-
-
-def walk_op_limit() -> int:
-    """Most ops one solver walk may issue under the recursion limit.
-
-    The walk recurses through `_walk` and `_issue` once each per issued op.
-    """
-    return (sys.getrecursionlimit() - WALK_HEADROOM) // 2
-
-
 def build_base_model(
     p: Program, target: TargetDesc, copy_budget: str = "full"
 ) -> ExtendedModel:
-    """Backend model with base constraints only (no security).
-
-    Every walk issues all mandatory ops, so a program with more of them
-    than `walk_op_limit()` is rejected here; the solver stops before larger
-    optional subsets itself.
-    """
+    """Backend model with base constraints only (no security)."""
     prog = elaborate(p, copy_budget)
-    n_mand = sum(1 for op in prog.ops if op.mandatory)
-    if n_mand > walk_op_limit():
-        raise ModelBuildError(
-            f"program elaborates to {n_mand} mandatory operations; the "
-            f"solver's recursive walk issues at most {walk_op_limit()} under "
-            f"the recursion limit {sys.getrecursionlimit()}"
-        )
     if len(p.inputs) > len(target.args):
         raise ModelBuildError(
             f"{len(p.inputs)} inputs exceed {len(target.args)} argument registers"

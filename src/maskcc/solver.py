@@ -14,6 +14,10 @@ inputs in their argument registers, serves every activeness subset. What
 the walk reads of the program is fixed per search and built once: a
 per-op table (memory deps, temp slots and their alts, the definition and
 its locations, two-address, latency) and a temp -> reader-slots index.
+The walk does not recurse: each node is a `_walk` generator that yields
+once per committed issue, and `_search` keeps the generators of the
+current path on an explicit stack, so no program size is limited by the
+Python stack.
 
 Pruning: a makespan lower bound against the incumbent (the cardinality of
 an activeness subset already bounds its best makespan), plus one forward
@@ -42,7 +46,6 @@ from .model import (
     Solution,
     check_solution,
     make_solution,
-    walk_op_limit,
 )
 
 
@@ -215,13 +218,9 @@ class _Searcher:
         n_mand_real = sum(1 for o in ops if o.mandatory and o.kind not in ("in", "out"))
         opt_ids = [o.id for o in ops if not o.mandatory]
         kind = {o.id: o.kind for o in ops}
-        most = walk_op_limit()
         for k in range(len(opt_ids) + 1):
             if self._bound_exceeded(n_mand_real + k + 1):
                 self.stats.propagations += 1
-                break
-            if len(mandatory) + k > most:  # the walk would pass the recursion limit
-                self.truncated = True
                 break
             for combo in itertools.combinations(opt_ids, k):
                 self._tick()
@@ -236,9 +235,24 @@ class _Searcher:
                     break
                 self.active = mandatory | chosen
                 self.order = sorted(self.active)
-                self._walk()
+                self._search()
 
     # -- machine walk ---------------------------------------------------------
+
+    def _search(self) -> None:
+        """Drive the walk of the current subset with an explicit stack.
+
+        Each `_walk` generator yields once per committed issue; the issue's
+        child walk then runs on top of the stack, and resuming the parent
+        after it is exhausted undoes the issue.
+        """
+        stack = [self._walk()]
+        while stack:
+            for _ in stack[-1]:
+                stack.append(self._walk())
+                break
+            else:
+                stack.pop()
 
     def _ready_ops(self) -> list[int]:
         """Unissued ops whose memory deps issued and whose slots each have an
@@ -266,12 +280,12 @@ class _Searcher:
                     ready.append(o)
         return ready
 
-    def _walk(self) -> None:
+    def _walk(self):
         """Issue each ready op with every operand selection and location.
 
         The selections are the product of the per-slot pools of temps still
-        in place, in slot order, so the recursion takes one `_walk` and one
-        `_issue` frame per issued op.
+        in place, in slot order. Yields once per committed issue, with the
+        state of the child node in place.
         """
         remaining = len(self.active) - len(self.issued)
         if not remaining:
@@ -280,7 +294,7 @@ class _Searcher:
         if self._bound_exceeded(self.last_cycle + remaining):
             self.stats.propagations += 1
             return
-        loc_of, ready_at = self.loc_of, self.ready_at
+        loc_of, ready_at, occupant, nregs = self.loc_of, self.ready_at, self.occupant, self.nregs
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
@@ -301,12 +315,17 @@ class _Searcher:
                     continue
                 chosen = list(zip(idxs, combo))
                 if d is None:
-                    self._issue(o, f, chosen, cycle, None, None)
+                    yield from self._issue(o, f, chosen, cycle, None, None)
                     continue
+                # a two-address op overwrites one of its temp operands, if any
                 src_locs = {loc_of[t] for i, t in chosen if i >= 0} if f.two_address else None
                 for loc in f.locs:
-                    if src_locs is None or loc in src_locs:
-                        self._issue(o, f, chosen, cycle, d, loc)
+                    if src_locs and loc not in src_locs:
+                        continue
+                    if loc < nregs and not self._write_ok(occupant.get(loc), d):
+                        self.stats.propagations += 1
+                    else:
+                        yield from self._issue(o, f, chosen, cycle, d, loc)
 
     def _write_ok(self, prev: int | None, d: int) -> bool:
         """May `d` overwrite `prev` (None: an empty register)?
@@ -338,13 +357,14 @@ class _Searcher:
         hiders = sec.mspairs.get(o)
         return hiders is None or prev in hiders
 
-    def _issue(self, o: int, f: _OpFacts, chosen, cycle, d, loc) -> None:
+    def _issue(self, o: int, f: _OpFacts, chosen, cycle, d, loc):
+        """Check the bus adjacency, commit `o`, yield once for the child walk
+        unless the overwrite strands a pending operand, then undo. `_walk`
+        has checked the register overwrite."""
         occupant = self.occupant.get(loc) if d is not None else None
         prev_mem = self.last_mem
         is_memory = f.is_memory
-        if (d is not None and loc < self.nregs and not self._write_ok(occupant, d)) or (
-            is_memory and not self._adjacent_ok(prev_mem, o)
-        ):
+        if is_memory and not self._adjacent_ok(prev_mem, o):
             self.stats.propagations += 1
             return
 
@@ -374,7 +394,7 @@ class _Searcher:
             self.last_mem = o
 
         if occupant is None or self._still_satisfiable(occupant):
-            self._walk()
+            yield  # the child walk runs here
 
         # undo
         del self.issued[o]
@@ -448,7 +468,7 @@ def solve(model: ExtendedModel, budget: SolveBudget | None = None) -> SolveOutco
     s = _Searcher(model, budget)
     try:
         s.run()
-        exhausted = not s.truncated
+        exhausted = True
     except _Budget:
         exhausted = False
     s.stats.wall_time = time.monotonic() - s.t0
@@ -463,8 +483,7 @@ def solve(model: ExtendedModel, budget: SolveBudget | None = None) -> SolveOutco
             "Infeasible", None, s.stats,
             message="search exhausted without a feasible solution",
         )
-    message = "walk size limit reached" if s.truncated else "budget exhausted"
-    return SolveOutcome("Timeout", None, s.stats, message=message)
+    return SolveOutcome("Timeout", None, s.stats, message="budget exhausted")
 
 
 def enumerate_solutions(
@@ -474,8 +493,7 @@ def enumerate_solutions(
 ) -> tuple[list[Solution], bool]:
     """All canonical solutions (optionally bounded by makespan), sorted.
 
-    Returns (solutions, truncated). `truncated` reports that the cap was hit
-    or that subsets too large for the walk were left out.
+    Returns (solutions, truncated). `truncated` reports that the cap was hit.
     """
     if preflight_infeasible(model) is not None:
         return [], False

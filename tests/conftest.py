@@ -143,6 +143,13 @@ in t0:secret
 t1 = not t0
 out t1
 """,
+    # a two-address op with no temp operand may write any register
+    "lit_xor": """
+func lit_xor width 4
+in t0:random
+t1 = xor 3, 5
+out t1
+""",
 }
 
 MINI = TargetDesc(
@@ -181,6 +188,7 @@ ORACLE_CASES = [
     ("allpub", "thumb-like", "none"),
     ("identity", "thumb-like", "none"),
     ("nohide", "thumb-like", "reg"),
+    ("lit_xor", "thumb-like", "none"),
 ]
 
 # secret-carrying combos for the leakage-equivalence sweeps

@@ -66,6 +66,13 @@ def test_compile_writes_outputs_and_verifies(write_fixture, capsys, tmp_path):
     assert report["verify"]["verdict"] == "Equivalent"
 
 
+def test_literal_only_two_address_op_keeps_both_literals(write_fixture, capsys, tmp_path):
+    # no source register to name as the destination: the three-operand form
+    rc, _, _ = run_cli(capsys, "compile", write_fixture("lit_xor"), "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert "xor R0, 3, 5" in (tmp_path / "lit_xor.s").read_text()
+
+
 def test_compile_insecure_objective_matches_secure_for_xor(write_fixture, capsys, tmp_path):
     args = ["compile", write_fixture("xor_p0"), "--target", "mips-like",
             "--out-dir", str(tmp_path)]
@@ -77,17 +84,20 @@ def test_compile_insecure_objective_matches_secure_for_xor(write_fixture, capsys
     assert rep_secure["objective"] == rep_base["objective"]
 
 
-def _write_chain(tmp_path, n_ops: int) -> str:
+def chain_source(n_ops: int) -> str:
     """The chain t(i+1) = xor t(i), t1|t2 with `n_ops` body ops."""
     lines = ["func chain width 4", "in t0:secret t1:random t2:public", "t3 = xor t0, t1"]
     lines += [f"t{i + 1} = xor t{i}, t{1 + i % 2}" for i in range(3, n_ops + 2)]
+    return "\n".join(lines + [f"out t{n_ops + 2}"]) + "\n"
+
+
+def _write_chain(tmp_path, n_ops: int) -> str:
     path = tmp_path / "chain.ir"
-    path.write_text("\n".join(lines + [f"out t{n_ops + 2}"]) + "\n")
+    path.write_text(chain_source(n_ops))
     return str(path)
 
 
 def test_compile_300_op_chain(capsys, tmp_path):
-    # the walk takes two frames per issued op, so the recursion limit holds
     rc, out, err = run_cli(
         capsys,
         "--json", "compile", _write_chain(tmp_path, 300), "--target", "mips-like",
@@ -99,8 +109,7 @@ def test_compile_300_op_chain(capsys, tmp_path):
 
 
 def test_compile_150_op_chain_under_full_copy_budget(capsys, tmp_path):
-    # copies and spills are optional, so only the mandatory ops count
-    # against the walk's size limit, and the first leaf is already optimal
+    # copies and spills are optional, and the first leaf is already optimal
     rc, out, err = run_cli(
         capsys,
         "--json", "compile", _write_chain(tmp_path, 150), "--target", "mips-like",
@@ -110,14 +119,32 @@ def test_compile_150_op_chain_under_full_copy_budget(capsys, tmp_path):
     assert json.loads(out)["status"] == "Optimal"
 
 
-@pytest.mark.parametrize("cmd", ["compile", "simulate", "oracle"])
-def test_500_op_chain_rejected_before_solving(cmd, capsys, tmp_path):
-    # more mandatory ops than the recursive walk fits under the recursion
-    # limit: exit 2, whatever the copy budget
+def test_compile_500_op_chain(capsys, tmp_path):
+    # the walk keeps its own stack, so no recursion limit caps the program size
+    rc, out, err = run_cli(
+        capsys,
+        "--json", "compile", _write_chain(tmp_path, 500), "--target", "mips-like",
+        "--copy-budget", "none", "--insecure", "--budget-nodes", "20000",
+        "--out-dir", str(tmp_path),
+    )
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "Optimal" and report["objective"] == 501
+
+
+@pytest.mark.parametrize("cmd", ["compile", "simulate"])
+def test_500_op_chain_stops_in_preflight(cmd, capsys, tmp_path):
+    # a secret temp of the chain has no random to hide it (default: secure)
     rc, out, err = run_cli(capsys, cmd, _write_chain(tmp_path, 500), "--target", "mips-like")
+    assert rc == 3 and out == ""
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+    assert err.endswith("(constraint family: spairs)\n")
+
+
+def test_500_op_chain_past_oracle_op_bound(capsys, tmp_path):
+    rc, out, err = run_cli(capsys, "oracle", _write_chain(tmp_path, 500), "--target", "mips-like")
     assert rc == 2 and out == ""
-    assert err.count("\n") == 1
-    assert err.startswith("error: program elaborates to 502 mandatory operations")
+    assert err == "error: model has 502 mandatory operations; oracle bound is 8\n"
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -159,6 +186,31 @@ def test_timeout_exits_4(write_fixture, capsys, tmp_path):
         "--out-dir", str(tmp_path),
     )
     assert rc == 4
+
+
+@pytest.mark.parametrize("cmd", ["compile", "simulate"])
+def test_unsolved_outcomes_are_explained(cmd, write_fixture, capsys, tmp_path):
+    out_dir = ["--out-dir", str(tmp_path)] if cmd == "compile" else []
+    rc, out, err = run_cli(capsys, cmd, write_fixture("nohide"), *out_dir)
+    assert rc == 3 and out == ""
+    assert err.startswith("infeasible: ") and err.endswith("(constraint family: spairs)\n")
+    rc, out, err = run_cli(capsys, cmd, write_fixture("xor_p0"), "--budget-nodes", "1", *out_dir)
+    assert rc == 4 and out == ""
+    assert err == "budget exhausted without a solution\n"
+
+
+@pytest.mark.parametrize("body, addr", [
+    pytest.param("t2 = load 5\nt3 = xor t2, t0\nout t3", 5, id="unwritten"),
+    pytest.param("store t0, t1\nt2 = load 3\nout t2", 3, id="random-pointer"),
+])
+@pytest.mark.parametrize("cmd", ["compile", "simulate"])
+def test_uninitialized_load_exits_2(cmd, body, addr, capsys, tmp_path):
+    path = tmp_path / "ld.ir"
+    path.write_text(f"func ld width 4\nin t0:random t1:random\n{body}\n")
+    flags = ["--verify", "--out-dir", str(tmp_path)] if cmd == "compile" else []
+    rc, out, err = run_cli(capsys, cmd, str(path), "--budget-nodes", "2000", *flags)
+    assert rc == 2 and out == ""
+    assert err == f"error: read of uninitialized memory address ('abs', {addr})\n"
 
 
 def test_simulate_secure_equivalent(write_fixture, capsys):

@@ -80,6 +80,12 @@ def test_syntax_error_carries_position():
     assert e.value.line == 3
 
 
+def test_non_numeric_width_rejected():
+    with pytest.raises(ParseError) as e:
+        parse_program("func f width x\nin t0:public\nout t0\n")
+    assert e.value.line == 1 and "width <bits>" in str(e.value)
+
+
 def test_copy_not_allowed_in_source():
     src = "func f width 4\nin t0:public\nt1 = copy t0\nout t1\n"
     with pytest.raises(ParseError):

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 from conftest import EQUIV_CASES, FIXTURE_SOURCES, MINI, ORACLE_CASES, QUAD, build_models, narrow
-from maskcc import model as model_mod
 from maskcc.cli import front_end
 from maskcc.ir import parse_program
 from maskcc.model import ModelBuildError, check_solution
 from maskcc.solver import SolveBudget, _Budget, _Searcher, enumerate_solutions, solve
 from maskcc.target import PRESETS
+from test_cli import chain_source
 from test_stress import gen_kernel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -134,34 +134,33 @@ def test_input_domain_without_argument_register_is_infeasible():
     assert brute_force(model) == (None, [])
 
 
-def _limit_walk(monkeypatch, n_ops: int) -> None:
-    """Make `walk_op_limit()` return `n_ops`."""
-    monkeypatch.setattr(model_mod, "WALK_HEADROOM", sys.getrecursionlimit() - 2 * n_ops)
+def test_literal_only_two_address_op_is_placed():
+    """`t1 = xor 3, 5` has no temp operand to overwrite, so on a two-address
+    target any register may take its result."""
+    from maskcc.oracle import brute_force
+
+    base, secure, _ = build_models("lit_xor", "thumb-like", "none")
+    for model in (base, secure):
+        out = solve(model)
+        assert out.status == "Optimal" and out.solution.objective == 2
+        optimum, sols = brute_force(model)
+        assert optimum == 2 and out.solution in sols
 
 
-def test_mandatory_ops_past_walk_limit_rejected_at_build(monkeypatch):
-    base, _, _ = build_models("goubin_mask", "thumb-like", "full")
-    n_mand = sum(1 for o in base.program.ops if o.mandatory)
-    _limit_walk(monkeypatch, n_mand)
-    build_models("goubin_mask", "thumb-like", "full")  # exactly at the limit
-    _limit_walk(monkeypatch, n_mand - 1)
-    with pytest.raises(ModelBuildError, match=f"{n_mand} mandatory operations"):
-        build_models("goubin_mask", "thumb-like", "full")
-
-
-def test_subsets_past_walk_limit_are_not_walked(monkeypatch):
-    # the secure optimum needs an optional copy; the base one does not
-    base, secure, _ = build_models("goubin_mask", "thumb-like", "reg")
-    n_mand = sum(1 for o in secure.program.ops if o.mandatory)
-    _limit_walk(monkeypatch, n_mand)
-    out = solve(secure)
-    assert out.status == "Timeout" and out.message == "walk size limit reached"
-    # the makespan bound stops the base search before the limit does
-    assert solve(base).status == "Optimal"
-    assert enumerate_solutions(base, makespan_cap=5)[1] is False
-    sols, truncated = enumerate_solutions(base)
-    assert truncated and sols
-    assert all(len(s.active) == n_mand for s in sols)
+def test_walk_depth_does_not_grow_the_python_stack():
+    """The walk keeps its own stack: a 500-op solve fits in a recursion limit
+    of 60 frames above the caller's."""
+    model = front_end(parse_program(chain_source(500)), PRESETS["mips-like"], "none")[0]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        out = solve(model, SolveBudget(seconds=None, nodes=20000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == "Optimal" and out.solution.objective == 501
 
 
 def test_literal_operands_supported():
@@ -201,7 +200,7 @@ class _CheckedSearcher(_Searcher):
 
     def _walk(self):
         before = {f: copy.deepcopy(getattr(self, f)) for f in WALK_FIELDS + ("active", "order")}
-        super()._walk()
+        yield from super()._walk()
         assert {f: getattr(self, f) for f in before} == before
         self.walks += 1
 
