@@ -146,7 +146,8 @@ def validate_report(report: dict) -> list[str]:
             problems.append(f"missing field {key}")
         elif not isinstance(report[key], typ):
             problems.append(f"field {key} has type {type(report[key]).__name__}")
-    for key in ("nodes", "propagations", "leaves", "wall_time"):
+    for key in ("nodes", "propagations", "leaves", "table_prunes", "symmetry_skips",
+                "wall_time"):
         if "solver_stats" in report and key not in report["solver_stats"]:
             problems.append(f"missing solver_stats.{key}")
     if report.get("status") not in ("Optimal", "Feasible", "Infeasible", "Timeout"):
@@ -240,6 +241,8 @@ def cmd_compile(args) -> int:
             "nodes": outcome.stats.nodes,
             "propagations": outcome.stats.propagations,
             "leaves": outcome.stats.leaves,
+            "table_prunes": outcome.stats.table_prunes,
+            "symmetry_skips": outcome.stats.symmetry_skips,
             "wall_time": outcome.stats.wall_time,
         },
         "verify": None,

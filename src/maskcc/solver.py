@@ -30,6 +30,32 @@ lost one. Every returned solution is re-validated by
 `model.check_solution`, which checks the base families from the program
 and target and each security family from the same tables.
 
+Optimize mode adds two prunes that skip only repeats:
+
+- Transposition table. What the rest of a walk can do depends only on the
+  issued ops, each location's occupant (dead values included), the last
+  memory op, the pending spairs/mspairs keys and, relative to
+  `last_cycle`, the ready cycle of each value not yet readable at the next
+  cycle. Each state carries a 64-bit Zobrist key over these, updated in
+  `_issue` and restored on undo, and the table maps key -> earliest
+  `last_cycle` seen in the current activeness subset (it is cleared per
+  subset). A child state already reached at the same or an earlier cycle
+  is dropped before its walk starts: every leaf under it repeats, one
+  cycle or more later, a leaf already walked. Two distinct states may
+  share a key; at 64 bits against at most millions of states per subset
+  the chance is negligible.
+- Fresh-location symmetry. When every non-input temp may take every
+  register, or every slot, the locations never written so far, other
+  than the result register, are interchangeable, so a definition tries
+  only the lowest never-written one of its class. Renaming maps every
+  skipped branch onto a tried one that comes earlier in search order.
+
+Either prune removes only leaves that repeat, at no better makespan, a
+leaf found earlier in search order, and the incumbent only improves; so
+the first optimal leaf in search order is still reached, and optima and
+returned solutions are those of the unpruned search. Enumerate mode uses
+neither prune: its solution sets stay complete, renamings included.
+
 A solve call is single-threaded and self-contained; models are never
 mutated, so independent solves may run concurrently on shared models.
 """
@@ -37,6 +63,8 @@ mutated, so independent solves may run concurrently on shared models.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,6 +93,8 @@ class SolveStats:
     propagations: int = 0
     leaves: int = 0
     wall_time: float = 0.0
+    table_prunes: int = 0  # child states dropped by the transposition table
+    symmetry_skips: int = 0  # never-written locations skipped as renamings
 
 
 @dataclass
@@ -121,6 +151,21 @@ class _OpFacts(NamedTuple):
     is_memory: bool
 
 
+# Any fixed value: Zobrist keys, and so the search, are the same in every run.
+_ZOBRIST_SEED = 0x5EC0DE
+
+
+class _Words(NamedTuple):
+    """Random 64-bit words whose XOR is the Zobrist key of a walk state."""
+
+    place: list[list[int]]  # [location][temp]: the temp occupies the location
+    issued: list[int]  # [op]: the op has issued
+    last_mem: list[int]  # [op]: the op is the last memory op
+    s_pending: list[int]  # [temp]: an spairs key waits for a hider
+    ms_pending: list[int]  # [op]: an mspairs key waits for a hider
+    ready: list[list[int]]  # [cycles after last_cycle][temp]: readable then
+
+
 class _Searcher:
     # Fewer than 30 attributes: past that, CPython 3.11 stops sharing the
     # instance-dict keys and every attribute load in the walk gets slower.
@@ -128,20 +173,21 @@ class _Searcher:
                  enumerate_all: bool = False, cap: int | None = None,
                  makespan_cap: int | None = None):
         prog = model.program
+        target = model.target
         self.model = model
         self.budget = budget
         self.enumerate_all = enumerate_all
         self.cap = cap
-        self.makespan_cap = makespan_cap
         self.sec = model.security
         self.stats = SolveStats()
         self.t0 = time.monotonic()
-        self.nregs = model.target.num_registers
+        self.nregs = target.num_registers
         self.result_reg = model.result_reg
-        self.best: Solution | None = None
-        self.best_obj: int | None = None
+        # Leaves must finish below `bound`: the incumbent's makespan in
+        # optimize mode, one past `makespan_cap` in enumerate mode.
+        self.bound = math.inf if makespan_cap is None else makespan_cap + 1
+        # Every leaf in enumerate mode; each improving incumbent otherwise.
         self.solutions: list[Solution] = []
-        self.truncated = False
 
         # Static tables. `facts[o]` describes op o (index 0 is unused);
         # `readers[t]` lists (op, ((alt, alt's defining op), ...)) for each
@@ -166,13 +212,36 @@ class _Searcher:
                 for t in slot.alts:
                     self.readers[t].append(entry)
 
+        rng = random.Random(_ZOBRIST_SEED)
+
+        def words(n: int) -> list[int]:
+            return [rng.getrandbits(64) for _ in range(n)]
+
+        n_temps, n_ops = len(prog.temps), len(self.facts)
+        max_latency = max(f.latency for f in self.facts[1:])
+        self.words = _Words(
+            [words(n_temps) for _loc in range(self.nregs + target.stack_slots)],
+            words(n_ops), words(n_ops), words(n_temps), words(n_ops),
+            [words(n_temps) for _c in range(max_latency + 1)],
+        )
+        # The prunes of optimize mode (see the module docstring).
+        self.table: dict[int, int] | None = None if enumerate_all else {}
+        inputs = {t.id for t, _cls in prog.inputs}
+        classes = (tuple(range(self.nregs)),
+                   tuple(range(self.nregs, self.nregs + target.stack_slots)))
+        self.symmetric = not enumerate_all and all(
+            dom in classes for t, dom in model.r_dom.items() if t not in inputs
+        )
+
         # The walk state. Every `_issue` undoes its own changes, so each walk
         # leaves it as set up here and one state serves every subset.
         self.active: set[int] = set()  # the activeness subset being walked
         self.order: list[int] = []  # the same subset, ascending
         self.issued = {prog.in_op.id: 0}  # op -> cycle
         self.last_cycle = 0
-        self.ready_at: dict[int, int] = {}  # temp -> cycle its value becomes readable
+        # temp -> the cycle it becomes readable, for the definitions of
+        # latency > 1 only: any other value is readable at every later issue
+        self.ready_at: dict[int, int] = {}
         self.loc_of: dict[int, int] = {}  # temp -> location while intact
         self.occupant: dict[int, int] = {}  # location -> temp
         self.assigned: dict[int, int] = {}  # temp -> location (permanent)
@@ -180,12 +249,18 @@ class _Searcher:
         self.last_mem: int | None = None  # the memory op last on the bus
         self.s_pending: set[int] = set()  # spairs keys still waiting for a hider
         self.ms_pending: set[int] = set()  # mspairs keys still waiting for a hider
+        self.key = self.words.issued[prog.in_op.id]  # the Zobrist key of this state
         for t, _cls in prog.inputs:
             loc = prog.temps[t.id].input_index
             self.loc_of[t.id] = loc
             self.occupant[loc] = t.id
             self.assigned[t.id] = loc
-            self.ready_at[t.id] = 1  # available after entry
+            self.key ^= self.words.place[loc][t.id]
+
+    @property
+    def best(self) -> Solution | None:
+        """The incumbent (optimize mode)."""
+        return self.solutions[-1] if self.solutions else None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -196,13 +271,6 @@ class _Searcher:
         if self.budget.seconds is not None and self.stats.nodes % 256 == 0:
             if time.monotonic() - self.t0 > self.budget.seconds:
                 raise _Budget()
-
-    def _bound_exceeded(self, lower: int) -> bool:
-        if self.makespan_cap is not None and lower > self.makespan_cap:
-            return True
-        if self.enumerate_all:
-            return False
-        return self.best_obj is not None and lower >= self.best_obj
 
     # -- activeness stage ----------------------------------------------------
 
@@ -219,7 +287,7 @@ class _Searcher:
         opt_ids = [o.id for o in ops if not o.mandatory]
         kind = {o.id: o.kind for o in ops}
         for k in range(len(opt_ids) + 1):
-            if self._bound_exceeded(n_mand_real + k + 1):
+            if n_mand_real + k + 1 >= self.bound:
                 self.stats.propagations += 1
                 break
             for combo in itertools.combinations(opt_ids, k):
@@ -230,11 +298,13 @@ class _Searcher:
                     for o in combo
                 ):
                     continue
-                if self._bound_exceeded(n_mand_real + k + 1):
+                if n_mand_real + k + 1 >= self.bound:
                     self.stats.propagations += 1
                     break
                 self.active = mandatory | chosen
                 self.order = sorted(self.active)
+                if self.table is not None:  # its states hold for this subset only
+                    self.table.clear()
                 self._search()
 
     # -- machine walk ---------------------------------------------------------
@@ -291,10 +361,11 @@ class _Searcher:
         if not remaining:
             self._leaf()
             return
-        if self._bound_exceeded(self.last_cycle + remaining):
+        if self.last_cycle + remaining >= self.bound:
             self.stats.propagations += 1
             return
         loc_of, ready_at, occupant, nregs = self.loc_of, self.ready_at, self.occupant, self.nregs
+        symmetric, result_reg = self.symmetric, self.result_reg
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
@@ -302,15 +373,15 @@ class _Searcher:
             pools = [[t for t in alts if t in loc_of] for alts in f.alts]
             for combo in itertools.product(*pools):
                 # the first output must sit in the result register
-                if f.is_out and combo and loc_of[combo[0]] != self.result_reg:
+                if f.is_out and combo and loc_of[combo[0]] != result_reg:
                     self.stats.propagations += 1
                     continue
                 cycle = self.last_cycle + 1
                 for t in combo:
-                    if ready_at[t] > cycle:
+                    if t in ready_at and ready_at[t] > cycle:
                         cycle = ready_at[t]
                 # the ops left after this one each take a later distinct cycle
-                if self._bound_exceeded(cycle + remaining - 1):
+                if cycle + remaining - 1 >= self.bound:
                     self.stats.propagations += 1
                     continue
                 chosen = list(zip(idxs, combo))
@@ -319,9 +390,16 @@ class _Searcher:
                     continue
                 # a two-address op overwrites one of its temp operands, if any
                 src_locs = {loc_of[t] for i, t in chosen if i >= 0} if f.two_address else None
+                fresh_tried = False
                 for loc in f.locs:
                     if src_locs and loc not in src_locs:
                         continue
+                    if symmetric and loc not in occupant and loc != result_reg:
+                        # never written: the lowest stands for its whole class
+                        if fresh_tried:
+                            self.stats.symmetry_skips += 1
+                            continue
+                        fresh_tried = True
                     if loc < nregs and not self._write_ok(occupant.get(loc), d):
                         self.stats.propagations += 1
                     else:
@@ -358,9 +436,10 @@ class _Searcher:
         return hiders is None or prev in hiders
 
     def _issue(self, o: int, f: _OpFacts, chosen, cycle, d, loc):
-        """Check the bus adjacency, commit `o`, yield once for the child walk
-        unless the overwrite strands a pending operand, then undo. `_walk`
-        has checked the register overwrite."""
+        """Check the bus adjacency, commit `o` with its key, yield once for
+        the child walk unless the overwrite strands a pending operand or the
+        table has the child state, then undo. `_walk` has checked the
+        register overwrite."""
         occupant = self.occupant.get(loc) if d is not None else None
         prev_mem = self.last_mem
         is_memory = f.is_memory
@@ -368,35 +447,52 @@ class _Searcher:
             self.stats.propagations += 1
             return
 
-        # commit; the checks passed, so a pending neighbour is now hidden
+        # commit, keying each change; the checks passed, so a pending
+        # neighbour is now hidden
+        w = self.words
+        key = self.key
         s_resolved = occupant in self.s_pending
         ms_resolved = is_memory and prev_mem in self.ms_pending
         self.issued[o] = cycle
         last_cycle, self.last_cycle = self.last_cycle, cycle
+        child = key ^ w.issued[o]
         for idx, t in chosen:
             self.sels[(o, idx)] = t
         if d is not None:
+            place = w.place[loc]
             if occupant is not None:
                 del self.loc_of[occupant]
+                child ^= place[occupant]
             self.occupant[loc] = d
             self.loc_of[d] = loc
             self.assigned[d] = loc
-            self.ready_at[d] = cycle + f.latency
+            child ^= place[d]
+            if f.latency > 1:
+                self.ready_at[d] = cycle + f.latency
             if d in self.sec.spairs:  # keys are register temps: `_write_ok` ran
                 self.s_pending.add(d)
+                child ^= w.s_pending[d]
         if s_resolved:
             self.s_pending.discard(occupant)
+            child ^= w.s_pending[occupant]
         if is_memory:
+            if prev_mem is not None:
+                child ^= w.last_mem[prev_mem]
             if ms_resolved:
                 self.ms_pending.discard(prev_mem)
+                child ^= w.ms_pending[prev_mem]
             if o in self.sec.mspairs:
                 self.ms_pending.add(o)
+                child ^= w.ms_pending[o]
             self.last_mem = o
+            child ^= w.last_mem[o]
+        self.key = child
 
-        if occupant is None or self._still_satisfiable(occupant):
+        if (occupant is None or self._still_satisfiable(occupant)) and self._unseen():
             yield  # the child walk runs here
 
         # undo
+        self.key = key
         del self.issued[o]
         self.last_cycle = last_cycle
         for idx, _t in chosen:
@@ -404,7 +500,8 @@ class _Searcher:
         if d is not None:
             del self.loc_of[d]
             del self.assigned[d]
-            del self.ready_at[d]
+            if f.latency > 1:
+                del self.ready_at[d]
             if occupant is not None:
                 self.occupant[loc] = occupant
                 self.loc_of[occupant] = loc
@@ -440,21 +537,37 @@ class _Searcher:
                 return False
         return True
 
+    def _unseen(self) -> bool:
+        """Optimize mode: record the state in the transposition table, or
+        count a prune when the table holds it at the same or an earlier
+        cycle. Enumerate mode walks every state."""
+        table = self.table
+        if table is None:
+            return True
+        cycle, key, ready, loc_of = self.last_cycle, self.key, self.words.ready, self.loc_of
+        for t, at in self.ready_at.items():
+            if at > cycle + 1 and t in loc_of:
+                key ^= ready[at - cycle][t]
+        seen = table.get(key)
+        if seen is not None and seen <= cycle:
+            self.stats.table_prunes += 1
+            return False
+        table[key] = cycle
+        return True
+
     def _leaf(self) -> None:
         if self.s_pending or self.ms_pending:
             self.stats.propagations += 1
             return
         self.stats.leaves += 1
         sol = make_solution(self.model, self.active, self.issued, self.assigned, self.sels)
+        self.solutions.append(sol)
         if self.enumerate_all:
-            self.solutions.append(sol)
             if self.cap is not None and len(self.solutions) > self.cap:
-                self.truncated = True
                 raise _Budget()
             return
-        if self.best_obj is None or sol.objective < self.best_obj:
-            self.best = sol
-            self.best_obj = sol.objective
+        # `_walk` issues the out op only below `bound`, so the leaf improves
+        self.bound = sol.objective
 
 
 def solve(model: ExtendedModel, budget: SolveBudget | None = None) -> SolveOutcome:
@@ -504,6 +617,5 @@ def enumerate_solutions(
     except _Budget:
         pass
     sols = sorted(set(s.solutions), key=lambda x: x.sort_key())
-    if s.truncated:
-        sols = sols[:cap]
-    return sols, s.truncated
+    truncated = len(s.solutions) > cap
+    return sols[:cap], truncated

@@ -270,6 +270,10 @@ def test_dump_model_and_solution(write_fixture, capsys, tmp_path):
 def test_report_schema_validator_flags_problems():
     assert validate_report({}) != []
     assert any("status" in p for p in validate_report({"status": "Weird"}))
+    stats = {"nodes": 1, "propagations": 0, "leaves": 1, "wall_time": 0.0}
+    problems = validate_report({"solver_stats": stats})
+    assert "missing solver_stats.table_prunes" in problems
+    assert "missing solver_stats.symmetry_skips" in problems
 
 
 def test_json_flag_echoes_report(write_fixture, capsys, tmp_path):

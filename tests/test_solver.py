@@ -3,6 +3,7 @@
 import copy
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from conftest import EQUIV_CASES, FIXTURE_SOURCES, MINI, ORACLE_CASES, QUAD, build_models, narrow
 from maskcc.cli import front_end
 from maskcc.ir import parse_program
-from maskcc.model import ModelBuildError, check_solution
+from maskcc.model import ModelBuildError, build_base_model, check_solution
+from maskcc.oracle import brute_force
 from maskcc.solver import SolveBudget, _Budget, _Searcher, enumerate_solutions, solve
 from maskcc.target import PRESETS
 from test_cli import chain_source
@@ -190,7 +192,7 @@ def test_solver_stats_populated():
 
 
 WALK_FIELDS = ("issued", "last_cycle", "ready_at", "loc_of", "occupant", "assigned",
-               "sels", "last_mem", "s_pending", "ms_pending")
+               "sels", "last_mem", "s_pending", "ms_pending", "key")
 
 
 class _CheckedSearcher(_Searcher):
@@ -235,24 +237,24 @@ def test_walk_state_restored_after_search(enumerate_all):
 LADDER_COUNTS = {
     (0, 3): ("Infeasible", None, 0, 0, 0),
     (0, 5): ("Infeasible", None, 0, 0, 0),
-    (0, 7): ("Timeout", None, 15001, 8591, 0),
-    (0, 9): ("Timeout", None, 15001, 27182, 0),
-    (0, 12): ("Timeout", None, 15001, 26674, 0),
-    (1, 3): ("Optimal", 5, 80, 115, 1),
-    (1, 5): ("Timeout", None, 15001, 45994, 0),
-    (1, 7): ("Timeout", None, 15001, 21864, 0),
-    (1, 9): ("Timeout", None, 15001, 58261, 0),
+    (0, 7): ("Optimal", 10, 3521, 2925, 1),
+    (0, 9): ("Optimal", 12, 3247, 6862, 1),
+    (0, 12): ("Timeout", None, 15001, 33084, 0),
+    (1, 3): ("Optimal", 5, 47, 67, 1),
+    (1, 5): ("Timeout", None, 15001, 40567, 0),
+    (1, 7): ("Timeout", None, 15001, 23414, 0),
+    (1, 9): ("Timeout", None, 15001, 56895, 0),
     (1, 12): ("Infeasible", None, 0, 0, 0),
     (2, 3): ("Optimal", 4, 6, 5, 1),
-    (2, 5): ("Timeout", None, 15001, 34044, 0),
-    (2, 7): ("Timeout", None, 15001, 33174, 0),
-    (2, 9): ("Timeout", None, 15001, 25423, 0),
+    (2, 5): ("Timeout", None, 15001, 33210, 0),
+    (2, 7): ("Timeout", None, 15001, 33093, 0),
+    (2, 9): ("Optimal", 12, 7229, 12527, 1),
     (2, 12): ("Infeasible", None, 0, 0, 0),
-    (3, 3): ("Timeout", None, 15001, 26937, 0),
-    (3, 5): ("Timeout", None, 15001, 21549, 0),
-    (3, 7): ("Timeout", None, 15001, 52136, 0),
-    (3, 9): ("Timeout", None, 15001, 30190, 0),
-    (3, 12): ("Timeout", None, 15001, 47579, 0),
+    (3, 3): ("Timeout", None, 15001, 25698, 0),
+    (3, 5): ("Timeout", None, 15001, 26460, 0),
+    (3, 7): ("Timeout", None, 15001, 46977, 0),
+    (3, 9): ("Timeout", None, 15001, 26201, 0),
+    (3, 12): ("Timeout", None, 15001, 43855, 0),
 }
 
 # (fixture, target, copy budget, secure?, makespan cap) ->
@@ -361,3 +363,107 @@ def test_clobber_local_check_matches_full_scan(enumerate_all):
         checks += s.checks
         by_pending_def += s.by_pending_def
     assert checks > 1000 and by_pending_def > 0
+
+
+def _unpruned_best(model, budget):
+    """The incumbent of the search without the transposition table and the
+    fresh-location symmetry, and whether that search finished."""
+    s = _Searcher(model, budget)
+    s.table, s.symmetric = None, False
+    try:
+        s.run()
+    except _Budget:
+        return s.best, False
+    return s.best, True
+
+
+def test_prunes_keep_every_optimum_and_returned_solution():
+    """The first optimal leaf in search order survives both prunes, so
+    `solve` returns exactly the solution of the unpruned search."""
+    budget = SolveBudget(seconds=None, nodes=200_000)
+    models = []
+    combos = [(t, c) for t in ("thumb-like", "mips-like") for c in ("none", "reg")]
+    combos += [("mini", c) for c in ("none", "reg", "full")]  # mini forces spills
+    for name in FIXTURE_SOURCES:
+        for target, copies in combos:
+            try:
+                base, secure, _ = build_models(name, target, copies)
+            except ModelBuildError:
+                continue
+            models += [base, secure]
+    for seed, n_ops in [(1, 3), (2, 3)]:
+        models.append(front_end(parse_program(workloads.ladder_kernel(seed, n_ops)),
+                                PRESETS["thumb-like"], "full")[2])
+    pruned = 0
+    for model in models:
+        out = solve(model, budget)
+        best, exhausted = _unpruned_best(model, budget)
+        assert exhausted and out.status in ("Optimal", "Infeasible")
+        assert out.solution == best
+        pruned += out.stats.table_prunes + out.stats.symmetry_skips
+    assert pruned > 0
+
+
+def test_narrowed_domain_turns_symmetry_off():
+    base, _, _ = build_models("xor_p0", "thumb-like", "none")
+    budget = SolveBudget(seconds=None, nodes=1000)
+    assert _Searcher(base, budget).symmetric
+    assert not _Searcher(narrow(base, {3: 1}), budget).symmetric
+    # enumerate mode keeps every renaming, and every revisit
+    enum = _Searcher(base, budget, enumerate_all=True)
+    assert not enum.symmetric and enum.table is None
+
+
+def _recomputed_key(s):
+    """The Zobrist key of the searcher's state, built from scratch."""
+    w = s.words
+    key = 0
+    for loc, t in s.occupant.items():
+        key ^= w.place[loc][t]
+    for o in s.issued:
+        key ^= w.issued[o]
+    if s.last_mem is not None:
+        key ^= w.last_mem[s.last_mem]
+    for t in s.s_pending:
+        key ^= w.s_pending[t]
+    for o in s.ms_pending:
+        key ^= w.ms_pending[o]
+    return key
+
+
+def _probed_keys(model):
+    """Each key the transposition table is probed with, checked against a
+    recomputation from the state."""
+    keys = []
+
+    class Logged(_Searcher):
+        def _unseen(self):
+            assert self.key == _recomputed_key(self)
+            keys.append(self.key)
+            return super()._unseen()
+
+    s = Logged(model, SolveBudget(seconds=None, nodes=20_000))
+    s.run()
+    return keys, s.stats.table_prunes
+
+
+def test_zobrist_keys_are_incremental_and_reproducible():
+    _, secure, _ = build_models("goubin_mask", "mini", "full")
+    keys, prunes = _probed_keys(secure)
+    again, _ = _probed_keys(secure)
+    assert keys == again  # the words come from a fixed seed
+    assert len(set(keys)) > 50 and prunes > 0
+
+
+def test_empty_result_register_is_not_folded_into_fresh_registers():
+    """With fewer inputs than argument registers, a result register after
+    the inputs starts empty. It is special (the result must end there), so
+    symmetry tries it beside the lowest fresh register."""
+    target = replace(PRESETS["thumb-like"], result="R3")
+    src = "func r3 width 4\nin t0:random t1:random\nt2 = not t0\nout t2\n"
+    model = build_base_model(parse_program(src), target, copy_budget="none")
+    assert _Searcher(model, SolveBudget()).symmetric
+    out = solve(model)
+    optimum, sols = brute_force(model)
+    assert out.status == "Optimal" and out.solution.objective == optimum
+    assert out.solution in sols
