@@ -129,6 +129,7 @@ REPORT_FIELDS = {
     "width": int,
     "secure": bool,
     "status": str,
+    "infeasible_family": (str, type(None)),
     "objective": (int, type(None)),
     "types": dict,
     "sets": dict,
@@ -232,6 +233,7 @@ def cmd_compile(args) -> int:
         "width": prog.width,
         "secure": args.secure,
         "status": outcome.status,
+        "infeasible_family": outcome.infeasible_family,
         "objective": outcome.solution.objective if outcome.solution else None,
         "types": {
             f"t{t}": _class_name(model.env, t) for t in model.program.visible_temps()

@@ -105,11 +105,13 @@ def _security_ok(sec: SecurityTables, succ, mems, written) -> bool:
     return True
 
 
-WORK_LIMIT = 5_000_000  # operand selections tried per level before giving up
+WORK_LIMIT = 5_000_000  # operand selections one oracle call may try
 
 
-def _enumerate_level(model: ExtendedModel, level: int) -> list[Solution]:
-    """Every canonical solution with makespan <= level.
+def _enumerate_level(model: ExtendedModel, level: int,
+                     limit: int) -> tuple[list[Solution], int]:
+    """Every canonical solution with makespan <= level, and the operand
+    selections tried to find them; `OracleError` past `limit` of them.
 
     One walk per activeness subset issues the subset's operations in every
     order. Each operation takes every operand selection whose reads find
@@ -132,7 +134,7 @@ def _enumerate_level(model: ExtendedModel, level: int) -> list[Solution]:
                  for _i, slot in op.temp_slots()]
         for combo in itertools.product(*pools):
             work += 1
-            if work > WORK_LIMIT:
+            if work > limit:
                 raise OracleError(
                     f"enumeration at makespan {level} exceeds the oracle "
                     f"work limit; the model is too large for brute force"
@@ -184,13 +186,13 @@ def _enumerate_level(model: ExtendedModel, level: int) -> list[Solution]:
 
     regs = {t.id: prog.temps[t.id].input_index for t, _cls in prog.inputs}
     if any(loc not in model.r_dom[t] for t, loc in regs.items()):
-        return found
+        return found, work
     contents = {loc: t for t, loc in regs.items()}
     ready = dict.fromkeys(regs, 1)
     for active in _valid_active_sets(model, max_real=level - 1):
         real = [o for o in prog.ops if o.id in active and o.kind not in ("in", "out")]
         walk(real, 0, contents, regs, ready, {prog.in_op.id: 0}, {}, ())
-    return found
+    return found, work
 
 
 def _check_op_bound(model: ExtendedModel, op_bound: int) -> None:
@@ -208,17 +210,32 @@ def brute_force(
 ) -> tuple[int | None, list[Solution]]:
     """Optimum by iterative deepening; returns (optimum, solutions at optimum).
 
-    (None, []) means the model is infeasible up to the horizon.
+    (None, []) means the model is infeasible up to the horizon. All levels
+    share one budget of `WORK_LIMIT` operand selections. Work grows about
+    geometrically with the level, so a level whose predicted work (the last
+    level's times the last growth ratio) exceeds what is left raises
+    `OracleError` before it is walked.
     """
     _check_op_bound(model, op_bound)
     lb = sum(
         1 for o in model.program.ops if o.mandatory and o.kind not in ("in", "out")
     ) + 1
     hi = max_makespan if max_makespan is not None else model.maxc
+    left = WORK_LIMIT
+    before = last = 0  # the work of the last two levels walked
     for level in range(lb, hi + 1):
-        sols = _enumerate_level(model, level)
+        predicted = last * last // before if before else 0
+        if predicted > left:
+            raise OracleError(
+                f"enumeration at makespan {level} would exceed the oracle work "
+                f"limit: about {predicted} operand selections predicted, {left} "
+                f"left; the model is too large for brute force"
+            )
+        sols, work = _enumerate_level(model, level, left)
         if sols:
             return level, sorted(set(sols), key=lambda s: s.sort_key())
+        left -= work
+        before, last = last, work
     return None, []
 
 
@@ -227,7 +244,7 @@ def enumerate_all(
 ) -> list[Solution]:
     """Every canonical solution with makespan <= cap."""
     _check_op_bound(model, op_bound)
-    sols = _enumerate_level(model, makespan_cap)
+    sols, _work = _enumerate_level(model, makespan_cap, WORK_LIMIT)
     return sorted(set(sols), key=lambda s: s.sort_key())
 
 

@@ -30,6 +30,18 @@ lost one. Every returned solution is re-validated by
 `model.check_solution`, which checks the base families from the program
 and target and each security family from the same tables.
 
+Before any walk, `preflight_infeasible` proves some models infeasible
+statically and names the family. Besides an input outside its argument
+register's domain and a key with no hider at all, three proofs show that
+some spairs key can never get a hider on both sides: a key the out op
+reads (the out op issues last, so nothing follows it), a mandatory
+two-address op whose key overwrites an operand that cannot hide it, and
+fewer hider temps in the whole program than always-live keys plus one
+(in each register, hiders bracket and separate its keys). They only
+reject models with no solution, so they change no search order and no
+solution; such a model stops after 0 nodes instead of exhausting or
+timing out.
+
 Optimize mode adds two prunes that skip only repeats:
 
 - Transposition table. What the rest of a walk can do depends only on the
@@ -111,7 +123,28 @@ class _Budget(Exception):
 
 
 def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
-    """Static unsatisfiability checks that can name the failing family."""
+    """Static unsatisfiability checks that can name the failing family.
+
+    Besides a misplaced input and a key with no hider at all, three proofs
+    show that some spairs key (a secret temp) can never have a hider (a
+    random temp) written just before and just after it in its register:
+
+    - Secret output. An out-op slot whose alts are all keys makes the out
+      op read a key. The out op issues last and a read value is not
+      overwritten before its read, so nothing follows the key.
+    - Two-address key over a non-hider. A mandatory two-address op with a
+      temp data slot writes its key `d` over the operand it selects (the
+      walk's `src_locs`), so that operand is `d`'s predecessor. If no alt
+      of any such slot hides `d`, no hider can precede it.
+    - Hider count. Every temp is written once, to one location, so each
+      has at most one predecessor and one successor there. In a register
+      holding j >= 1 keys, each key's successor is a distinct hider and
+      the first key's predecessor is one more, so the register holds at
+      least j + 1 hiders and the whole program at least k + 1, where k
+      counts the keys of mandatory ops (always live). Fewer temps in the
+      union of all hider sets, optional copies and reloads included,
+      leave some key unhidden.
+    """
     prog = model.program
     sec = model.security
     for t, _cls in prog.inputs:
@@ -134,6 +167,32 @@ def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
                 f"memory operation o{op} carries secret data but no random "
                 f"memory operation can hide it",
             )
+    for _i, slot in prog.out_op.temp_slots():
+        if all(t in sec.spairs for t in slot.alts):
+            return (
+                "spairs",
+                f"secret temp t{slot.alts[0]} is an output: the out op reads it "
+                f"last, so no random temp can follow it",
+            )
+    for op in prog.ops:
+        if not (op.mandatory and model.two_address(op) and op.defs[0] in sec.spairs):
+            continue
+        srcs = [t for i, slot in op.temp_slots() if i >= 0 for t in slot.alts]
+        if srcs and sec.spairs[op.defs[0]].isdisjoint(srcs):
+            return (
+                "spairs",
+                f"two-address o{op.id} writes secret temp t{op.defs[0]} over an "
+                f"operand that cannot hide it",
+            )
+    keys = [ts for ts in sec.spairs if prog.op(prog.temps[ts].defined_by).mandatory]
+    hiders = frozenset().union(*sec.spairs.values())
+    if keys and len(hiders) <= len(keys):
+        return (
+            "spairs",
+            f"the always-live secret temps ({', '.join(f't{t}' for t in keys)}) need "
+            f"at least {len(keys) + 1} random temps to hide them, but only "
+            f"{len(hiders)} can",
+        )
     return None
 
 

@@ -169,13 +169,16 @@ def test_missing_target_file_exits_2(write_fixture, capsys):
 
 
 def test_infeasible_exits_3_naming_family(write_fixture, capsys, tmp_path):
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         capsys,
-        "compile", write_fixture("nohide"),
+        "--json", "compile", write_fixture("nohide"),
         "--target", "thumb-like", "--out-dir", str(tmp_path),
     )
     assert rc == 3
     assert "spairs" in err
+    report = json.loads(out)
+    assert validate_report(report) == []
+    assert report["status"] == "Infeasible" and report["infeasible_family"] == "spairs"
 
 
 def test_timeout_exits_4(write_fixture, capsys, tmp_path):
@@ -285,6 +288,7 @@ def test_json_flag_echoes_report(write_fixture, capsys, tmp_path):
     payload = json.loads(out)
     assert payload["program"] == "xor_p0"
     assert validate_report(payload) == []
+    assert payload["infeasible_family"] is None
 
 
 def test_seed_accepted_after_subcommand(write_fixture, capsys):

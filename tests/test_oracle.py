@@ -1,12 +1,14 @@
 """Brute-force cross-validation of the solver and the subsequence algebra."""
 
 import re
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_SOURCES, ORACLE_CASES, build_models
 from maskcc import oracle
-from maskcc.cli import main
+from maskcc.cli import front_end, main
+from maskcc.ir import parse_program
 from maskcc.leakage import check_equivalence, linearize
 from maskcc.model import SolutionView, check_solution
 from maskcc.oracle import (
@@ -18,6 +20,7 @@ from maskcc.oracle import (
     trace_subseq,
 )
 from maskcc.solver import SolveBudget, enumerate_solutions, solve
+from maskcc.target import PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,38 @@ def test_work_limit_raises(monkeypatch, tmp_path, capsys):
         r"the model is too large for brute force\n",
         err,
     )
+
+
+PTR_STORE = Path(__file__).parents[1] / "kernels" / "ptr_store.ir"
+
+
+def test_work_limit_shared_and_predicted(monkeypatch):
+    """Levels share one budget, and a level predicted past it is never walked.
+
+    ptr_store's secure levels 4 and 5 (thumb-like, reg) take 21 and 2663
+    selections, so level 6 is predicted at 2663 * 2663 / 21 (it takes 145255).
+    """
+    _, _, secure = front_end(parse_program(PTR_STORE.read_text()), PRESETS["thumb-like"], "reg")
+    walked = []
+    enumerate_level = oracle._enumerate_level
+
+    def spy(model, level, limit):
+        walked.append((level, limit))
+        return enumerate_level(model, level, limit)
+
+    monkeypatch.setattr(oracle, "_enumerate_level", spy)
+    monkeypatch.setattr(oracle, "WORK_LIMIT", 100_000)
+    with pytest.raises(OracleError, match=r"makespan 6 would exceed the oracle work "
+                       r"limit: about 337693 operand selections predicted, 97316 left"):
+        brute_force(secure)
+    assert walked == [(4, 100_000), (5, 99_979)]
+
+
+def test_oracle_gives_up_before_the_costly_level(capsys):
+    rc = main(["oracle", str(PTR_STORE), "--target", "thumb-like", "--copy-budget", "reg"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: enumeration at makespan 7 would exceed the oracle work limit")
 
 
 def test_trace_subseq_on_plain_xor_solution():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EQUIV_CASES, FIXTURE_SOURCES, MINI, ORACLE_CASES, QUAD, build_models, narrow
+from conftest import (EQUIV_CASES, FIXTURE_SOURCES, MINI, ORACLE_CASES, QUAD, TARGETS,
+                      build_models, narrow)
 from maskcc.cli import front_end
 from maskcc.ir import parse_program
 from maskcc.model import ModelBuildError, build_base_model, check_solution
@@ -48,6 +49,53 @@ def test_infeasible_by_exhaustion():
     out = solve(secure)
     assert out.status == "Infeasible"
     assert out.solution is None
+
+
+# One kernel per static spairs proof of `preflight_infeasible` (copy budget
+# none): (target, source, a phrase of the proof's message). Each kernel's
+# key has a hider, so the check for a key without one stays silent.
+SPAIRS_PROOFS = {
+    # t5 is hidden by t3 and t4 (enough for the count), but it is the output
+    "secret output": ("mini", """
+func secret_out width 4
+in t0:secret t1:random t2:random
+t3 = xor t0, t1
+t4 = xor t0, t2
+t5 = not t0
+out t5
+""", "is an output"),
+    # on thumb-like `t4 = and t0, t1` writes key t4 over input t0 or t1;
+    # only t3 and t5 hide it
+    "two-address": ("thumb-like", """
+func two_addr_key width 4
+in t0:secret t1:random t2:random
+t3 = xor t1, t2
+t4 = and t0, t1
+t5 = xor t4, t2
+out t5
+""", "two-address o3 writes secret temp t4"),
+    # the sec_reload kernel without copies: key t2 has the one hider t3
+    "hider count": ("mini", """
+func hider_count width 4
+in t0:secret t1:random
+t2 = not t0
+t3 = xor t2, t1
+out t3
+""", "need at least 2 random temps"),
+}
+
+
+@pytest.mark.parametrize("proof", SPAIRS_PROOFS)
+def test_spairs_preflight_proofs(proof):
+    target, src, says = SPAIRS_PROOFS[proof]
+    base, _, secure = front_end(parse_program(src), TARGETS[target], "none")
+    out = solve(secure)
+    assert out.status == "Infeasible" and out.infeasible_family == "spairs"
+    assert out.stats.nodes == 0 and says in out.message
+    # the brute force judges hiding on complete schedules and agrees
+    base_opt, _ = brute_force(base)
+    assert base_opt is not None
+    assert brute_force(secure, max_makespan=base_opt + 4) == (None, [])
 
 
 def test_node_limit_one_times_out():
@@ -239,22 +287,22 @@ LADDER_COUNTS = {
     (0, 5): ("Infeasible", None, 0, 0, 0),
     (0, 7): ("Optimal", 10, 3521, 2925, 1),
     (0, 9): ("Optimal", 12, 3247, 6862, 1),
-    (0, 12): ("Timeout", None, 15001, 33084, 0),
+    (0, 12): ("Infeasible", None, 0, 0, 0),
     (1, 3): ("Optimal", 5, 47, 67, 1),
-    (1, 5): ("Timeout", None, 15001, 40567, 0),
+    (1, 5): ("Infeasible", None, 0, 0, 0),
     (1, 7): ("Timeout", None, 15001, 23414, 0),
-    (1, 9): ("Timeout", None, 15001, 56895, 0),
+    (1, 9): ("Infeasible", None, 0, 0, 0),
     (1, 12): ("Infeasible", None, 0, 0, 0),
     (2, 3): ("Optimal", 4, 6, 5, 1),
-    (2, 5): ("Timeout", None, 15001, 33210, 0),
-    (2, 7): ("Timeout", None, 15001, 33093, 0),
+    (2, 5): ("Infeasible", None, 0, 0, 0),
+    (2, 7): ("Infeasible", None, 0, 0, 0),
     (2, 9): ("Optimal", 12, 7229, 12527, 1),
     (2, 12): ("Infeasible", None, 0, 0, 0),
-    (3, 3): ("Timeout", None, 15001, 25698, 0),
-    (3, 5): ("Timeout", None, 15001, 26460, 0),
-    (3, 7): ("Timeout", None, 15001, 46977, 0),
-    (3, 9): ("Timeout", None, 15001, 26201, 0),
-    (3, 12): ("Timeout", None, 15001, 43855, 0),
+    (3, 3): ("Infeasible", None, 0, 0, 0),
+    (3, 5): ("Infeasible", None, 0, 0, 0),
+    (3, 7): ("Infeasible", None, 0, 0, 0),
+    (3, 9): ("Infeasible", None, 0, 0, 0),
+    (3, 12): ("Infeasible", None, 0, 0, 0),
 }
 
 # (fixture, target, copy budget, secure?, makespan cap) ->
