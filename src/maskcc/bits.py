@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-WIDTHS = (4, 8, 16, 32)
-
 # Irreducible polynomials, low-weight, one per supported width.
 # 4:  x^4 + x + 1
 # 8:  x^8 + x^4 + x^3 + x + 1   (the AES polynomial)

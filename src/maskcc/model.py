@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations
 from typing import NamedTuple
 
 from .ir import Literal, Program, SecurityClass, Temp
@@ -95,7 +94,6 @@ class ElabProgram:
     inputs: tuple[tuple[Temp, SecurityClass], ...]
     ops: tuple[ModelOp, ...]
     temps: dict[int, ModelTemp]
-    classes: dict[int, tuple[int, ...]]  # rep -> register-allocatable members
     out_temps: tuple[int, ...]  # report-only, defined by the out op
     mem_candidates: tuple[int, ...]  # op ids treated as potential memory ops
     tm: dict[int, int]  # memory candidate op id -> data temp id
@@ -236,7 +234,6 @@ def elaborate(p: Program, copy_budget: str = "full") -> ElabProgram:
         inputs=tuple(elab_inputs),
         ops=tuple(ops),
         temps=temps,
-        classes={r: tuple(ms) for r, ms in classes.items()},
         out_temps=out_temps,
         mem_candidates=mem_candidates,
         tm=tm,
@@ -428,54 +425,67 @@ def build_base_model(
     )
 
 
+def expand_security(prog: ElabProgram, sets, temps, memops) -> SecurityTables:
+    """Expand the class-level relations of `sets` over the given members.
+
+    A register temp in `temps` belongs to its value class, a memory op in
+    `memops` to the class of the temp it moves, and every member shares its
+    class's verdicts. Input temps are live on entry and never written, so
+    they are neither spairs keys nor hiders. The analysis report and the
+    model both expand through here, over different members.
+    """
+
+    def by_class(members, temp_of=lambda t: t) -> dict[int, list[int]]:
+        groups: dict[int, list[int]] = {}
+        for x in members:
+            groups.setdefault(prog.temps[temp_of(x)].rep, []).append(x)
+        return groups
+
+    regs = by_class(temps)
+    written = by_class(t for t in temps if not prog.temps[t].is_input)
+    key_hiders = _class_members(sets.class_spairs, written)
+    mems = by_class(memops, prog.tm.get)
+    mem_hiders = _class_members(sets.class_mspairs, mems)
+    bad = _class_members(sets.sec_input_bad, regs)
+    return SecurityTables(
+        rpairs=_member_pairs(sets.class_rpairs, regs),
+        spairs={t: key_hiders[r] for r in sorted(key_hiders) for t in written.get(r, ())},
+        sec_input={ts: rest for ts in sorted(bad) if (rest := bad[ts] - {ts})},
+        mmpairs=frozenset(_member_pairs(sets.class_mmpairs, mems)),
+        mspairs={o: mem_hiders[r] for o in memops
+                 if (r := prog.temps[prog.tm[o]].rep) in mem_hiders},
+    )
+
+
+def _member_pairs(class_pairs, members) -> dict[tuple[int, int], None]:
+    """Distinct member pairs (lo, hi) of each class pair, in class-pair order."""
+    pairs = {}
+    for ra, rb in sorted(class_pairs):
+        for a in members.get(ra, ()):
+            for b in members.get(rb, ()):
+                if a != b:
+                    pairs[(a, b) if a < b else (b, a)] = None
+    return pairs
+
+
+def _class_members(table, members) -> dict[int, frozenset[int]]:
+    """Key -> the members of the classes its entry in `table` lists."""
+    return {k: frozenset(m for r in reps for m in members.get(r, ()))
+            for k, reps in table.items()}
+
+
 def add_security_constraints(m: ExtendedModel, sets) -> ExtendedModel:
     """Extend the model with the transition-leak prohibitions.
 
     The pair sets are class-level underneath; here they are expanded over all
     register-allocatable members of each value class, so spill reloads are
-    constrained exactly like the temps they duplicate.
+    constrained exactly like the temps they duplicate, and over every memory
+    op (source loads/stores and spill pairs).
     """
     prog = m.program
-    members = {rep: [t for t in ms if prog.temps[t].kind == "reg"]
-               for rep, ms in prog.classes.items()}
-
-    def non_input_members(rep):
-        return [t for t in members[rep] if not prog.temps[t].is_input]
-
-    rpairs = {}
-    for ra, rb in sorted(sets.class_rpairs):
-        for t1 in members[ra]:
-            for t2 in members[rb]:
-                if t1 != t2:
-                    rpairs[(min(t1, t2), max(t1, t2))] = None
-    spairs = {}
-    for key_rep in sorted(sets.class_spairs):
-        hiders = frozenset(
-            t for hr in sets.class_spairs[key_rep] for t in non_input_members(hr)
-        )
-        for ts in non_input_members(key_rep):
-            spairs[ts] = hiders
-    sec_input = {}
-    for ts, bad_reps in sorted(sets.sec_input_bad.items()):
-        bad = frozenset(t for br in bad_reps for t in members[br] if t != ts)
-        if bad:
-            sec_input[ts] = bad
-
-    mem_ops = [op.id for op in prog.ops if op.is_memory]
-    data_class = {o: prog.temps[prog.tm[o]].rep for o in mem_ops}
-    mmpairs = frozenset(
-        (o1, o2)
-        for o1, o2 in combinations(mem_ops, 2)
-        if tuple(sorted((data_class[o1], data_class[o2]))) in sets.class_mmpairs
-    )
-    mspairs = {}
-    for o in mem_ops:
-        if data_class[o] in sets.class_mspairs:
-            hider_classes = set(sets.class_mspairs[data_class[o]])
-            mspairs[o] = frozenset(h for h in mem_ops if data_class[h] in hider_classes)
-    return replace(
-        m, security=SecurityTables(rpairs, spairs, sec_input, mmpairs, mspairs)
-    )
+    temps = [t for t, mt in prog.temps.items() if mt.kind == "reg"]
+    memops = [op.id for op in prog.ops if op.is_memory]
+    return replace(m, security=expand_security(prog, sets, temps, memops))
 
 
 def add_implied_constraints(m: ExtendedModel) -> ExtendedModel:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from .model import (
     ExtendedModel,
-    ModelOp,
     SecurityTables,
     Solution,
     SolutionView,

@@ -1,10 +1,12 @@
 """The four pair sets that parameterize the secure backend constraints.
 
-All pair classification runs the base (conservative) inference on the xor of
-the two expressions. Copies share expressions, so pairs are really relations
-between value classes; the visible sets are the expansion over the temps an
-analysis report shows, and the class-level relations drive the constraint
-expansion over every register-allocatable member (including spill reloads).
+Every pair verdict is the base (conservative) classification of the xor of
+the two expressions, read from the operands' cached base sets
+(`Classifier.xor_base`). Copies share expressions, so pairs are really
+relations between value classes, decided once per class pair here. One
+expansion, `model.expand_security`, turns them into member relations: over
+the visible temps and memory candidates for the analysis report, and over
+every register temp (spill reloads included) and memory op for the model.
 
 Membership rules, over register temps:
 
@@ -24,29 +26,30 @@ the input classifies Secret must never immediately overwrite it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from dataclasses import dataclass, field, replace
+from itertools import combinations_with_replacement
 
 from .ir import SecurityClass
-from .model import ElabProgram
-from .typeinf import Binary, TypeEnv
+from .model import ElabProgram, expand_security
+from .typeinf import TypeEnv
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 
 
 @dataclass(frozen=True)
 class SecuritySets:
-    rpairs: frozenset[tuple[int, int]]  # unordered visible temp pairs (lo, hi)
-    spairs: dict[int, tuple[int, ...]]  # secret temp -> hider temps
-    mmpairs: frozenset[tuple[int, int]]  # unordered memory candidate op pairs
-    mspairs: dict[int, tuple[int, ...]]  # secret-data op -> hider ops
     tm: dict[int, int]  # memory candidate op -> data temp
-    # class-level relations driving model expansion
+    # class-level relations, expanded by `model.expand_security`
     class_rpairs: frozenset[tuple[int, int]]
     class_spairs: dict[int, tuple[int, ...]]
     class_mmpairs: frozenset[tuple[int, int]]
     class_mspairs: dict[int, tuple[int, ...]]
     sec_input_bad: dict[int, tuple[int, ...]]
+    # the expansion over the visible temps and memory candidates
+    rpairs: frozenset[tuple[int, int]] = frozenset()  # unordered temp pairs (lo, hi)
+    spairs: dict[int, tuple[int, ...]] = field(default_factory=dict)  # key -> hiders
+    mmpairs: frozenset[tuple[int, int]] = frozenset()  # unordered op pairs (lo, hi)
+    mspairs: dict[int, tuple[int, ...]] = field(default_factory=dict)  # op -> hiders
 
     def is_empty(self) -> bool:
         return not (self.rpairs or self.spairs or self.mmpairs or self.mspairs)
@@ -66,7 +69,7 @@ def _xor_base(env: TypeEnv, t1: int, t2: int) -> SecurityClass:
     With t1 == t2 this is the xor of two distinct equal-valued temps (a value
     and its copy), which the base rules judge conservatively.
     """
-    return env.classifier.classify_base(Binary("xor", env.expr(t1), env.expr(t2)))
+    return env.classifier.xor_base(env.expr(t1), env.expr(t2))
 
 
 def _class_pairs(env: TypeEnv, reps: list[int]) -> frozenset[tuple[int, int]]:
@@ -92,67 +95,36 @@ def _class_hiders(env: TypeEnv, reps: list[int]) -> dict[int, tuple[int, ...]]:
 def compute_sets(prog: ElabProgram, env: TypeEnv) -> SecuritySets:
     """All security relations for an elaborated program.
 
-    The class-level relations are computed once; the visible sets expand
-    them over the temps (and memory candidate ops) of each class. Members
-    of one class share one expression object, so they share every verdict.
+    The class-level relations are computed once; `model.expand_security`
+    expands them over the visible register temps and the memory candidate
+    ops, as it does over the whole model for the solver.
     """
-    visible = [
-        t
-        for t in prog.visible_temps()
-        if t not in prog.out_temps and prog.temps[t].kind == "reg"
-    ]
-    inputs = {t.id for t, _ in prog.inputs}
-    memops = sorted(prog.mem_candidates)
+    visible = [t for t in prog.visible_temps()
+               if t not in prog.out_temps and prog.temps[t].kind == "reg"]
     tm = {o: prog.tm[o] for o in prog.mem_candidates}
-    rep = {t: prog.temps[t].rep for t in prog.temps}
-    reps = sorted({rep[t] for t in visible})
-    mem_reps = sorted({rep[tm[o]] for o in memops})
-
-    class_rpairs = _class_pairs(env, reps)
-    class_spairs = _class_hiders(env, reps)
-    class_mmpairs = _class_pairs(env, mem_reps)
-    class_mspairs = _class_hiders(env, mem_reps)
-    sec_input_bad = {
-        t: tuple(rb for rb in reps if _xor_base(env, rb, t) is S)
-        for t in sorted(inputs)
-        if env.cls(t) is S
-    }
-
-    def class_pair(a: int, b: int) -> tuple[int, int]:
-        return (rep[a], rep[b]) if rep[a] <= rep[b] else (rep[b], rep[a])
-
-    # input temps are live on entry and never written: no spairs keys or hiders
-    written = [t for t in visible if t not in inputs]
-    hider_classes = {k: set(hs) for k, hs in class_spairs.items()}
-    mem_hider_classes = {k: set(hs) for k, hs in class_mspairs.items()}
-    return SecuritySets(
-        rpairs=frozenset(
-            (t1, t2)
-            for t1, t2 in combinations(visible, 2)
-            if class_pair(t1, t2) in class_rpairs
-        ),
-        spairs={
-            ts: tuple(t for t in written if rep[t] in hider_classes[rep[ts]])
-            for ts in written
-            if rep[ts] in hider_classes
-        },
-        # two operations storing one temp put the same word on the bus
-        mmpairs=frozenset(
-            (o1, o2)
-            for o1, o2 in combinations(memops, 2)
-            if tm[o1] != tm[o2] and class_pair(tm[o1], tm[o2]) in class_mmpairs
-        ),
-        mspairs={
-            o: tuple(o2 for o2 in memops if rep[tm[o2]] in mem_hider_classes[rep[tm[o]]])
-            for o in memops
-            if rep[tm[o]] in mem_hider_classes
-        },
+    reps = sorted({prog.temps[t].rep for t in visible})
+    mem_reps = sorted({prog.temps[t].rep for t in tm.values()})
+    relations = SecuritySets(
         tm=tm,
-        class_rpairs=class_rpairs,
-        class_spairs=class_spairs,
-        class_mmpairs=class_mmpairs,
-        class_mspairs=class_mspairs,
-        sec_input_bad=sec_input_bad,
+        class_rpairs=_class_pairs(env, reps),
+        class_spairs=_class_hiders(env, reps),
+        class_mmpairs=_class_pairs(env, mem_reps),
+        class_mspairs=_class_hiders(env, mem_reps),
+        sec_input_bad={
+            t.id: tuple(rb for rb in reps if _xor_base(env, rb, t.id) is S)
+            for t, _cls in prog.inputs
+            if env.cls(t.id) is S
+        },
+    )
+    tables = expand_security(prog, relations, visible, prog.mem_candidates)
+    return replace(
+        relations,
+        rpairs=frozenset(tables.rpairs),
+        spairs={k: tuple(sorted(tables.spairs[k])) for k in sorted(tables.spairs)},
+        # report only: two ops moving one temp put the same word on the bus
+        # (the model keeps these pairs)
+        mmpairs=frozenset((o1, o2) for o1, o2 in tables.mmpairs if tm[o1] != tm[o2]),
+        mspairs={k: tuple(sorted(tables.mspairs[k])) for k in sorted(tables.mspairs)},
     )
 
 

@@ -15,6 +15,8 @@ Config format (key = value, one 'op' line per opcode):
     stack_slots = 8
     op xor latency=1 two_address=true
     op load latency=2 memory=true
+
+load and store are memory ops by opcode; `memory=true` may mark them.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class TargetError(Exception):
 class OpInfo:
     latency: int
     two_address: bool = False
-    is_memory: bool = False
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,6 @@ class TargetDesc:
                 raise TargetError(f"latency of {opcode} must be >= 1")
             if info.two_address and opcode not in BINARY_OPCODES:
                 raise TargetError(f"two_address only applies to binary ops ({opcode})")
-            if info.is_memory and opcode not in MEMORY_OPCODES:
-                raise TargetError(f"memory flag only applies to load/store ({opcode})")
         for opcode in MODEL_OPCODES:
             if opcode not in self.ops:
                 raise TargetError(f"missing op entry for {opcode}")
@@ -92,8 +91,8 @@ def _ops(alu_two_address: bool, alu_lat: int = 1, mem_lat: int = 2) -> dict[str,
         ops[opc] = OpInfo(alu_lat, two_address=two)
     ops["not"] = OpInfo(alu_lat)
     ops["copy"] = OpInfo(alu_lat)
-    ops["load"] = OpInfo(mem_lat, is_memory=True)
-    ops["store"] = OpInfo(mem_lat, is_memory=True)
+    ops["load"] = OpInfo(mem_lat)
+    ops["store"] = OpInfo(mem_lat)
     return ops
 
 
@@ -138,7 +137,6 @@ def load_target(text: str) -> TargetDesc:
             opcode = parts[1]
             latency = None
             two_address = False
-            memory = False
             for kv in parts[2:]:
                 if "=" not in kv:
                     raise TargetError(f"line {lineno}: expected key=value, got {kv!r}")
@@ -147,8 +145,11 @@ def load_target(text: str) -> TargetDesc:
                     latency = int(v)
                 elif k == "two_address":
                     two_address = v.lower() == "true"
-                elif k == "memory":
-                    memory = v.lower() == "true"
+                elif k == "memory":  # load/store are memory ops by opcode
+                    if opcode not in MEMORY_OPCODES:
+                        raise TargetError(f"memory flag only applies to load/store ({opcode})")
+                    if v.lower() != "true":
+                        raise TargetError(f"line {lineno}: {opcode} is always a memory op")
                 else:
                     raise TargetError(f"line {lineno}: unknown op key {k!r}")
             if latency is None:
@@ -157,7 +158,7 @@ def load_target(text: str) -> TargetDesc:
                 raise TargetError(f"line {lineno}: latency of {opcode} must be >= 1")
             if opcode in ops:
                 raise TargetError(f"line {lineno}: duplicate op entry {opcode}")
-            ops[opcode] = OpInfo(latency, two_address=two_address, is_memory=memory)
+            ops[opcode] = OpInfo(latency, two_address=two_address)
             continue
         if "=" not in line:
             raise TargetError(f"line {lineno}: cannot parse {line!r}")
@@ -200,7 +201,7 @@ def render_target(t: TargetDesc) -> str:
         parts = [f"op {opcode} latency={info.latency}"]
         if info.two_address:
             parts.append("two_address=true")
-        if info.is_memory:
+        if opcode in MEMORY_OPCODES:
             parts.append("memory=true")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

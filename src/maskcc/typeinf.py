@@ -14,19 +14,19 @@ Two rule sets coexist:
   aware support plus the structural PUB/NEST/DISTR rules; it is used for
   per-temp typing, and NEST/DISTR act as rewrite-then-reclassify steps with
   a fixed depth bound;
-* the base classifier (`Classifier.classify_base`) uses plain syntactic
-  support with only the uniform-random and no-secret rules. The pair sets
-  fed to the secure backend are computed with the base classifier, which is
-  deliberately more conservative on xors of equal-valued temporaries.
+* the base rules (`Classifier.xor_base`) use plain syntactic support with
+  only the uniform-random and no-secret rules. They judge the xor of two
+  temps' expressions, one verdict per pair in the pair sets fed to the
+  secure backend, and are deliberately more conservative on xors of
+  equal-valued temporaries. Plain support does not cancel, so each verdict
+  is read from the two operands' cached support, unique-random and mask
+  sets, and no xor node is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bits import apply_binop_vec, mask
 from .ir import Literal, Program, SecurityClass
 
 REWRITE_DEPTH = 3
@@ -208,13 +208,21 @@ class Classifier:
         self._dom[key] = r
         return r
 
-    def classify_base(self, e: Expr) -> SecurityClass:
-        """Base rules: uniform-random, else public without secret leaves."""
-        if self.dom(e, cancel=False):
+    def xor_base(self, a: Expr, b: Expr) -> SecurityClass:
+        """Base rules on a ^ b: uniform-random, else public without secret leaves.
+
+        Plain support does not cancel, so the xor's masks follow from the
+        operands' cached sets and no node is built for the pair: they are
+        (dom a | dom b) & unq(a ^ b), where unq(a ^ b) is (unq a | unq b)
+        minus the shared support, and dom lies within unq.
+        """
+        shared = self.supp(a, False) & self.supp(b, False)
+        if (self.dom(a, False) | self.dom(b, False)) - shared:
             return SecurityClass.RANDOM
-        if not self.leaves(e, SecurityClass.SECRET):
+        S = SecurityClass.SECRET
+        if not (self.leaves(a, S) or self.leaves(b, S)):
             return SecurityClass.PUBLIC
-        return SecurityClass.SECRET
+        return S
 
     # -- extended classification -------------------------------------------
 
@@ -359,9 +367,6 @@ class TypeEnv:
     def expr(self, t: int) -> Expr:
         return self.exprs[t]
 
-    def temps(self) -> list[int]:
-        return sorted(self.classes)
-
 
 def build_exprs(p: Program) -> dict[int, Expr]:
     """Forward-substitute every temp of a source program to an expression.
@@ -406,20 +411,3 @@ def infer_types(p: Program) -> TypeEnv:
     classes = {t: cl.classify(e) for t, e in exprs.items()}
     return TypeEnv(classes, exprs, cl)
 
-
-# -- concrete evaluation (used by the distribution checks) --
-
-
-def eval_expr_vec(e: Expr, values: dict[int, np.ndarray], width: int) -> np.ndarray:
-    """Evaluate e over numpy arrays of input assignments, elementwise."""
-    m = mask(width)
-    if isinstance(e, Var):
-        return values[e.id] & m
-    if isinstance(e, Const):
-        shape = next(iter(values.values())).shape if values else ()
-        return np.full(shape, e.value & m, dtype=np.int64)
-    if isinstance(e, Unary):
-        return ~eval_expr_vec(e.child, values, width) & m
-    return apply_binop_vec(
-        e.op, eval_expr_vec(e.left, values, width), eval_expr_vec(e.right, values, width), width
-    )

@@ -3,9 +3,11 @@
 import pytest
 
 from conftest import FIXTURE_SOURCES, fixture_program
+from maskcc import typeinf
 from maskcc.ir import SecurityClass, parse_program
 from maskcc.model import elab_types, elaborate
 from maskcc.secsets import compute_sets, xor_class
+from test_cli import chain_source
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 
@@ -178,3 +180,21 @@ def test_no_rpair_joins_two_input_classes(name):
     sets = compute_sets(elab, elab_types(elab))
     inputs = {t.id for t, _ in elab.inputs}
     assert not [p for p in sets.class_rpairs if set(p) <= inputs]
+
+
+def test_compute_sets_builds_no_xor_nodes(monkeypatch):
+    # pair verdicts read the operands' cached sets; building one node per
+    # pair made the front end quadratic in allocations and pinned memory
+    elab = elaborate(parse_program(chain_source(60)), "full")
+    env = elab_types(elab)
+    built = []
+    real_init = typeinf.Binary.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(typeinf.Binary, "__init__", counting_init)
+    sets = compute_sets(elab, env)
+    assert sets.rpairs and sets.spairs
+    assert built == []

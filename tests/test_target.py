@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from maskcc.target import (
@@ -19,7 +21,9 @@ def test_thumb_like_preset_shape():
     assert t.two_address("xor") and t.two_address("add")
     assert not t.two_address("gf_mul")
     assert t.latency("load") == 2 and t.latency("xor") == 1
-    assert t.ops["load"].is_memory and t.ops["store"].is_memory
+    rendered = render_target(t)
+    assert "op load latency=2 memory=true\n" in rendered
+    assert "op store latency=2 memory=true\n" in rendered
 
 
 def test_mips_like_preset_shape():
@@ -32,6 +36,31 @@ def test_mips_like_preset_shape():
 def test_round_trip():
     for t in PRESETS.values():
         assert load_target(render_target(t)) == t
+
+
+def test_frozen_target_files_round_trip():
+    targets = Path(__file__).resolve().parents[1] / "perfbench" / "targets"
+    for path in sorted(targets.glob("*.target")):
+        text = path.read_text()
+        assert render_target(load_target(text)) == text
+
+
+def test_memory_false_on_load_rejected():
+    cfg = render_target(PRESETS["thumb-like"]).replace(
+        "op load latency=2 memory=true", "op load latency=2 memory=false"
+    )
+    line = cfg.splitlines().index("op load latency=2 memory=false") + 1
+    with pytest.raises(TargetError, match=f"^line {line}: load is always a memory op"):
+        load_target(cfg)
+
+
+def test_memory_flag_on_alu_op_rejected():
+    for flag in ("true", "false"):
+        cfg = render_target(PRESETS["thumb-like"]).replace(
+            "op not latency=1", f"op not latency=1 memory={flag}"
+        )
+        with pytest.raises(TargetError, match=r"memory flag only applies to load/store \(not\)"):
+            load_target(cfg)
 
 
 def test_zero_latency_rejected():

@@ -8,11 +8,13 @@ expressions, and the named examples are frozen.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURE_SOURCES, fixture_program
+from maskcc.bits import apply_binop_vec, mask
 from maskcc.ir import SecurityClass, parse_program
 from maskcc.model import elab_types, elaborate
 from maskcc.typeinf import (
@@ -22,13 +24,28 @@ from maskcc.typeinf import (
     Unary,
     Var,
     build_exprs,
-    eval_expr_vec,
     infer_types,
 )
+from test_stress import gen_kernel
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 W = 4
 N = 1 << W
+
+
+def eval_expr_vec(e, values: dict[int, np.ndarray], width: int) -> np.ndarray:
+    """Evaluate e over numpy arrays of input assignments, elementwise."""
+    m = mask(width)
+    if isinstance(e, Var):
+        return values[e.id] & m
+    if isinstance(e, Const):
+        shape = next(iter(values.values())).shape if values else ()
+        return np.full(shape, e.value & m, dtype=np.int64)
+    if isinstance(e, Unary):
+        return ~eval_expr_vec(e.child, values, width) & m
+    return apply_binop_vec(
+        e.op, eval_expr_vec(e.left, values, width), eval_expr_vec(e.right, values, width), width
+    )
 
 
 def leaves(expr):
@@ -354,3 +371,28 @@ def test_soundness_over_all_fixture_programs():
                 assert is_uniform(e), f"{name}: t{t} Random but not uniform"
             elif cls is P:
                 assert is_secret_independent(e), f"{name}: t{t} Public but secret-dependent"
+
+
+REFERENCE_SOURCES = {
+    **FIXTURE_SOURCES,
+    **{
+        f"gen{seed}": gen_kernel(random.Random(1000 + seed), seed, with_memory=seed % 3 == 0)
+        for seed in range(0, 60, 6)
+    },
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SOURCES)
+def test_xor_base_matches_base_rules_on_explicit_xor(name):
+    """`xor_base` equals the base rules run on a built xor node, for every pair."""
+    env = infer_types(parse_program(REFERENCE_SOURCES[name]))
+    cl = env.classifier
+    for a, b in itertools.product(env.exprs.values(), repeat=2):
+        node = Binary("xor", a, b)
+        if cl.dom(node, False):
+            want = R
+        elif cl.leaves(node, S):
+            want = S
+        else:
+            want = P
+        assert cl.xor_base(a, b) is want, f"{a} ^ {b}"

@@ -6,8 +6,9 @@
 Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `--json compile --verify --dump-model` (thumb-like/mips-like x none/reg/full),
 `simulate`, `compile --insecure`, the `ORACLE_CASES` under
-`oracle`, and the benchmark's ladder and deep kernels under `analyze` and
-`compile`. Node budgets stand in for time budgets so every run is
+`oracle`, the benchmark's ladder and deep kernels under `analyze` and
+`compile`, and a 100-op xor chain under `analyze` (none/full) and
+`compile --insecure` (mips-like, none/full). Node budgets stand in for time budgets so every run is
 deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
 show that a refactor keeps reports, `.s` files, model dumps, messages and
 exit codes byte for byte.
@@ -22,6 +23,7 @@ from pathlib import Path
 repo, outdir = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
 sys.path[:0] = [str(repo / "src"), str(repo / "tests"), str(repo / "perfbench")]
 from conftest import FIXTURE_SOURCES, ORACLE_CASES  # noqa: E402
+from test_cli import chain_source  # noqa: E402
 from maskcc.cli import main  # noqa: E402
 import workloads  # noqa: E402
 
@@ -109,6 +111,14 @@ for name, (text, preset, budgets) in generated.items():
         record(f"analyze_{name}_{budget}", ["analyze", str(path), "--copy-budget", budget])
         compile_into(f"compile_{name}_{budget}", path, "--target", preset,
                      "--copy-budget", budget, "--budget-nodes", "2000")
+
+# the paper's kernel size, where the front end's pair sets grow quadratically
+chain = irdir / "chain_100.ir"
+chain.write_text(chain_source(100))
+for budget in ("none", "full"):
+    record(f"analyze_chain_100_{budget}", ["analyze", str(chain), "--copy-budget", budget])
+    compile_into(f"compile_chain_100_{budget}--insecure", chain, "--target", "mips-like",
+                 "--copy-budget", budget, "--budget-nodes", "20000", "--insecure")
 
 files = [p for p in outdir.rglob("*") if p.is_file() and p.parent != irdir]
 print(f"{len(files)} output files in {outdir}")
