@@ -15,6 +15,12 @@ previous one that its operands and aliasing memory predecessors allow),
 which makes the solution space finite and directly comparable with the
 solver's enumeration. Optima are found by
 iterative deepening over the makespan.
+
+Each level's walk reads per-op tables (memory deps, operand slots and their
+alternatives, the definition's locations, two-address flag and latency)
+built once when the level starts. `compare_with_solver` at slack 0 takes
+the optimum's walk from `brute_force` as its enumeration instead of
+walking that level again.
 """
 
 from __future__ import annotations
@@ -121,67 +127,91 @@ def _enumerate_level(model: ExtendedModel, level: int,
     Iterative deepening makes the first non-empty level exact.
     """
     prog = model.program
-    out_op = prog.out_op
+    out_id = prog.out_op.id
     nregs = model.target.num_registers
+    result_reg = model.result_reg
+    memory = {o.id for o in prog.ops if o.is_memory}
+    # op id -> (memory deps, slot keys, slot alts, operand positions, def,
+    # its locations, two-address, latency), read on every child of the walk
+    facts = {}
+    for op in prog.ops:
+        slots = tuple(op.temp_slots())
+        d = op.defs[0] if op.defs else None
+        facts[op.id] = (
+            prog.mem_deps.get(op.id, ()),
+            tuple((op.id, i) for i, _slot in slots),
+            tuple(slot.alts for _i, slot in slots),
+            tuple(k for k, (i, _slot) in enumerate(slots) if i >= 0),
+            d,
+            model.r_dom.get(d, ()),  # out temps have no locations
+            model.two_address(op),
+            model.latency(op),
+        )
+    out_keys, out_alts = facts[out_id][1:3]
+    first_at = out_keys.index((out_id, 0)) if (out_id, 0) in out_keys else None
     found = []
     work = 0
 
-    def selections(op, contents, regs):
+    def selections(alts, contents, regs):
+        """Every operand selection, each counted as one unit of work."""
         nonlocal work
-        keys = [(op.id, i) for i, _slot in op.temp_slots()]
-        pools = [[t for t in slot.alts if t in regs and contents[regs[t]] == t]
-                 for _i, slot in op.temp_slots()]
-        for combo in itertools.product(*pools):
-            work += 1
-            if work > limit:
-                raise OracleError(
-                    f"enumeration at makespan {level} exceeds the oracle "
-                    f"work limit; the model is too large for brute force"
-                )
-            yield dict(zip(keys, combo))
+        pools = [[t for t in ts if t in regs and contents[regs[t]] == t] for ts in alts]
+        n = 1
+        for pool in pools:
+            n *= len(pool)
+        work += n  # every selection of the product is tried
+        if work > limit:
+            raise OracleError(
+                f"enumeration at makespan {level} exceeds the oracle "
+                f"work limit; the model is too large for brute force"
+            )
+        return itertools.product(*pools)
 
     def finish(last, contents, regs, ready, cycles, sels, succ):
-        for sel in selections(out_op, contents, regs):
-            first = sel.get((out_op.id, 0))
-            if first is not None and regs[first] != model.result_reg:
+        ends = []
+        for combo in selections(out_alts, contents, regs):
+            if first_at is not None and regs[combo[first_at]] != result_reg:
                 continue
-            c = max([last + 1] + [ready[t] for t in sel.values()])
-            if c > level:
-                continue
-            mems = sorted((o for o in cycles if prog.op(o).is_memory), key=cycles.get)
-            written = {t for t, loc in regs.items() if loc < nregs}
-            if _security_ok(model.security, succ, mems, written):
-                cycles_out = {**cycles, out_op.id: c}  # its keys are the active ops
-                found.append(make_solution(model, cycles_out, cycles_out, regs,
-                                           {**sels, **sel}))
+            c = max([last + 1] + [ready[t] for t in combo])
+            if c <= level:
+                ends.append((combo, c))
+        if not ends:
+            return
+        mems = sorted((o for o in cycles if o in memory), key=cycles.get)
+        written = {t for t, loc in regs.items() if loc < nregs}
+        if not _security_ok(model.security, succ, mems, written):
+            return  # security reads the walked state, not the out op's selection
+        for combo, c in ends:
+            cycles_out = {**cycles, out_id: c}  # its keys are the active ops
+            found.append(make_solution(model, cycles_out, cycles_out, regs,
+                                       {**sels, **dict(zip(out_keys, combo))}))
 
     def walk(rest, last, contents, regs, ready, cycles, sels, succ):
         if not rest:
             finish(last, contents, regs, ready, cycles, sels, succ)
             return
-        for op in rest:
-            deps = prog.mem_deps.get(op.id, ())
+        for op_id in rest:
+            deps, keys, alts, src_at, d, locs, two_addr, lat = facts[op_id]
             if any(dep not in cycles for dep in deps):
                 continue  # aliasing memory ops keep program order
-            later = [o for o in rest if o is not op]
+            later = [o for o in rest if o != op_id]
             start = max([last + 1] + [cycles[dep] + 1 for dep in deps])
-            for sel in selections(op, contents, regs):
-                c = max([start] + [ready[t] for t in sel.values()])
+            for combo in selections(alts, contents, regs):
+                c = max([start] + [ready[t] for t in combo])
                 if c + len(later) + 1 > level:
                     continue  # one cycle per op left, the out op included
-                now_cycles, now_sels = {**cycles, op.id: c}, {**sels, **sel}
-                if not op.defs:
+                now_cycles = {**cycles, op_id: c}
+                now_sels = {**sels, **dict(zip(keys, combo))}
+                if d is None:
                     walk(later, c, contents, regs, ready, now_cycles, now_sels, succ)
                     continue
-                d = op.defs[0]
-                src_locs = [regs[t] for (_o, i), t in sel.items() if i >= 0]
-                for loc in model.r_dom[d]:
-                    if model.two_address(op) and src_locs and loc not in src_locs:
+                src_locs = [regs[combo[k]] for k in src_at] if two_addr else ()
+                for loc in locs:
+                    if src_locs and loc not in src_locs:
                         continue
                     pair = ((contents[loc], d),) if loc < nregs and loc in contents else ()
                     walk(later, c, {**contents, loc: d}, {**regs, d: loc},
-                         {**ready, d: c + model.latency(op)}, now_cycles, now_sels,
-                         succ + pair)
+                         {**ready, d: c + lat}, now_cycles, now_sels, succ + pair)
 
     regs = {t.id: prog.temps[t.id].input_index for t, _cls in prog.inputs}
     if any(loc not in model.r_dom[t] for t, loc in regs.items()):
@@ -189,7 +219,7 @@ def _enumerate_level(model: ExtendedModel, level: int,
     contents = {loc: t for t, loc in regs.items()}
     ready = dict.fromkeys(regs, 1)
     for active in _valid_active_sets(model, max_real=level - 1):
-        real = [o for o in prog.ops if o.id in active and o.kind not in ("in", "out")]
+        real = [o.id for o in prog.ops if o.id in active and o.kind not in ("in", "out")]
         walk(real, 0, contents, regs, ready, {prog.in_op.id: 0}, {}, ())
     return found, work
 
@@ -316,7 +346,8 @@ def compare_with_solver(
         if opt is None:
             continue
         cap = opt + count_slack
-        oracle_sols = enumerate_all(model, cap, op_bound=op_bound)
+        # brute force has just walked level opt, which is the slack-0 enumeration
+        oracle_sols = sols if count_slack == 0 else enumerate_all(model, cap, op_bound=op_bound)
         solver_sols, truncated = enumerate_solutions(model, makespan_cap=cap)
         if truncated:
             report.discrepancies.append(f"{label}: solver enumeration truncated")

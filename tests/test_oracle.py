@@ -118,6 +118,72 @@ def test_oracle_gives_up_before_the_costly_level(capsys):
     assert err.startswith("error: enumeration at makespan 7 would exceed the oracle work limit")
 
 
+# (fixture, target, budget) -> (base, secure), each (optimum, optimal solutions,
+# lower bound, operand selections tried at each level from the lower bound up
+# to optimum + 1, or up to the lower bound + 2 on an infeasible model)
+BRUTE_FORCE_WORK = {
+    ("xor_p0", "thumb-like", "none"): ((3, 2, 3, (7, 7)), (3, 1, 3, (7, 7))),
+    ("xor_p0", "mips-like", "none"): ((3, 15, 3, (256, 256)), (3, 14, 3, (256, 256))),
+    ("xor_p0", "thumb-like", "reg"): ((3, 2, 3, (7, 581)), (3, 1, 3, (7, 581))),
+    ("goubin_mask", "quad", "none"): ((5, 12, 5, (74, 74)), (5, 4, 5, (74, 74))),
+    ("secmult_gf", "quad", "reg"): ((3, 3, 3, (16, 605)), (5, 2, 3, (16, 605, 10532, 99418))),
+    ("arith_mask", "quad", "reg"): ((3, 3, 3, (16, 605)), (5, 2, 3, (16, 605, 10532, 99418))),
+    ("sec_reload", "quad", "reg"): ((3, 3, 3, (16, 566)), (5, 4, 3, (16, 566, 8723, 65611))),
+    ("two_shares", "mini", "none"): ((4, 2, 4, (11, 11)), (4, 1, 4, (11, 11))),
+    ("mem_secret", "mini", "reg"): ((6, 41, 5, (54, 1770, 21445)), (6, 2, 5, (54, 1770, 21445))),
+    ("mem_pair", "mini", "none"): ((6, 12, 6, (287, 287)), (6, 7, 6, (287, 287))),
+    ("roundtrip", "mini", "none"): ((5, 2, 5, (30, 60)), (5, 2, 5, (30, 60))),
+    ("allpub", "thumb-like", "none"): ((3, 1, 3, (4, 4)), (3, 1, 3, (4, 4))),
+    ("identity", "thumb-like", "none"): ((1, 1, 1, (1, 1)), (1, 1, 1, (1, 1))),
+    ("nohide", "thumb-like", "reg"): ((2, 1, 2, (9, 331)), (None, 0, 2, (9, 331, 3753))),
+    ("lit_xor", "thumb-like", "none"): ((2, 1, 2, (9, 9)), (2, 1, 2, (9, 9))),
+}
+
+
+def test_brute_force_work_pinned(monkeypatch):
+    """Optima, optimal counts and per-level work of every oracle combo.
+
+    Work counts every operand selection tried, so it pins the space walked
+    and the selections taken beyond the solution sets, and with them the
+    levels at which `OracleError` is predicted or raised.
+    """
+    walked = []
+    enumerate_level = oracle._enumerate_level
+
+    def spy(model, level, limit):
+        sols, work = enumerate_level(model, level, limit)
+        walked.append(work)
+        return sols, work
+
+    monkeypatch.setattr(oracle, "_enumerate_level", spy)
+    assert sorted(BRUTE_FORCE_WORK) == sorted(ORACLE_CASES)
+    for key, pinned in BRUTE_FORCE_WORK.items():
+        base, secure, _ = build_models(*key)
+        for model, (opt, count, lb, works) in zip((base, secure), pinned):
+            walked.clear()
+            got_opt, sols = brute_force(model, op_bound=8, max_makespan=lb + 2)
+            if got_opt is not None:
+                oracle._enumerate_level(model, got_opt + 1, oracle.WORK_LIMIT)
+            assert (got_opt, len(sols), tuple(walked)) == (opt, count, works), key
+
+
+def test_slack_zero_walks_each_level_once(monkeypatch):
+    """At slack 0 the optimum's walk is also the enumeration compared."""
+    base, secure, _ = build_models("sec_reload", "quad", "reg")
+    walked = []
+    enumerate_level = oracle._enumerate_level
+
+    def spy(model, level, limit):
+        walked.append((id(model), level))
+        return enumerate_level(model, level, limit)
+
+    monkeypatch.setattr(oracle, "_enumerate_level", spy)
+    rep = compare_with_solver(base, secure, op_bound=8, count_slack=0)
+    assert rep.discrepancies == []
+    assert (rep.insecure_count, rep.secure_count) == (3, 4)
+    assert len(walked) == len(set(walked)) == 4  # base level 3, secure levels 3-5
+
+
 def test_trace_subseq_on_plain_xor_solution():
     base, _, _ = build_models("xor_p0", "thumb-like", "full")
     from test_model import plain_solution, hiding_solution

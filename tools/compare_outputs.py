@@ -6,7 +6,8 @@
 Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `--json compile --verify --dump-model` (thumb-like/mips-like x none/reg/full),
 `simulate`, `compile --insecure`, the `ORACLE_CASES` under
-`oracle`, the benchmark's ladder and deep kernels under `analyze` and
+`oracle` at slack 0 and 1, `kernels/ptr_store.ir` under `oracle` (thumb-like, reg:
+the work-limit message), the benchmark's ladder and deep kernels under `analyze` and
 `compile`, and a 100-op xor chain under `analyze` (none/full) and
 `compile --insecure` (mips-like, none/full). Node budgets stand in for time budgets so every run is
 deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
@@ -92,8 +93,12 @@ for name, path in kernels.items():
 
 for name, target, budget in ORACLE_CASES:
     tpath = target if target in PRESETS else str(repo / "perfbench" / "targets" / f"{target}.target")
-    record(f"oracle_{name}_{target}_{budget}",
-           ["oracle", str(kernels[name]), "--target", tpath, "--copy-budget", budget])
+    argv = ["oracle", str(kernels[name]), "--target", tpath, "--copy-budget", budget]
+    record(f"oracle_{name}_{target}_{budget}", argv)
+    record(f"oracle_{name}_{target}_{budget}_slack1", [*argv, "--slack", "1"])
+# gives up before its costly level; the message pins the predicted and remaining work
+record("oracle_kernels_ptr_store_thumb-like_reg", ["oracle", str(kernels["kernels_ptr_store"]),
+       "--target", "thumb-like", "--copy-budget", "reg"])
 
 generated = {}
 for s in workloads.LADDER_SEEDS:
