@@ -11,6 +11,7 @@ run that finds the output leaky).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -407,7 +408,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if not report.discrepancies else EXIT_FAIL
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `main` only parses."""
     ap = argparse.ArgumentParser(
         prog="maskcc",
         description="leak-aware code generation for masked straight-line kernels",
@@ -455,8 +458,11 @@ def main(argv=None) -> int:
     o.add_argument("--slack", type=int, default=0)
     o.add_argument("--copy-budget", default="none", choices=["none", "reg", "full"])
     o.set_defaults(func=cmd_oracle)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except leakage.SimulationError as e:  # e.g. a load from a never-written address

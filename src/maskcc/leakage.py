@@ -29,7 +29,6 @@ positions.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,6 +43,7 @@ EXHAUSTIVE_BOUND = 2**20
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 2024
 CHUNK = 1 << 12  # lanes per vector walk; bounds the walk's memory
+WORD_BLOCK = 1 << 14  # generator words per Monte Carlo draw; bounds its memory
 
 
 class SimulationError(Exception):
@@ -310,8 +310,20 @@ class LeakStats:
 def draw_assignments(harness: Harness, sampling: Sampling) -> np.ndarray | None:
     """The Monte Carlo random-input assignments, one row per sample.
 
-    Row i holds the values of `harness.random_inputs()` in order, drawn as
-    `random.Random(sampling.seed).randrange(1 << width)` sample by sample.
+    Row i holds the values of `harness.random_inputs()` in order: the same
+    values, dtype and shape as drawing
+    `random.Random(sampling.seed).randrange(1 << width)` sample by sample,
+    read from the generator in blocks of WORD_BLOCK 32-bit words instead.
+    CPython's `randrange(2**w)` is `Random._randbelow_with_getrandbits`: it
+    calls `getrandbits(w + 1)` and redraws while the result is >= 2**w. For
+    w <= 31 each attempt takes one word u and is accepted iff bit 31 of u
+    is 0, with value u >> (31 - w); for w = 32 each attempt takes two words,
+    the first being the value, accepted iff bit 31 of the second is 0.
+    `getrandbits(32 * m)` holds the next m words in stream order, word i at
+    bits 32i..32i+31; WORD_BLOCK is even, so the w = 32 pairs stay aligned.
+    `tests/test_leakage.py::test_draw_assignments_matches_randrange` pins
+    the equivalence. Widths above 32 are not supported.
+
     Under Exhaustive there is nothing to draw: `leak_stats` computes each
     chunk of assignments from its index.
     """
@@ -320,8 +332,20 @@ def draw_assignments(harness: Harness, sampling: Sampling) -> np.ndarray | None:
     w = harness.width
     k = len(harness.random_inputs())
     n = sampling.samples * k
-    draws = map(random.Random(sampling.seed).randrange, itertools.repeat(1 << w, n))
-    return np.fromiter(draws, np.min_scalar_type(mask(w)), n).reshape(sampling.samples, k)
+    out = np.empty(n, np.min_scalar_type(mask(w)))
+    rng = random.Random(sampling.seed)
+    filled = 0
+    while filled < n:
+        block = rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little")
+        words = np.frombuffer(block, "<u4")
+        if w == 32:
+            values = words[0::2][words[1::2] < 1 << 31]
+        else:
+            values = words[words < 1 << 31] >> (31 - w)
+        take = min(len(values), n - filled)
+        out[filled : filled + take] = values[:take]
+        filled += take
+    return out.reshape(sampling.samples, k)
 
 
 def _assignment_chunks(harness: Harness, sampling: Sampling, draws: np.ndarray | None):

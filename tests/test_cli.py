@@ -291,6 +291,31 @@ def test_json_flag_echoes_report(write_fixture, capsys, tmp_path):
     assert payload["infeasible_family"] is None
 
 
+def test_main_reuses_parser_without_leaking_options(write_fixture, capsys, tmp_path, monkeypatch):
+    """One parser per process; options of one call never reach the next."""
+    from maskcc import cli, leakage
+
+    assert cli._parser() is cli._parser()
+    compile_argv = ["--json", "compile", write_fixture("xor_p0"), "--out-dir", str(tmp_path)]
+    rc, out, _ = run_cli(capsys, *compile_argv, "--verify")
+    assert rc == 0 and json.loads(out)["verify"]["verdict"] == "Equivalent"
+    rc, out, _ = run_cli(capsys, *compile_argv)
+    assert rc == 0 and json.loads(out)["verify"] is None
+
+    drawn = []
+    real = leakage.draw_assignments
+
+    def spy(harness, sampling):
+        drawn.append(sampling)
+        return real(harness, sampling)
+
+    monkeypatch.setattr(leakage, "draw_assignments", spy)
+    for flags in (["--samples", "500"], []):
+        rc, _, _ = run_cli(capsys, "simulate", write_fixture("xor_p0"), *flags)
+        assert rc == 0
+    assert drawn == [leakage.MonteCarlo(samples=500, seed=cli.DEFAULT_SEED), leakage.Exhaustive()]
+
+
 def test_seed_accepted_after_subcommand(write_fixture, capsys):
     rc, out, _ = run_cli(
         capsys,

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from maskcc.leakage import (
     SimulationError,
     check_equivalence,
     compare_stats,
+    draw_assignments,
     exhaustive_ok,
     leak_stats,
     leak_trace_recursive,
@@ -30,6 +32,27 @@ from maskcc.leakage import (
 )
 from maskcc.ir import SecurityClass, parse_program
 from maskcc.solver import SolveBudget, solve
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 8, 16, 31, 32])
+def test_draw_assignments_matches_randrange(width):
+    """The block draw equals one `randrange(1 << width)` call per value, in order.
+
+    Fails loudly if a CPython release changes how `randrange` consumes the
+    Mersenne Twister stream.
+    """
+    dtype = np.min_scalar_type(mask(width))
+    for seed in (0, 7, 2024):
+        for k, samples in ((1, 1), (3, 1), (1, CHUNK + 1), (3, CHUNK + 1), (1, 40_000)):
+            rng = random.Random(seed)
+            want = np.array(
+                [[rng.randrange(1 << width) for _ in range(k)] for _ in range(samples)],
+                dtype=dtype,
+            )
+            stub = SimpleNamespace(width=width, random_inputs=lambda: tuple(range(k)))
+            got = draw_assignments(stub, MonteCarlo(samples=samples, seed=seed))
+            assert got.dtype == dtype and got.shape == (samples, k), (seed, k, samples)
+            assert np.array_equal(got, want), (seed, k, samples)
 
 
 def test_hw_basics():

@@ -1,5 +1,6 @@
 """Brute-force cross-validation of the solver and the subsequence algebra."""
 
+import functools
 import re
 from pathlib import Path
 
@@ -34,6 +35,21 @@ def reports():
             compare_with_solver(base, secure, op_bound=8, count_slack=1),
         )
     return out
+
+
+@pytest.fixture(scope="module")
+def solutions(reports):
+    """`enumerate_all` of a combo's "base" or "secure" model up to a makespan.
+
+    Each (combo, model, makespan) is walked once in this module.
+    """
+
+    @functools.cache
+    def enumerate_(key, which, makespan):
+        base, secure, _ = reports[key]
+        return tuple(enumerate_all(base if which == "base" else secure, makespan, op_bound=8))
+
+    return enumerate_
 
 
 def test_no_discrepancies_vs_solver(reports):
@@ -196,17 +212,17 @@ def test_trace_subseq_on_plain_xor_solution():
     assert trace_msubseq(base, sol) == set()
 
 
-def test_subseq_characterization_across_oracle_solutions(reports):
+def test_subseq_characterization_across_oracle_solutions(reports, solutions):
     """Trace-walk pairs equal the live-range algebra on every solution."""
     total = 0
     for key, (base, secure, rep) in reports.items():
-        for model, opt in (
-            (base, rep.insecure_optimum),
-            (secure, rep.secure_optimum),
+        for which, model, opt in (
+            ("base", base, rep.insecure_optimum),
+            ("secure", secure, rep.secure_optimum),
         ):
             if opt is None:
                 continue
-            for sol in enumerate_all(model, opt, op_bound=8):
+            for sol in solutions(key, which, opt):
                 v = SolutionView(model, sol)
                 assert trace_subseq(model, sol) == v.subseq_pairs(), key
                 assert trace_msubseq(model, sol) == v.msubseq_pairs(), key
@@ -232,7 +248,7 @@ def test_subseq_characterization_on_spill_solutions():
                 assert trace_msubseq(model, sol) == v.msubseq_pairs(), name
 
 
-def test_every_secure_oracle_solution_is_leak_free(reports):
+def test_every_secure_oracle_solution_is_leak_free(reports, solutions):
     """Simulated equivalence holds for each enumerated secure solution."""
     for (name, tgt, budget), (base, secure, rep) in reports.items():
         if rep.secure_optimum is None:
@@ -244,13 +260,13 @@ def test_every_secure_oracle_solution_is_leak_free(reports):
         pub = {t.id: 3 for t, c in prog.inputs if str(c) == "public"}
         s1 = {t: 0x0 for t in secret_ids}
         s2 = {t: 0xF for t in secret_ids}
-        for sol in enumerate_all(secure, rep.secure_optimum, op_bound=8):
+        for sol in solutions((name, tgt, budget), "secure", rep.secure_optimum):
             h = linearize(secure, sol)
             v = check_equivalence(h, pub, (s1, s2))
             assert v.equivalent, (name, tgt, sol.to_dict())
 
 
-def test_leaky_base_solutions_absent_from_secure_enumeration(reports):
+def test_leaky_base_solutions_absent_from_secure_enumeration(reports, solutions):
     """Any base solution that simulates leaky never appears in the secure set."""
     found_leaky = 0
     for (name, tgt, budget), (base, secure, rep) in reports.items():
@@ -264,8 +280,8 @@ def test_leaky_base_solutions_absent_from_secure_enumeration(reports):
         s1 = {t: 0x0 for t in secret_ids}
         s2 = {t: 0xF for t in secret_ids}
         cap = max(rep.insecure_optimum, rep.secure_optimum)
-        secure_keys = {s.sort_key() for s in enumerate_all(secure, cap, op_bound=8)}
-        for sol in enumerate_all(base, cap, op_bound=8):
+        secure_keys = {s.sort_key() for s in solutions((name, tgt, budget), "secure", cap)}
+        for sol in solutions((name, tgt, budget), "base", cap):
             h = linearize(base, sol)
             if not check_equivalence(h, pub, (s1, s2)).equivalent:
                 found_leaky += 1
@@ -273,14 +289,14 @@ def test_leaky_base_solutions_absent_from_secure_enumeration(reports):
     assert found_leaky > 0
 
 
-def test_oracle_solutions_satisfy_model_checker(reports):
+def test_oracle_solutions_satisfy_model_checker(reports, solutions):
     """Oracle-generated solutions pass the model-side constraint evaluation."""
     for key, (base, secure, rep) in reports.items():
-        for model, opt in (
-            (base, rep.insecure_optimum),
-            (secure, rep.secure_optimum),
+        for which, model, opt in (
+            ("base", base, rep.insecure_optimum),
+            ("secure", secure, rep.secure_optimum),
         ):
             if opt is None:
                 continue
-            for sol in enumerate_all(model, opt, op_bound=8)[:20]:
+            for sol in solutions(key, which, opt)[:20]:
                 assert check_solution(model, sol) == [], key

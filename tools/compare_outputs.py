@@ -9,7 +9,10 @@ Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `oracle` at slack 0 and 1, `kernels/ptr_store.ir` under `oracle` (thumb-like, reg:
 the work-limit message), the benchmark's ladder and deep kernels under `analyze` and
 `compile`, and a 100-op xor chain under `analyze` (none/full) and
-`compile --insecure` (mips-like, none/full). Node budgets stand in for time budgets so every run is
+`compile --insecure` (mips-like, none/full). The Monte Carlo draws run in
+`simulate --samples 20000 --seed 7` of `spill_sec` at widths 8/16/32 and in
+`compile --verify` of `spill_force` at width 8 (the benchmark's Monte Carlo
+case), both on mips-like under the reg budget. Node budgets stand in for time budgets so every run is
 deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
 show that a refactor keeps reports, `.s` files, model dumps, messages and
 exit codes byte for byte.
@@ -96,6 +99,15 @@ for name, target, budget in ORACLE_CASES:
     argv = ["oracle", str(kernels[name]), "--target", tpath, "--copy-budget", budget]
     record(f"oracle_{name}_{target}_{budget}", argv)
     record(f"oracle_{name}_{target}_{budget}_slack1", [*argv, "--slack", "1"])
+# the Monte Carlo path: every fixture above is 4 bits wide and checked exhaustively
+montecarlo = ["--target", "mips-like", "--copy-budget", "reg", "--budget-nodes", "200000"]
+for name, width in (("spill_sec", 8), ("spill_sec", 16), ("spill_sec", 32), ("spill_force", 8)):
+    kernels[f"{name}_w{width}"] = irdir / f"{name}_w{width}.ir"
+    kernels[f"{name}_w{width}"].write_text(FIXTURE_SOURCES[name].replace("width 4", f"width {width}", 1))
+for width in (8, 16, 32):
+    record(f"simulate_spill_sec_w{width}_montecarlo", ["simulate", str(kernels[f"spill_sec_w{width}"]),
+           *montecarlo, "--budget-seconds", "10000", "--samples", "20000", "--seed", "7"])
+compile_into("compile_spill_force_w8_mips-like_reg", kernels["spill_force_w8"], *montecarlo, "--verify")
 # gives up before its costly level; the message pins the predicted and remaining work
 record("oracle_kernels_ptr_store_thumb-like_reg", ["oracle", str(kernels["kernels_ptr_store"]),
        "--target", "thumb-like", "--copy-budget", "reg"])
