@@ -1,13 +1,13 @@
 """Fixed-width word arithmetic shared by the simulator and the type checkers.
 
-Words are plain ints masked to the program width, or int64 numpy arrays of
-such words for the elementwise (`_vec`) forms. Finite-field multiplication
-uses one fixed reduction polynomial per width (see REDUCTION_POLY).
+Words are plain ints masked to the program width. `gf_mul`, `apply_binop`
+and `apply_unop` also take int64 numpy arrays of such words and then work
+elementwise: none of them updates an argument in place or branches on a
+word's value. Finite-field multiplication uses one fixed reduction
+polynomial per width (see REDUCTION_POLY).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # Irreducible polynomials, low-weight, one per supported width.
 # 4:  x^4 + x + 1
@@ -34,34 +34,21 @@ def hw(x: int) -> int:
 
 
 def gf_mul(a: int, b: int, width: int) -> int:
-    """Carry-less multiplication in GF(2^width) modulo REDUCTION_POLY[width]."""
+    """Carry-less multiplication in GF(2^width) modulo REDUCTION_POLY[width].
+
+    One shift-and-reduce step per bit of `b`, written with multiplications
+    by 0/1 instead of branches so that int64 arrays of words work too.
+    """
     poly = REDUCTION_POLY[width]
     m = mask(width)
-    a &= m
-    b &= m
+    a = a & m
+    b = b & m
     acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a >> width:
-            a ^= poly
-    return acc & m
-
-
-def gf_mul_vec(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
-    """`gf_mul` elementwise over int64 arrays of words."""
-    poly = REDUCTION_POLY[width]
-    m = mask(width)
-    aa = a & m
-    bb = b & m
-    acc = np.zeros(np.broadcast_shapes(aa.shape, bb.shape), dtype=np.int64)
     for _ in range(width):
-        acc ^= np.where(bb & 1, aa, 0)
-        bb >>= 1
-        aa <<= 1
-        aa = np.where(aa >> width, aa ^ poly, aa)
+        acc = acc ^ (a * (b & 1))
+        b = b >> 1
+        a = a << 1
+        a = a ^ (poly * (a >> width))
     return acc & m
 
 
@@ -87,9 +74,3 @@ def apply_unop(opcode: str, a: int, width: int) -> int:
         return a & mask(width)
     raise ValueError(f"not a unary opcode: {opcode}")
 
-
-def apply_binop_vec(opcode: str, a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
-    """`apply_binop` elementwise over int64 arrays of words."""
-    if opcode == "gf_mul":
-        return gf_mul_vec(a, b, width)
-    return apply_binop(opcode, a, b, width)

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import leakage, oracle, secsets, solver
@@ -36,8 +37,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_TIMEOUT = 4
-
-DEFAULT_SEED = 2024
 
 
 def render_asm(model, sol, harness) -> list[str]:
@@ -148,10 +147,9 @@ def validate_report(report: dict) -> list[str]:
             problems.append(f"missing field {key}")
         elif not isinstance(report[key], typ):
             problems.append(f"field {key} has type {type(report[key]).__name__}")
-    for key in ("nodes", "propagations", "leaves", "table_prunes", "symmetry_skips",
-                "wall_time"):
-        if "solver_stats" in report and key not in report["solver_stats"]:
-            problems.append(f"missing solver_stats.{key}")
+    for f in fields(solver.SolveStats):
+        if "solver_stats" in report and f.name not in report["solver_stats"]:
+            problems.append(f"missing solver_stats.{f.name}")
     if report.get("status") not in ("Optimal", "Feasible", "Infeasible", "Timeout"):
         problems.append(f"bad status {report.get('status')!r}")
     return problems
@@ -240,14 +238,7 @@ def cmd_compile(args) -> int:
             f"t{t}": _class_name(model.env, t) for t in model.program.visible_temps()
         },
         "sets": secsets.sets_to_dict(sets),
-        "solver_stats": {
-            "nodes": outcome.stats.nodes,
-            "propagations": outcome.stats.propagations,
-            "leaves": outcome.stats.leaves,
-            "table_prunes": outcome.stats.table_prunes,
-            "symmetry_skips": outcome.stats.symmetry_skips,
-            "wall_time": outcome.stats.wall_time,
-        },
+        "solver_stats": asdict(outcome.stats),
         "verify": None,
         "asm": [],
     }
@@ -421,7 +412,7 @@ def _parser() -> argparse.ArgumentParser:
     # the options of the subcommands that solve and simulate
     solving = argparse.ArgumentParser(add_help=False)
     solving.add_argument("ir")
-    solving.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    solving.add_argument("--seed", type=int, default=leakage.DEFAULT_SEED)
     solving.add_argument("--target", default="thumb-like")
     solving.add_argument("--secure", dest="secure", action="store_true", default=True)
     solving.add_argument("--insecure", dest="secure", action="store_false")

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bits import apply_binop, apply_binop_vec, apply_unop, hw, mask
+from .bits import apply_binop, apply_unop, hw, mask
 from .ir import SecurityClass
 from .model import ExtendedModel, LitOperand, Solution, SolutionView
 
@@ -445,7 +445,7 @@ def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> n
         elif ins.opcode in ("not", "copy"):
             val = apply_unop(ins.opcode, resolve(ins.srcs[0]), w)
         else:
-            val = apply_binop_vec(ins.opcode, resolve(ins.srcs[0]), resolve(ins.srcs[1]), w)
+            val = apply_binop(ins.opcode, resolve(ins.srcs[0]), resolve(ins.srcs[1]), w)
         leak(val, regs.get(ins.dest, zero))
         regs[ins.dest] = val
     return leaks

@@ -431,8 +431,15 @@ def expand_security(prog: ElabProgram, sets, temps, memops) -> SecurityTables:
     A register temp in `temps` belongs to its value class, a memory op in
     `memops` to the class of the temp it moves, and every member shares its
     class's verdicts. Input temps are live on entry and never written, so
-    they are neither spairs keys nor hiders. The analysis report and the
-    model both expand through here, over different members.
+    they are neither spairs keys nor hiders. Two members holding one temp
+    never pair: a temp against itself is the zero word. The analysis report
+    and the model both expand through here, over different members.
+
+    The memory relations are the register ones over memory ops. A memory
+    op moves a copy, a source-load definition or store data, all visible
+    register temps, so every class holding a memory op is one whose
+    register verdicts `sets` holds; expanding `class_rpairs` and
+    `class_spairs` over `memops` yields only those classes' pairs.
     """
 
     def by_class(members, temp_of=lambda t: t) -> dict[int, list[int]]:
@@ -445,25 +452,27 @@ def expand_security(prog: ElabProgram, sets, temps, memops) -> SecurityTables:
     written = by_class(t for t in temps if not prog.temps[t].is_input)
     key_hiders = _class_members(sets.class_spairs, written)
     mems = by_class(memops, prog.tm.get)
-    mem_hiders = _class_members(sets.class_mspairs, mems)
+    mem_hiders = _class_members(sets.class_spairs, mems)
     bad = _class_members(sets.sec_input_bad, regs)
     return SecurityTables(
-        rpairs=_member_pairs(sets.class_rpairs, regs),
+        rpairs=_member_pairs(sets.class_rpairs, regs, lambda t: t),
         spairs={t: key_hiders[r] for r in sorted(key_hiders) for t in written.get(r, ())},
         sec_input={ts: rest for ts in sorted(bad) if (rest := bad[ts] - {ts})},
-        mmpairs=frozenset(_member_pairs(sets.class_mmpairs, mems)),
+        mmpairs=frozenset(_member_pairs(sets.class_rpairs, mems, prog.tm.get)),
         mspairs={o: mem_hiders[r] for o in memops
                  if (r := prog.temps[prog.tm[o]].rep) in mem_hiders},
     )
 
 
-def _member_pairs(class_pairs, members) -> dict[tuple[int, int], None]:
-    """Distinct member pairs (lo, hi) of each class pair, in class-pair order."""
+def _member_pairs(class_pairs, members, held) -> dict[tuple[int, int], None]:
+    """Member pairs (lo, hi) of each class pair, in class-pair order, except
+    those whose two members hold one temp (`held` maps member to temp)."""
     pairs = {}
     for ra, rb in sorted(class_pairs):
         for a in members.get(ra, ()):
+            ta = held(a)
             for b in members.get(rb, ()):
-                if a != b:
+                if held(b) != ta:
                     pairs[(a, b) if a < b else (b, a)] = None
     return pairs
 

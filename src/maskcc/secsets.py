@@ -16,9 +16,15 @@ Membership rules, over register temps:
   live on entry, never written, and nothing can precede them, so they are
   not keys); the hider set holds Random non-input temps whose xor with the
   key stays Random.
-* mmpairs / mspairs: the same relations over the data temps of potential
-  memory operations (source loads/stores plus every optional copy, which a
-  solution may turn into a spill).
+* mmpairs / mspairs: the rpairs and spairs verdicts over the words that
+  memory operations put on the bus, that is over their data temps (source
+  loads/stores plus every optional copy, which a solution may turn into a
+  spill). Those temps are visible register temps, so their classes are
+  among the classes judged for registers, and `model.expand_security`
+  reads the memory relations from `class_rpairs` and `class_spairs`.
+
+In every relation two members holding one temp never pair: a temp against
+itself is the zero word (see `xor_class`).
 
 Secret *input* temps get a separate guard relation: any temp whose xor with
 the input classifies Secret must never immediately overwrite it.
@@ -39,11 +45,10 @@ R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 @dataclass(frozen=True)
 class SecuritySets:
     tm: dict[int, int]  # memory candidate op -> data temp
-    # class-level relations, expanded by `model.expand_security`
+    # class-level relations, expanded by `model.expand_security` over register
+    # temps (rpairs, spairs, sec_input) and memory ops (mmpairs, mspairs)
     class_rpairs: frozenset[tuple[int, int]]
     class_spairs: dict[int, tuple[int, ...]]
-    class_mmpairs: frozenset[tuple[int, int]]
-    class_mspairs: dict[int, tuple[int, ...]]
     sec_input_bad: dict[int, tuple[int, ...]]
     # the expansion over the visible temps and memory candidates
     rpairs: frozenset[tuple[int, int]] = frozenset()  # unordered temp pairs (lo, hi)
@@ -103,13 +108,10 @@ def compute_sets(prog: ElabProgram, env: TypeEnv) -> SecuritySets:
                if t not in prog.out_temps and prog.temps[t].kind == "reg"]
     tm = {o: prog.tm[o] for o in prog.mem_candidates}
     reps = sorted({prog.temps[t].rep for t in visible})
-    mem_reps = sorted({prog.temps[t].rep for t in tm.values()})
     relations = SecuritySets(
         tm=tm,
         class_rpairs=_class_pairs(env, reps),
         class_spairs=_class_hiders(env, reps),
-        class_mmpairs=_class_pairs(env, mem_reps),
-        class_mspairs=_class_hiders(env, mem_reps),
         sec_input_bad={
             t.id: tuple(rb for rb in reps if _xor_base(env, rb, t.id) is S)
             for t, _cls in prog.inputs
@@ -121,9 +123,7 @@ def compute_sets(prog: ElabProgram, env: TypeEnv) -> SecuritySets:
         relations,
         rpairs=frozenset(tables.rpairs),
         spairs={k: tuple(sorted(tables.spairs[k])) for k in sorted(tables.spairs)},
-        # report only: two ops moving one temp put the same word on the bus
-        # (the model keeps these pairs)
-        mmpairs=frozenset((o1, o2) for o1, o2 in tables.mmpairs if tm[o1] != tm[o2]),
+        mmpairs=tables.mmpairs,
         mspairs={k: tuple(sorted(tables.mspairs[k])) for k in sorted(tables.mspairs)},
     )
 

@@ -104,9 +104,9 @@ class SolveStats:
     nodes: int = 0
     propagations: int = 0
     leaves: int = 0
-    wall_time: float = 0.0
     table_prunes: int = 0  # child states dropped by the transposition table
     symmetry_skips: int = 0  # never-written locations skipped as renamings
+    wall_time: float = 0.0  # last: the report lists the fields in this order
 
 
 @dataclass

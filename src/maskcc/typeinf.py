@@ -31,19 +31,6 @@ from .ir import Literal, Program, SecurityClass
 
 REWRITE_DEPTH = 3
 
-XOR_OPS = ("xor",)
-GFMUL_OPS = ("gf_mul",)
-
-
-def op_group(op: str) -> str:
-    """Bucket a binary opcode: 'xor', 'gfmul' or 'other'."""
-    if op in XOR_OPS:
-        return "xor"
-    if op in GFMUL_OPS:
-        return "gfmul"
-    return "other"
-
-
 @dataclass(frozen=True)
 class Var:
     """Input leaf. Carries its own security class so exprs are self-contained."""
@@ -119,11 +106,7 @@ class Classifier:
             elif isinstance(e, Unary):
                 r = self.xor_only(e.child)
             else:
-                r = (
-                    op_group(e.op) == "xor"
-                    and self.xor_only(e.left)
-                    and self.xor_only(e.right)
-                )
+                r = e.op == "xor" and self.xor_only(e.left) and self.xor_only(e.right)
             self._xoronly[key] = r
         return self._xoronly[key]
 
@@ -155,14 +138,14 @@ class Classifier:
             r = frozenset()
         elif isinstance(e, Unary):
             r = self.supp(e.child, cancel)
-        elif cancel and op_group(e.op) == "xor" and self.xor_only(e):
+        elif cancel and e.op == "xor" and self.xor_only(e):
             # symmetric difference: shared leaves cancel pairwise
             r = self.supp(e.left) ^ self.supp(e.right)
         elif (
             cancel
-            and op_group(e.op) == "xor"
+            and e.op == "xor"
             and isinstance(e.right, Binary)
-            and op_group(e.right.op) == "xor"
+            and e.right.op == "xor"
             and e.right.left == e.left
         ):
             # nested cancellation: a ^ (a ^ b) keeps only b
@@ -199,7 +182,7 @@ class Classifier:
             r = self.leaves(e, SecurityClass.RANDOM)
         elif isinstance(e, Unary):
             r = self.dom(e.child, cancel)
-        elif op_group(e.op) == "xor":
+        elif e.op == "xor":
             r = (self.dom(e.left, cancel) | self.dom(e.right, cancel)) & self.unq(
                 e, cancel
             )
@@ -244,12 +227,11 @@ class Classifier:
         if not isinstance(e, Binary):
             return S
         a, b = e.left, e.right
-        group = op_group(e.op)
         ca, cb = self.classify(a, depth), self.classify(b, depth)
         # PUB2: both public, disjoint support
         if ca is P and cb is P and not (self.supp(a) & self.supp(b)):
             return P
-        if group == "other":
+        if e.op not in ("xor", "gf_mul"):
             # PUB3: both random, one mask outside the other's support
             if ca is R and cb is R and (
                 self.dom(a) - self.supp(b) or self.dom(b) - self.supp(a)
@@ -259,7 +241,7 @@ class Classifier:
             for x, cx, y, cy in ((a, ca, b, cb), (b, cb, a, ca)):
                 if cx is P and cy is R and not (self.supp(x) & self.supp(y)):
                     return P
-        if group == "gfmul":
+        if e.op == "gf_mul":
             # PUB4: both random, masks not identical
             if ca is R and cb is R and (
                 self.dom(a) - self.dom(b) or self.dom(b) - self.dom(a)
@@ -278,7 +260,7 @@ class Classifier:
                 and self.supp(x) == self.supp(y)
             ):
                 return P
-        if group == "xor":
+        if e.op == "xor":
             # PUB9: both public, no shared random leaf
             if ca is P and cb is P:
                 rand_ids = self.leaves(a, R) | self.leaves(b, R)
@@ -286,7 +268,7 @@ class Classifier:
                     return P
             # PUB8: one side is the product of the other with a third factor
             for x, y, cy in ((a, b, cb), (b, a, ca)):
-                if isinstance(x, Binary) and op_group(x.op) == "gfmul":
+                if isinstance(x, Binary) and x.op == "gf_mul":
                     other = None
                     if x.left == y:
                         other = x.right
@@ -304,7 +286,7 @@ class Classifier:
     def _rewrite_rules(self, e: Binary, a: Expr, b: Expr, depth: int) -> SecurityClass | None:
         # NEST1: y ^ (y ^ t2)  ->  t2
         for x, y in ((a, b), (b, a)):
-            if isinstance(x, Binary) and op_group(x.op) == "xor":
+            if isinstance(x, Binary) and x.op == "xor":
                 if x.left == y:
                     return self.classify(x.right, depth + 1)
                 if x.right == y:
@@ -320,12 +302,7 @@ class Classifier:
                 for t2 in self._partner(x, y):
                     return self.classify(Binary("and", y, Unary("not", t2)), depth + 1)
         # DISTR0-3: (t0*t1) ^ (t?*t?) with a shared factor -> factored form
-        if (
-            isinstance(a, Binary)
-            and op_group(a.op) == "gfmul"
-            and isinstance(b, Binary)
-            and op_group(b.op) == "gfmul"
-        ):
+        if isinstance(a, Binary) and isinstance(b, Binary) and a.op == b.op == "gf_mul":
             t0, t1 = a.left, a.right
             if b.left == t0:  # (t0*t1) ^ (t0*t2)
                 return self.classify(

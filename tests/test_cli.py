@@ -313,7 +313,9 @@ def test_main_reuses_parser_without_leaking_options(write_fixture, capsys, tmp_p
     for flags in (["--samples", "500"], []):
         rc, _, _ = run_cli(capsys, "simulate", write_fixture("xor_p0"), *flags)
         assert rc == 0
-    assert drawn == [leakage.MonteCarlo(samples=500, seed=cli.DEFAULT_SEED), leakage.Exhaustive()]
+    assert drawn == [
+        leakage.MonteCarlo(samples=500, seed=leakage.DEFAULT_SEED), leakage.Exhaustive()
+    ]
 
 
 def test_seed_accepted_after_subcommand(write_fixture, capsys):

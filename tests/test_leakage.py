@@ -10,7 +10,7 @@ import pytest
 
 from conftest import EQUIV_CASES, FIXTURE_SOURCES, TARGETS, build_models, narrow
 from maskcc import leakage
-from maskcc.bits import gf_mul, gf_mul_vec, hw, mask
+from maskcc.bits import REDUCTION_POLY, gf_mul, hw, mask
 from maskcc.cli import front_end
 from maskcc.leakage import (
     CHUNK,
@@ -78,13 +78,30 @@ def test_gf_mul_field_properties():
         assert gf_mul(a, b ^ c, w) == gf_mul(a, b, w) ^ gf_mul(a, c, w)
 
 
+def gf_mul_reference(a, b, width):
+    """Shift-and-add with branches, on ints only."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a >> width:
+            a ^= REDUCTION_POLY[width]
+    return acc
+
+
 @pytest.mark.parametrize("w", [4, 8, 16, 32])
 def test_gf_mul_vec_matches_scalar(w):
     rng = random.Random(w)
     a = np.array([rng.randrange(1 << w) for _ in range(200)] + [0, mask(w)], dtype=np.int64)
     b = np.array([rng.randrange(1 << w) for _ in range(200)] + [mask(w), 1], dtype=np.int64)
-    got = gf_mul_vec(a, b, w)
-    assert got.tolist() == [gf_mul(x, y, w) for x, y in zip(a.tolist(), b.tolist())]
+    got = gf_mul(a, b, w)
+    assert got.dtype == np.int64
+    pairs = list(zip(a.tolist(), b.tolist()))
+    scalar = [gf_mul(x, y, w) for x, y in pairs]
+    assert all(type(v) is int for v in scalar)
+    assert got.tolist() == scalar == [gf_mul_reference(x, y, w) for x, y in pairs]
 
 
 def raw_sequence():

@@ -1,13 +1,19 @@
 """Security-set computation, fixed against the worked running example."""
 
+from pathlib import Path
+
 import pytest
 
 from conftest import FIXTURE_SOURCES, fixture_program
 from maskcc import typeinf
+from maskcc.cli import front_end
 from maskcc.ir import SecurityClass, parse_program
 from maskcc.model import elab_types, elaborate
 from maskcc.secsets import compute_sets, xor_class
+from maskcc.target import PRESETS
 from test_cli import chain_source
+
+KERNELS = Path(__file__).resolve().parents[1] / "kernels"
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 
@@ -103,8 +109,32 @@ def test_two_stores_of_one_temp_not_mmpaired():
     )
     elab, sets = _sets_of(src)
     assert sets.tm[3] == sets.tm[4] == 2
-    assert (2, 2) in sets.class_mmpairs
+    assert (2, 2) in sets.class_rpairs
     assert sets.mmpairs == frozenset({(3, 5), (4, 5)})
+
+
+# a loaded word stored again: ops 4 and 5 both move t3
+RELOAD_STORE = (
+    "func f width 8\nin t0:secret t1:random\nt2 = xor t0, t1\n"
+    "store 0, t2\nt3 = load 0\nstore 1, t3\nout t3\n"
+)
+
+
+@pytest.mark.parametrize("target", ["thumb-like", "mips-like"])
+def test_model_and_report_memory_pairs_agree(target):
+    """Under copy budget none the model's memory ops are exactly the report's
+    memory candidates, so the two expansions give the same memory pairs."""
+    programs = [fixture_program(name) for name in sorted(FIXTURE_SOURCES)]
+    programs += [parse_program(path.read_text()) for path in sorted(KERNELS.glob("*.ir"))]
+    programs.append(parse_program(RELOAD_STORE))
+    for prog in programs:
+        _, sets, secure = front_end(prog, PRESETS[target], "none")
+        assert secure.security.mmpairs == sets.mmpairs, prog.name
+        assert secure.security.mspairs == {
+            o: frozenset(hs) for o, hs in sets.mspairs.items()
+        }, prog.name
+    assert sets.tm[4] == sets.tm[5] == 3
+    assert sets.mmpairs == frozenset({(3, 4), (3, 5)})
 
 
 def test_no_memory_candidates_no_memory_sets():

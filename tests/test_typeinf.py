@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_SOURCES, fixture_program
-from maskcc.bits import apply_binop_vec, mask
+from maskcc.bits import apply_binop, mask
 from maskcc.ir import SecurityClass, parse_program
 from maskcc.model import elab_types, elaborate
 from maskcc.typeinf import (
@@ -43,7 +43,7 @@ def eval_expr_vec(e, values: dict[int, np.ndarray], width: int) -> np.ndarray:
         return np.full(shape, e.value & m, dtype=np.int64)
     if isinstance(e, Unary):
         return ~eval_expr_vec(e.child, values, width) & m
-    return apply_binop_vec(
+    return apply_binop(
         e.op, eval_expr_vec(e.left, values, width), eval_expr_vec(e.right, values, width), width
     )
 
