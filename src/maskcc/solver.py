@@ -13,7 +13,8 @@ Each issue undoes its own changes, so one state, set up once with the
 inputs in their argument registers, serves every activeness subset. What
 the walk reads of the program is fixed per search and built once: a
 per-op table (memory deps, temp slots and their alts, the definition and
-its locations, two-address, latency) and a temp -> reader-slots index.
+its locations, two-address, latency, the temps the definition may not
+overwrite and its spairs hiders) and a temp -> reader-slots index.
 The walk does not recurse: each node is a `_walk` generator that yields
 once per committed issue, and `_search` keeps the generators of the
 current path on an explicit stack, so no program size is limited by the
@@ -22,25 +23,31 @@ Python stack.
 Pruning: a makespan lower bound against the incumbent (the cardinality of
 an activeness subset already bounds its best makespan), plus one forward
 check per resource of the security families (`model.security`, one table
-per family): `_write_ok` on every register overwrite, `_adjacent_ok` on
-every memory adjacency, as they form. After an overwrite,
-`_still_satisfiable` checks that each pending slot naming the lost temp
-keeps an alt in place or defined by a pending op; no other slot can have
-lost one. Every returned solution is re-validated by
-`model.check_solution`, which checks the base families from the program
-and target and each security family from the same tables.
+per family), as the transitions form. `_walk` checks every register
+overwrite: the static rules (rpairs, the secret-input guard, a new key
+over a non-hider) come from the per-op table, and only the pending-key
+rule reads the walk state. `_issue` checks every memory adjacency with
+`_adjacent_ok`. Before an overwrite commits, `_still_satisfiable` checks
+that each pending slot naming the lost temp keeps an alt in place or
+defined by a pending op, judging on the pre-issue state what the issue
+would leave; no other slot can lose one. So an issue that would strand an
+operand is rejected without committing and undoing it. Every returned
+solution is re-validated by `model.check_solution`, which checks the base
+families from the program and target and each security family from the
+same tables.
 
 Before any walk, `preflight_infeasible` proves some models infeasible
 statically and names the family. Besides an input outside its argument
-register's domain and a key with no hider at all, three proofs show that
-some spairs key can never get a hider on both sides: a key the out op
-reads (the out op issues last, so nothing follows it), a mandatory
-two-address op whose key overwrites an operand that cannot hide it, and
-fewer hider temps in the whole program than always-live keys plus one
-(in each register, hiders bracket and separate its keys). They only
-reject models with no solution, so they change no search order and no
-solution; such a model stops after 0 nodes instead of exhausting or
-timing out.
+register's domain and a key with no hider at all, it has four proofs.
+Three show that some spairs key can never get a hider on both sides: a
+key the out op reads (the out op issues last, so nothing follows it), a
+mandatory two-address op whose key overwrites an operand that cannot hide
+it, and fewer hider temps in the whole program than always-live keys plus
+one (in each register, hiders bracket and separate its keys). The fourth,
+family `rpairs`, reads the per-op table: a mandatory two-address op whose
+definition may overwrite no alt of any temp operand. They only reject
+models with no solution, so they change no search order and no solution;
+such a model stops after 0 nodes instead of exhausting or timing out.
 
 Optimize mode adds two prunes that skip only repeats:
 
@@ -122,9 +129,11 @@ class _Budget(Exception):
     pass
 
 
-def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
+def preflight_infeasible(model: ExtendedModel,
+                         facts: list[_OpFacts | None]) -> tuple[str, str] | None:
     """Static unsatisfiability checks that can name the failing family.
 
+    `facts` is the model's per-op table, `_op_facts(model)`.
     Besides a misplaced input and a key with no hider at all, three proofs
     show that some spairs key (a secret temp) can never have a hider (a
     random temp) written just before and just after it in its register:
@@ -144,6 +153,16 @@ def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
       counts the keys of mandatory ops (always live). Fewer temps in the
       union of all hider sets, optional copies and reloads included,
       leave some key unhidden.
+
+    A fourth proof shows that some overwrite is always forbidden:
+
+    - Two-address op over operands it may not overwrite. A mandatory
+      two-address op with a temp data slot writes its definition `d` to
+      the register of an operand it selects. That operand is read there at
+      the op's cycle, so it is intact and is the temp `d` overwrites. If
+      every alt of every such slot is in `d`'s `never` set (an rpair with
+      `d`, or a secret input that `d` may not overwrite), each choice
+      breaks rpairs or the secret-input guard. Family `rpairs`.
     """
     prog = model.program
     sec = model.security
@@ -193,6 +212,16 @@ def preflight_infeasible(model: ExtendedModel) -> tuple[str, str] | None:
             f"at least {len(keys) + 1} random temps to hide them, but only "
             f"{len(hiders)} can",
         )
+    for o, f in enumerate(facts):
+        if f is None or not (f.two_address and prog.op(o).mandatory):
+            continue
+        srcs = [t for alts in f.alts for t in alts]  # a binary op's slots hold data
+        if srcs and f.never.issuperset(srcs):
+            return (
+                "rpairs",
+                f"two-address o{o} must write t{f.d} over an operand it may not "
+                f"overwrite",
+            )
     return None
 
 
@@ -203,11 +232,39 @@ class _OpFacts(NamedTuple):
     idxs: tuple[int, ...]  # temp slot indices, the address slot as -1
     alts: tuple[tuple[int, ...], ...]  # each temp slot's alts, in branch order
     d: int | None  # the temp it defines, if any (never for the out op)
-    locs: tuple[int, ...]  # the locations `d` may take
+    locs: tuple[int, ...]  # the locations `d` may take, ascending
     two_address: bool
     latency: int
     is_out: bool
     is_memory: bool
+    never: frozenset[int]  # temps `d` may not overwrite: rpairs, secret-input guard
+    hiders: frozenset[int] | None  # `d`'s spairs hiders; None if `d` is no key
+
+
+def _op_facts(model: ExtendedModel) -> list[_OpFacts | None]:
+    """One `_OpFacts` per op id (index 0 is unused)."""
+    prog, sec = model.program, model.security
+    never: dict[int, set[int]] = {}
+    for a, b in sec.rpairs:
+        never.setdefault(a, set()).add(b)
+        never.setdefault(b, set()).add(a)
+    for prev, bad in sec.sec_input.items():
+        for d in bad:
+            never.setdefault(d, set()).add(prev)
+    facts: list[_OpFacts | None] = [None]
+    for op in prog.ops:
+        slots = list(op.temp_slots())
+        is_out = op.kind == "out"
+        d = op.defs[0] if op.defs and not is_out else None
+        facts.append(_OpFacts(
+            prog.mem_deps.get(op.id, ()),
+            tuple(i for i, _slot in slots),
+            tuple(slot.alts for _i, slot in slots),
+            d, model.r_dom[d] if d is not None else (),
+            model.two_address(op), model.latency(op), is_out, op.is_memory,
+            frozenset(never.get(d, ())), sec.spairs.get(d),
+        ))
+    return facts
 
 
 # Any fixed value: Zobrist keys, and so the search, are the same in every run.
@@ -230,7 +287,8 @@ class _Searcher:
     # instance-dict keys and every attribute load in the walk gets slower.
     def __init__(self, model: ExtendedModel, budget: SolveBudget,
                  enumerate_all: bool = False, cap: int | None = None,
-                 makespan_cap: int | None = None):
+                 makespan_cap: int | None = None,
+                 facts: list[_OpFacts | None] | None = None):
         prog = model.program
         target = model.target
         self.model = model
@@ -248,27 +306,17 @@ class _Searcher:
         # Every leaf in enumerate mode; each improving incumbent otherwise.
         self.solutions: list[Solution] = []
 
-        # Static tables. `facts[o]` describes op o (index 0 is unused);
-        # `readers[t]` lists (op, ((alt, alt's defining op), ...)) for each
-        # temp slot that names temp t (temp ids are dense).
-        self.facts: list[_OpFacts | None] = [None]
+        # Static tables. `facts[o]` describes op o; `readers[t]` lists
+        # (op, ((alt, alt's defining op), ...)) for each temp slot that names
+        # temp t (temp ids are dense).
+        self.facts = _op_facts(model) if facts is None else facts
         self.readers: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [
             [] for _t in prog.temps
         ]
-        for op in prog.ops:
-            slots = list(op.temp_slots())
-            is_out = op.kind == "out"
-            d = op.defs[0] if op.defs and not is_out else None
-            self.facts.append(_OpFacts(
-                prog.mem_deps.get(op.id, ()),
-                tuple(i for i, _slot in slots),
-                tuple(slot.alts for _i, slot in slots),
-                d, model.r_dom[d] if d is not None else (),
-                model.two_address(op), model.latency(op), is_out, op.is_memory,
-            ))
-            for _i, slot in slots:
-                entry = (op.id, tuple((t, prog.temps[t].defined_by) for t in slot.alts))
-                for t in slot.alts:
+        for o, f in enumerate(self.facts[1:], start=1):
+            for alts in f.alts:
+                entry = (o, tuple((t, prog.temps[t].defined_by) for t in alts))
+                for t in alts:
                     self.readers[t].append(entry)
 
         rng = random.Random(_ZOBRIST_SEED)
@@ -413,8 +461,12 @@ class _Searcher:
         """Issue each ready op with every operand selection and location.
 
         The selections are the product of the per-slot pools of temps still
-        in place, in slot order. Yields once per committed issue, with the
-        state of the child node in place.
+        in place, in slot order. A two-address op tries only its temp
+        operands' locations. A location is rejected here, before `_issue`
+        commits anything, when the overwrite breaks a static rule of the
+        op's `never`/`hiders` tables or the pending-key rule, or strands a
+        pending operand (`_still_satisfiable`). Yields once per committed
+        issue, with the state of the child node in place.
         """
         remaining = len(self.active) - len(self.issued)
         if not remaining:
@@ -425,10 +477,11 @@ class _Searcher:
             return
         loc_of, ready_at, occupant, nregs = self.loc_of, self.ready_at, self.occupant, self.nregs
         symmetric, result_reg = self.symmetric, self.result_reg
+        s_pending, spairs = self.s_pending, self.sec.spairs
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
-            idxs, d = f.idxs, f.d
+            idxs, d, never, hiders = f.idxs, f.d, f.never, f.hiders
             pools = [[t for t in alts if t in loc_of] for alts in f.alts]
             for combo in itertools.product(*pools):
                 # the first output must sit in the result register
@@ -447,37 +500,29 @@ class _Searcher:
                 if d is None:
                     yield from self._issue(o, f, chosen, cycle, None, None)
                     continue
-                # a two-address op overwrites one of its temp operands, if any
-                src_locs = {loc_of[t] for i, t in chosen if i >= 0} if f.two_address else None
+                if f.two_address and combo:
+                    # it overwrites one of its temp operands (a binary op's
+                    # slots are all data slots), in `f.locs` order: ascending
+                    locs = [loc for loc in sorted({loc_of[t] for t in combo}) if loc in f.locs]
+                else:
+                    locs = f.locs
                 fresh_tried = False
-                for loc in f.locs:
-                    if src_locs and loc not in src_locs:
-                        continue
+                for loc in locs:
                     if symmetric and loc not in occupant and loc != result_reg:
                         # never written: the lowest stands for its whole class
                         if fresh_tried:
                             self.stats.symmetry_skips += 1
                             continue
                         fresh_tried = True
-                    if loc < nregs and not self._write_ok(occupant.get(loc), d):
+                    prev = occupant.get(loc)
+                    if loc < nregs and (
+                        prev in never
+                        or (hiders is not None and prev not in hiders)
+                        or (prev in s_pending and d not in spairs[prev])
+                    ):
                         self.stats.propagations += 1
-                    else:
-                        yield from self._issue(o, f, chosen, cycle, d, loc)
-
-    def _write_ok(self, prev: int | None, d: int) -> bool:
-        """May `d` overwrite `prev` (None: an empty register)?
-
-        Checks rpairs and the secret-input guard, that a pending spairs key
-        `prev` gets `d` as its hider, and that a new key `d` overwrites one.
-        """
-        sec = self.sec
-        if prev is not None:
-            if sec.rpair(prev, d) or d in sec.sec_input.get(prev, ()):
-                return False
-            if prev in self.s_pending and d not in sec.spairs[prev]:
-                return False
-        hiders = sec.spairs.get(d)
-        return hiders is None or prev in hiders
+                    elif prev is None or self._still_satisfiable(prev, o):
+                        yield from self._issue(o, f, chosen, cycle, loc, prev)
 
     def _adjacent_ok(self, prev: int | None, o: int) -> bool:
         """May memory op `o` follow `prev` on the bus (None: the first one)?
@@ -494,12 +539,12 @@ class _Searcher:
         hiders = sec.mspairs.get(o)
         return hiders is None or prev in hiders
 
-    def _issue(self, o: int, f: _OpFacts, chosen, cycle, d, loc):
-        """Check the bus adjacency, commit `o` with its key, yield once for
-        the child walk unless the overwrite strands a pending operand or the
-        table has the child state, then undo. `_walk` has checked the
-        register overwrite."""
-        occupant = self.occupant.get(loc) if d is not None else None
+    def _issue(self, o: int, f: _OpFacts, chosen, cycle, loc, occupant):
+        """Check the bus adjacency, commit `o` with its key (writing `f.d`,
+        if any, to `loc` over `occupant`), yield once for the child walk
+        unless the table has the child state, then undo. `_walk` has
+        checked the overwrite and that it strands no pending operand."""
+        d = f.d
         prev_mem = self.last_mem
         is_memory = f.is_memory
         if is_memory and not self._adjacent_ok(prev_mem, o):
@@ -528,7 +573,7 @@ class _Searcher:
             child ^= place[d]
             if f.latency > 1:
                 self.ready_at[d] = cycle + f.latency
-            if d in self.sec.spairs:  # keys are register temps: `_write_ok` ran
+            if f.hiders is not None:  # keys are register temps: `_walk` checked
                 self.s_pending.add(d)
                 child ^= w.s_pending[d]
         if s_resolved:
@@ -547,7 +592,7 @@ class _Searcher:
             child ^= w.last_mem[o]
         self.key = child
 
-        if (occupant is None or self._still_satisfiable(occupant)) and self._unseen():
+        if self._unseen():
             yield  # the child walk runs here
 
         # undo
@@ -575,21 +620,32 @@ class _Searcher:
             if ms_resolved:
                 self.ms_pending.add(prev_mem)
 
-    def _still_satisfiable(self, lost: int) -> bool:
-        """After `lost` is clobbered, every pending operand must keep one
-        obtainable alt: one in place or defined by a pending op.
+    def _still_satisfiable(self, lost: int, o: int) -> bool:
+        """May op `o` clobber `lost`? After the issue, every pending operand
+        must keep one obtainable alt: one in place or defined by a pending
+        op.
 
         Only slots that name `lost` need checking. Each subset starts with
         every slot satisfiable (inputs sit in their argument registers, each
         class representative is defined by a mandatory op, and `run` keeps
         each spill load's store), and only a clobber takes an alt away.
+
+        `_walk` asks before `_issue` commits anything, so the check reads
+        the pre-issue state. The issue changes three things: `o` issues,
+        `lost` leaves `loc_of`, and `o`'s definition `d` takes its place.
+        So `o`'s own slots are skipped (it is no longer pending) and `lost`
+        does not count as in place. `d` needs no adjustment: its defining
+        op is `o`, which is pending before the issue, so `d` counts as
+        obtainable then as it counts as in place after. `o` defines no
+        other temp that a slot could name. The verdict is the one a scan of
+        the committed state would give.
         """
         active, issued, loc_of = self.active, self.issued, self.loc_of
         for op_id, alts in self.readers[lost]:
-            if op_id not in active or op_id in issued:
+            if op_id == o or op_id not in active or op_id in issued:
                 continue
             for t, def_op in alts:
-                if t in loc_of or (def_op in active and def_op not in issued):
+                if (t in loc_of and t != lost) or (def_op in active and def_op not in issued):
                     break
             else:
                 self.stats.propagations += 1
@@ -632,12 +688,13 @@ class _Searcher:
 def solve(model: ExtendedModel, budget: SolveBudget | None = None) -> SolveOutcome:
     """Minimize makespan; deterministic for a fixed node budget."""
     budget = budget or SolveBudget()
-    pre = preflight_infeasible(model)
+    facts = _op_facts(model)
+    pre = preflight_infeasible(model, facts)
     stats = SolveStats()
     if pre is not None:
         family, msg = pre
         return SolveOutcome("Infeasible", None, stats, family, msg)
-    s = _Searcher(model, budget)
+    s = _Searcher(model, budget, facts=facts)
     try:
         s.run()
         exhausted = True
@@ -667,10 +724,11 @@ def enumerate_solutions(
 
     Returns (solutions, truncated). `truncated` reports that the cap was hit.
     """
-    if preflight_infeasible(model) is not None:
+    facts = _op_facts(model)
+    if preflight_infeasible(model, facts) is not None:
         return [], False
     s = _Searcher(model, SolveBudget(seconds=600.0), enumerate_all=True, cap=cap,
-                  makespan_cap=makespan_cap)
+                  makespan_cap=makespan_cap, facts=facts)
     try:
         s.run()
     except _Budget:

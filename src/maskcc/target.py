@@ -118,6 +118,13 @@ PRESETS = {
 }
 
 
+def _int(lineno: int, what: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise TargetError(f"line {lineno}: {what} must be an integer, got {value!r}") from None
+
+
 def load_target(text: str) -> TargetDesc:
     """Parse a key-value target config into a validated TargetDesc."""
     name = None
@@ -142,8 +149,13 @@ def load_target(text: str) -> TargetDesc:
                     raise TargetError(f"line {lineno}: expected key=value, got {kv!r}")
                 k, v = kv.split("=", 1)
                 if k == "latency":
-                    latency = int(v)
+                    latency = _int(lineno, f"latency of {opcode}", v)
                 elif k == "two_address":
+                    if v.lower() not in ("true", "false"):
+                        raise TargetError(
+                            f"line {lineno}: two_address of {opcode} must be true or "
+                            f"false, got {v!r}"
+                        )
                     two_address = v.lower() == "true"
                 elif k == "memory":  # load/store are memory ops by opcode
                     if opcode not in MEMORY_OPCODES:
@@ -172,7 +184,7 @@ def load_target(text: str) -> TargetDesc:
         elif key == "result":
             result = value
         elif key == "stack_slots":
-            stack_slots = int(value)
+            stack_slots = _int(lineno, "stack_slots", value)
         else:
             raise TargetError(f"line {lineno}: unknown key {key!r}")
     if name is None or not registers or result is None:

@@ -98,6 +98,65 @@ def test_spairs_preflight_proofs(proof):
     assert brute_force(secure, max_makespan=base_opt + 4) == (None, [])
 
 
+# `t4 = and t3, t2` on two-address thumb-like writes t4 over t3 or t2, and
+# both form an rpair with t4
+TWO_ADDRESS_RPAIRS = """
+func two_addr_rpairs width 4
+in t0:secret t1:random t2:random
+t3 = xor t0, t1
+t4 = and t3, t2
+out t4
+"""
+
+# The 2-share ISW AND (Ishai, Sahai, Wagner, CRYPTO 2003): a, b secret and
+# ra, rb, r random; c0 = a0 b0 ^ ((r ^ a0 rb) ^ ra b0), c1 = ra rb ^ r over
+# the shares a0 = a ^ ra, b0 = b ^ rb.
+ISW2 = """
+func isw2 width 8
+in t0:secret t1:secret t2:random t3:random t4:random
+t5 = xor t0, t2
+t6 = xor t1, t3
+t7 = and t5, t6
+t8 = and t5, t3
+t9 = and t2, t6
+t10 = and t2, t3
+t11 = xor t4, t8
+t12 = xor t11, t9
+t13 = xor t7, t12
+t14 = xor t10, t4
+out t13 t14
+"""
+
+
+def test_two_address_rpairs_preflight_proof():
+    base, _, secure = front_end(parse_program(TWO_ADDRESS_RPAIRS), PRESETS["thumb-like"],
+                                "none")
+    out = solve(secure)
+    assert (out.status, out.infeasible_family, out.stats.nodes) == ("Infeasible", "rpairs", 0)
+    assert "two-address o3 must write t4" in out.message
+    # the brute force judges every overwrite on complete schedules and agrees
+    base_opt, _ = brute_force(base)
+    assert base_opt is not None
+    assert brute_force(secure, max_makespan=base_opt + 4) == (None, [])
+
+
+def _with_args(preset: str, n: int):
+    t = PRESETS[preset]
+    return replace(t, args=t.registers[:n])
+
+
+def test_isw2_and_needs_three_address():
+    """Each share product overwrites a share it forms an rpair with on
+    thumb-like, which the search alone cannot see within 200k nodes."""
+    budget = SolveBudget(seconds=None, nodes=200_000)
+    _, _, secure = front_end(parse_program(ISW2), _with_args("thumb-like", 6), "reg")
+    out = solve(secure, budget)
+    assert (out.status, out.infeasible_family, out.stats.nodes) == ("Infeasible", "rpairs", 0)
+    _, _, secure = front_end(parse_program(ISW2), _with_args("mips-like", 8), "reg")
+    out = solve(secure, budget)
+    assert (out.status, out.solution.objective, out.stats.nodes) == ("Optimal", 11, 390)
+
+
 def test_node_limit_one_times_out():
     base, _, _ = build_models("xor_p0", "thumb-like", "full")
     out = solve(base, SolveBudget(seconds=None, nodes=1))
@@ -353,26 +412,30 @@ def test_enumerate_search_counts_pinned():
 class _FullScanSearcher(_Searcher):
     """Checks each clobber-local satisfiability test against a full scan.
 
-    The full scan asks of every operand slot of every pending op whether
-    one alt is in place or defined by a pending op. `by_pending_def` counts
-    the clobbers that some slot survives only through a pending definition
-    (a spill load whose store has issued, say).
+    `_walk` asks before op `o` commits, so the full scan models the state
+    after the issue: the pending ops minus `o`, and the temps in place
+    minus `lost` plus `o`'s definition. It asks of every operand slot of
+    every pending op whether one alt is in place or defined by a pending
+    op. `by_pending_def` counts the clobbers that some slot survives only
+    through a pending definition (a spill load whose store has issued, say).
     """
 
     checks = 0
     by_pending_def = 0
 
-    def _still_satisfiable(self, lost):
-        local = super()._still_satisfiable(lost)
-        prog, pending = self.model.program, self.active - self.issued.keys()
-        slots = [slot.alts for o in pending for _i, slot in prog.op(o).temp_slots()]
+    def _still_satisfiable(self, lost, o):
+        local = super()._still_satisfiable(lost, o)
+        prog = self.model.program
+        pending = self.active - self.issued.keys() - {o}
+        in_place = (self.loc_of.keys() - {lost}) | {self.facts[o].d}
+        slots = [slot.alts for p in pending for _i, slot in prog.op(p).temp_slots()]
         full = all(
-            any(t in self.loc_of or prog.temps[t].defined_by in pending for t in alts)
+            any(t in in_place or prog.temps[t].defined_by in pending for t in alts)
             for alts in slots
         )
-        assert local == full, (lost, sorted(self.issued))
+        assert local == full, (lost, o, sorted(self.issued))
         self.checks += 1
-        if full and not all(any(t in self.loc_of for t in alts) for alts in slots):
+        if full and not all(any(t in in_place for t in alts) for alts in slots):
             self.by_pending_def += 1
         return local
 

@@ -1,7 +1,9 @@
+import re
 from pathlib import Path
 
 import pytest
 
+from maskcc.cli import main
 from maskcc.target import (
     PRESETS,
     OpInfo,
@@ -142,3 +144,28 @@ def test_resolve_preset_and_file(tmp_path):
     assert resolve_target(str(path)) == PRESETS["thumb-like"]
     with pytest.raises(TargetError):
         resolve_target("no-such-preset")
+
+
+# (rendered line, its replacement, the message after "line N: ")
+MALFORMED_VALUES = {
+    "stack_slots": ("stack_slots = 8", "stack_slots = 0 8",
+                    "stack_slots must be an integer, got '0 8'"),
+    "latency": ("op xor latency=1 two_address=true", "op xor latency=x two_address=true",
+                "latency of xor must be an integer, got 'x'"),
+    "two_address": ("op xor latency=1 two_address=true", "op xor latency=1 two_address=yes",
+                    "two_address of xor must be true or false, got 'yes'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_VALUES)
+def test_malformed_value_names_its_line(case, tmp_path, capsys):
+    line, bad, says = MALFORMED_VALUES[case]
+    cfg = render_target(PRESETS["thumb-like"]).replace(line, bad)
+    lineno = cfg.splitlines().index(bad) + 1
+    with pytest.raises(TargetError, match=f"^line {lineno}: {re.escape(says)}$"):
+        load_target(cfg)
+    # the CLI reports it as an input error, without a traceback
+    (tmp_path / "bad.target").write_text(cfg)
+    ir = Path(__file__).resolve().parents[1] / "kernels" / "xor_p0.ir"
+    assert main(["compile", str(ir), "--target", str(tmp_path / "bad.target")]) == 2
+    assert says in capsys.readouterr().err

@@ -9,7 +9,10 @@ Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `oracle` at slack 0 and 1, `kernels/ptr_store.ir` under `oracle` (thumb-like, reg:
 the work-limit message), the benchmark's ladder and deep kernels under `analyze` and
 `compile`, and a 100-op xor chain under `analyze` (none/full) and
-`compile --insecure` (mips-like, none/full). The Monte Carlo draws run in
+`compile --insecure` (mips-like, none/full). The 2-share ISW and Trichina
+AND kernels (width 8, five inputs) run under `compile`, secure with
+`--verify` and `--insecure`, under reg/full, on thumb-like with 6 and
+mips-like with 8 argument registers. The Monte Carlo draws run in
 `simulate --samples 20000 --seed 7` of `spill_sec` at widths 8/16/32 and in
 `compile --verify` of `spill_force` at width 8 (the benchmark's Monte Carlo
 case), both on mips-like under the reg budget. Node budgets stand in for time budgets so every run is
@@ -22,6 +25,7 @@ import contextlib
 import io
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 repo, outdir = Path(sys.argv[1]).resolve(), Path(sys.argv[2])
@@ -29,6 +33,7 @@ sys.path[:0] = [str(repo / "src"), str(repo / "tests"), str(repo / "perfbench")]
 from conftest import FIXTURE_SOURCES, ORACLE_CASES  # noqa: E402
 from test_cli import chain_source  # noqa: E402
 from maskcc.cli import main  # noqa: E402
+from maskcc.target import PRESETS as TARGETS, render_target  # noqa: E402
 import workloads  # noqa: E402
 
 PRESETS = ("thumb-like", "mips-like")
@@ -136,6 +141,49 @@ for budget in ("none", "full"):
     record(f"analyze_chain_100_{budget}", ["analyze", str(chain), "--copy-budget", budget])
     compile_into(f"compile_chain_100_{budget}--insecure", chain, "--target", "mips-like",
                  "--copy-budget", budget, "--budget-nodes", "20000", "--insecure")
+
+# Masked ANDs from the literature over the shares a0 = a ^ ra, b0 = b ^ rb of
+# secrets a, b (t0, t1), with randoms ra, rb, r (t2, t3, t4) and the share
+# products t7 = a0 b0, t8 = a0 rb, t9 = ra b0, t10 = ra rb.
+PRODUCTS = """in t0:secret t1:secret t2:random t3:random t4:random
+t5 = xor t0, t2
+t6 = xor t1, t3
+t7 = and t5, t6
+t8 = and t5, t3
+t9 = and t2, t6
+t10 = and t2, t3
+"""
+LITERATURE = {
+    # 2-share ISW AND (Ishai, Sahai, Wagner, CRYPTO 2003):
+    # c0 = a0 b0 ^ ((r ^ a0 rb) ^ ra b0), c1 = ra rb ^ r
+    "isw2": "func isw2 width 8\n" + PRODUCTS + """t11 = xor t4, t8
+t12 = xor t11, t9
+t13 = xor t7, t12
+t14 = xor t10, t4
+out t13 t14
+""",
+    # Trichina's AND (CHES 2003): c = (((r ^ a0 b0) ^ a0 rb) ^ ra b0) ^ ra rb
+    "trichina": "func trichina width 8\n" + PRODUCTS + """t11 = xor t4, t7
+t12 = xor t11, t8
+t13 = xor t12, t9
+t14 = xor t13, t10
+out t14 t4
+""",
+}
+for name, text in LITERATURE.items():
+    kernels[name] = irdir / f"{name}.ir"
+    kernels[name].write_text(text)
+for preset, nargs in (("thumb-like", 6), ("mips-like", 8)):
+    t = TARGETS[preset]
+    tpath = irdir / f"{preset}_{nargs}args.target"
+    tpath.write_text(render_target(replace(t, args=t.registers[:nargs])))
+    for name in LITERATURE:
+        for budget in ("reg", "full"):
+            for flag in ("--verify", "--insecure"):
+                suffix = "--insecure" if flag == "--insecure" else ""
+                compile_into(f"compile_{name}_{preset}{nargs}_{budget}{suffix}", kernels[name],
+                             "--target", str(tpath), "--copy-budget", budget,
+                             "--budget-nodes", "20000", flag)
 
 files = [p for p in outdir.rglob("*") if p.is_file() and p.parent != irdir]
 print(f"{len(files)} output files in {outdir}")
