@@ -17,6 +17,8 @@ Config format (key = value, one 'op' line per opcode):
     op load latency=2 memory=true
 
 load and store are memory ops by opcode; `memory=true` may mark them.
+`stack_slots` is at most `MAX_STACK_SLOTS`: the model and the solver
+allocate per slot, so a larger budget would cost memory before any search.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from .ir import BINARY_OPCODES, MEMORY_OPCODES
 
 MODEL_OPCODES = BINARY_OPCODES + ("not", "copy", "load", "store")
+MAX_STACK_SLOTS = 1024  # the presets use 8
 
 
 class TargetError(Exception):
@@ -56,6 +59,8 @@ class TargetDesc:
             raise TargetError(f"result register {self.result} not in register list")
         if self.stack_slots < 0:
             raise TargetError("stack_slots must be nonnegative")
+        if self.stack_slots > MAX_STACK_SLOTS:
+            raise TargetError(f"stack_slots must be at most {MAX_STACK_SLOTS}")
         for opcode, info in self.ops.items():
             if opcode not in MODEL_OPCODES:
                 raise TargetError(f"unknown opcode {opcode!r}")

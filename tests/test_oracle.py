@@ -1,12 +1,14 @@
 """Brute-force cross-validation of the solver and the subsequence algebra."""
 
 import functools
+import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_SOURCES, ORACLE_CASES, build_models
+from conftest import FIXTURE_SOURCES, ORACLE_CASES, TARGETS, build_models
 from maskcc import oracle
 from maskcc.cli import front_end, main
 from maskcc.ir import parse_program
@@ -21,7 +23,7 @@ from maskcc.oracle import (
     trace_subseq,
 )
 from maskcc.solver import SolveBudget, enumerate_solutions, solve
-from maskcc.target import PRESETS
+from maskcc.target import PRESETS, OpInfo
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +74,22 @@ def test_oracle_full_budget_running_example():
     assert len(sols) == 1
 
 
-def test_infeasible_model_has_zero_solutions():
+def test_infeasible_model_has_zero_solutions(monkeypatch):
+    """nohide's secure levels 2 and 3 cut by makespan; level 4 cuts nothing,
+    so no deeper level (up to `maxc` 10) is walked."""
     _, secure, _ = build_models("nohide", "thumb-like", "reg")
-    opt, sols = brute_force(secure, op_bound=8, max_makespan=8)
-    assert opt is None and sols == []
+    walked = []
+    enumerate_level = oracle._enumerate_level
+
+    def spy(model, level, limit):
+        sols, work, cut = enumerate_level(model, level, limit)
+        walked.append((level, cut))
+        return sols, work, cut
+
+    monkeypatch.setattr(oracle, "_enumerate_level", spy)
+    assert secure.maxc == 10
+    assert brute_force(secure, op_bound=8) == (None, [])
+    assert walked == [(2, True), (3, True), (4, False)]
 
 
 def test_op_bound_enforced():
@@ -108,8 +122,9 @@ PTR_STORE = Path(__file__).parents[1] / "kernels" / "ptr_store.ir"
 def test_work_limit_shared_and_predicted(monkeypatch):
     """Levels share one budget, and a level predicted past it is never walked.
 
-    ptr_store's secure levels 4 and 5 (thumb-like, reg) take 21 and 2663
-    selections, so level 6 is predicted at 2663 * 2663 / 21 (it takes 145255).
+    ptr_store's secure levels 6 and 7 (thumb-like, reg) take 1991 and 19653
+    selections, so level 8 is predicted at 19653 * 19653 / 1991 (it takes
+    55695).
     """
     _, _, secure = front_end(parse_program(PTR_STORE.read_text()), PRESETS["thumb-like"], "reg")
     walked = []
@@ -121,37 +136,50 @@ def test_work_limit_shared_and_predicted(monkeypatch):
 
     monkeypatch.setattr(oracle, "_enumerate_level", spy)
     monkeypatch.setattr(oracle, "WORK_LIMIT", 100_000)
-    with pytest.raises(OracleError, match=r"makespan 6 would exceed the oracle work "
-                       r"limit: about 337693 operand selections predicted, 97316 left"):
+    with pytest.raises(OracleError, match=r"makespan 8 would exceed the oracle work "
+                       r"limit: about 193993 operand selections predicted, 78263 left"):
         brute_force(secure)
-    assert walked == [(4, 100_000), (5, 99_979)]
+    assert walked == [(4, 100_000), (5, 99_998), (6, 99_907), (7, 97_916)]
 
 
-def test_oracle_gives_up_before_the_costly_level(capsys):
+def test_oracle_gives_up_before_the_costly_level(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "WORK_LIMIT", 20_000)
     rc = main(["oracle", str(PTR_STORE), "--target", "thumb-like", "--copy-budget", "reg"])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith("error: enumeration at makespan 7 would exceed the oracle work limit")
 
 
+def test_oracle_completes_ptr_store(capsys):
+    """Pruned at each transition, the secure walk of ptr_store ends within the
+    default limit: its makespan 9 cuts nothing and finds nothing."""
+    rc = main(["oracle", str(PTR_STORE), "--target", "thumb-like", "--copy-budget", "reg"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["discrepancies"] == []
+    assert (rep["insecure_count"], rep["secure_optimum"], rep["secure_count"]) == (30, None, 0)
+
+
 # (fixture, target, budget) -> (base, secure), each (optimum, optimal solutions,
 # lower bound, operand selections tried at each level from the lower bound up
-# to optimum + 1, or up to the lower bound + 2 on an infeasible model)
+# to optimum + 1, or on an infeasible model up to the lower bound + 2 or the
+# first level that cuts nothing)
 BRUTE_FORCE_WORK = {
-    ("xor_p0", "thumb-like", "none"): ((3, 2, 3, (7, 7)), (3, 1, 3, (7, 7))),
-    ("xor_p0", "mips-like", "none"): ((3, 15, 3, (256, 256)), (3, 14, 3, (256, 256))),
-    ("xor_p0", "thumb-like", "reg"): ((3, 2, 3, (7, 581)), (3, 1, 3, (7, 581))),
-    ("goubin_mask", "quad", "none"): ((5, 12, 5, (74, 74)), (5, 4, 5, (74, 74))),
-    ("secmult_gf", "quad", "reg"): ((3, 3, 3, (16, 605)), (5, 2, 3, (16, 605, 10532, 99418))),
-    ("arith_mask", "quad", "reg"): ((3, 3, 3, (16, 605)), (5, 2, 3, (16, 605, 10532, 99418))),
-    ("sec_reload", "quad", "reg"): ((3, 3, 3, (16, 566)), (5, 4, 3, (16, 566, 8723, 65611))),
-    ("two_shares", "mini", "none"): ((4, 2, 4, (11, 11)), (4, 1, 4, (11, 11))),
-    ("mem_secret", "mini", "reg"): ((6, 41, 5, (54, 1770, 21445)), (6, 2, 5, (54, 1770, 21445))),
-    ("mem_pair", "mini", "none"): ((6, 12, 6, (287, 287)), (6, 7, 6, (287, 287))),
+    ("xor_p0", "thumb-like", "none"): ((3, 2, 3, (7, 7)), (3, 1, 3, (3, 3))),
+    ("xor_p0", "mips-like", "none"): ((3, 15, 3, (256, 256)), (3, 14, 3, (211, 211))),
+    ("xor_p0", "thumb-like", "reg"): ((3, 2, 3, (7, 581)), (3, 1, 3, (3, 164))),
+    ("goubin_mask", "quad", "none"): ((5, 12, 5, (74, 74)), (5, 4, 5, (26, 26))),
+    ("secmult_gf", "quad", "reg"): ((3, 3, 3, (16, 605)), (5, 2, 3, (1, 20, 166, 728))),
+    ("arith_mask", "quad", "reg"): ((3, 3, 3, (16, 605)), (5, 2, 3, (1, 20, 166, 728))),
+    ("sec_reload", "quad", "reg"): ((3, 3, 3, (16, 566)), (5, 4, 3, (1, 18, 98, 209))),
+    ("two_shares", "mini", "none"): ((4, 2, 4, (11, 11)), (4, 1, 4, (7, 7))),
+    ("mem_secret", "mini", "reg"): ((6, 41, 5, (54, 1770, 21445)), (6, 2, 5, (6, 84, 499))),
+    ("mem_pair", "mini", "none"): ((6, 12, 6, (287, 287)), (6, 7, 6, (147, 147))),
     ("roundtrip", "mini", "none"): ((5, 2, 5, (30, 60)), (5, 2, 5, (30, 60))),
     ("allpub", "thumb-like", "none"): ((3, 1, 3, (4, 4)), (3, 1, 3, (4, 4))),
     ("identity", "thumb-like", "none"): ((1, 1, 1, (1, 1)), (1, 1, 1, (1, 1))),
-    ("nohide", "thumb-like", "reg"): ((2, 1, 2, (9, 331)), (None, 0, 2, (9, 331, 3753))),
+    ("nohide", "thumb-like", "reg"): ((2, 1, 2, (9, 331)), (None, 0, 2, (1, 4, 6))),
     ("lit_xor", "thumb-like", "none"): ((2, 1, 2, (9, 9)), (2, 1, 2, (9, 9))),
 }
 
@@ -167,9 +195,9 @@ def test_brute_force_work_pinned(monkeypatch):
     enumerate_level = oracle._enumerate_level
 
     def spy(model, level, limit):
-        sols, work = enumerate_level(model, level, limit)
+        sols, work, cut = enumerate_level(model, level, limit)
         walked.append(work)
-        return sols, work
+        return sols, work, cut
 
     monkeypatch.setattr(oracle, "_enumerate_level", spy)
     assert sorted(BRUTE_FORCE_WORK) == sorted(ORACLE_CASES)
@@ -198,6 +226,73 @@ def test_slack_zero_walks_each_level_once(monkeypatch):
     assert rep.discrepancies == []
     assert (rep.insecure_count, rep.secure_count) == (3, 4)
     assert len(walked) == len(set(walked)) == 4  # base level 3, secure levels 3-5
+
+
+def leaf_secure(secure, sols):
+    """Sort keys of the solutions `_security_ok` accepts, judged from the
+    traced overwrite pairs, the memory operations in cycle order and the
+    temps placed in registers."""
+    nregs = secure.target.num_registers
+    kept = set()
+    for sol in sols:
+        cycles = dict(sol.cycles)
+        mems = sorted((o for o in sol.active if secure.program.op(o).is_memory), key=cycles.get)
+        written = {t for t, loc in sol.regs if loc < nregs}
+        if oracle._security_ok(secure.security, trace_subseq(secure, sol), mems, written):
+            kept.add(sol.sort_key())
+    return kept
+
+
+def test_transition_prunes_keep_exactly_the_secure_base_solutions(reports, solutions):
+    """The secure walk, pruned as each transition forms, finds exactly the
+    base solutions that `_security_ok` accepts as complete candidates.
+
+    Checked at the pinned secure optimum, or at the base optimum + 1 when
+    the secure model is infeasible.
+    """
+    for key, (_base, secure, _rep) in reports.items():
+        (base_opt, *_), (secure_opt, *_) = BRUTE_FORCE_WORK[key]
+        level = secure_opt if secure_opt is not None else base_opt + 1
+        got = {s.sort_key() for s in solutions(key, "secure", level)}
+        assert got == leaf_secure(secure, solutions(key, "base", level)), key
+
+
+# the secret store t0 has the random store t3 and the load as bus hiders;
+# the public store t2 hides nothing, so it may not follow the secret store
+BUS_KEY = """func bus_key width 4
+in t0:secret t1:random t2:public
+t3 = xor t0, t1
+store 0, t3
+store 1, t0
+store 2, t2
+t4 = load 0
+out t4
+"""
+
+
+def test_bus_key_successor_pruned_when_it_issues():
+    """A memory op that does not hide the key issued right before it is
+    dropped when it issues: the walk tries 37 selections at the optimum,
+    41 when only the leaf rejects it, and keeps the same solutions."""
+    base, _, secure = front_end(parse_program(BUS_KEY), TARGETS["quad"], "none")
+    key, = secure.security.mspairs
+    assert key + 1 not in secure.security.mspairs[key]  # the public store
+    sols, work, _cut = oracle._enumerate_level(secure, 6, oracle.WORK_LIMIT)
+    assert (len(sols), work) == (1, 37)
+    for level in (6, 7):
+        got = {s.sort_key() for s in enumerate_all(secure, level)}
+        assert got == leaf_secure(secure, enumerate_all(base, level)), level
+
+
+def test_levels_cut_by_latency_alone_deepen():
+    """A level that fails only by latency (the one-cycle-per-op prune, or
+    the out op ending past it) counts as cut, so deepening goes on."""
+    slow = replace(TARGETS["quad"], ops={**TARGETS["quad"].ops, "gf_mul": OpInfo(3)})
+    for body in ("t3 = gf_mul t0, t1\nt4 = xor t3, t2",   # the xor cannot fit
+                 "t3 = xor t1, t2\nt4 = gf_mul t0, t3"):  # the out op ends late
+        prog = parse_program(f"func slow width 4\nin t0:secret t1:random t2:random\n{body}\nout t4\n")
+        base, _, _ = front_end(prog, slow, "none")
+        assert brute_force(base)[0] == solve(base, SolveBudget(seconds=60)).solution.objective == 5
 
 
 def test_trace_subseq_on_plain_xor_solution():

@@ -5,6 +5,7 @@ import pytest
 
 from maskcc.cli import main
 from maskcc.target import (
+    MAX_STACK_SLOTS,
     PRESETS,
     OpInfo,
     TargetDesc,
@@ -129,6 +130,20 @@ def test_missing_op_entry_rejected():
             stack_slots=0,
             ops=ops,
         )
+
+
+def test_stack_slot_budget_bounded(tmp_path, capsys):
+    """A huge slot budget fails with exit 2 before any per-slot allocation."""
+    cfg = render_target(PRESETS["thumb-like"])
+    at_bound = cfg.replace("stack_slots = 8", f"stack_slots = {MAX_STACK_SLOTS}")
+    assert load_target(at_bound).stack_slots == MAX_STACK_SLOTS
+    huge = cfg.replace("stack_slots = 8", "stack_slots = 10000000")
+    with pytest.raises(TargetError, match=f"^stack_slots must be at most {MAX_STACK_SLOTS}$"):
+        load_target(huge)
+    (tmp_path / "huge.target").write_text(huge)
+    ir = Path(__file__).resolve().parents[1] / "kernels" / "xor_p0.ir"
+    assert main(["compile", str(ir), "--target", str(tmp_path / "huge.target")]) == 2
+    assert f"stack_slots must be at most {MAX_STACK_SLOTS}" in capsys.readouterr().err
 
 
 def test_stack_slot_naming():

@@ -6,9 +6,10 @@
 Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `--json compile --verify --dump-model` (thumb-like/mips-like x none/reg/full),
 `simulate`, `compile --insecure`, the `ORACLE_CASES` under
-`oracle` at slack 0 and 1, `kernels/ptr_store.ir` under `oracle` (thumb-like, reg:
-the work-limit message), the benchmark's ladder and deep kernels under `analyze` and
-`compile`, and a 100-op xor chain under `analyze` (none/full) and
+`oracle` at slack 0 and 1, `kernels/ptr_store.ir` under `oracle` (thumb-like,
+reg: a complete report, its secure model infeasible), the benchmark's ladder
+and deep kernels under `analyze` and `compile`, and a 100-op xor chain under
+`analyze` (none/full) and
 `compile --insecure` (mips-like, none/full). The 2-share ISW and Trichina
 AND kernels (width 8, five inputs) run under `compile`, secure with
 `--verify` and `--insecure`, under reg/full, on thumb-like with 6 and
@@ -113,7 +114,7 @@ for width in (8, 16, 32):
     record(f"simulate_spill_sec_w{width}_montecarlo", ["simulate", str(kernels[f"spill_sec_w{width}"]),
            *montecarlo, "--budget-seconds", "10000", "--samples", "20000", "--seed", "7"])
 compile_into("compile_spill_force_w8_mips-like_reg", kernels["spill_force_w8"], *montecarlo, "--verify")
-# gives up before its costly level; the message pins the predicted and remaining work
+# the largest oracle run: its secure walk ends at the first makespan that cuts nothing
 record("oracle_kernels_ptr_store_thumb-like_reg", ["oracle", str(kernels["kernels_ptr_store"]),
        "--target", "thumb-like", "--copy-budget", "reg"])
 
