@@ -14,7 +14,8 @@ inputs in their argument registers, serves every activeness subset. What
 the walk reads of the program is fixed per search and built once: a
 per-op table (memory deps, temp slots and their alts, the definition and
 its locations, two-address, latency, the temps the definition may not
-overwrite and its spairs hiders) and a temp -> reader-slots index.
+overwrite, its spairs hiders and how its writes bear on the
+result-register rule) and a temp -> reader-slots index.
 The walk does not recurse: each node is a `_walk` generator that yields
 once per committed issue, and `_search` keeps the generators of the
 current path on an explicit stack, so no program size is limited by the
@@ -35,6 +36,20 @@ operand is rejected without committing and undoing it. Every returned
 solution is re-validated by `model.check_solution`, which checks the base
 families from the program and target and each security family from the
 same tables.
+
+Pruning also checks the result-register rule (the out op's first
+selection sits in the result register) as each value is placed, not only
+when the out op issues. Call the first out slot's alts A. A write is
+rejected when it writes an alt of A outside the result register, or a
+temp outside A over an alt of A there, and afterwards no alt of A sits
+intact in the result register and none is defined by a pending active op. Temps never move
+and an overwritten value never comes back, so no alt can reach the result
+register after such a write: it roots a subtree with no leaf. When A has
+one alt, `_op_facts` narrows its definition's locations to the result
+register instead, and an overwrite of it there strands the out op's slot,
+which `_still_satisfiable` rejects. The cut removes only leafless
+subtrees, so it keeps every leaf, in search order, and runs in both
+modes; `SolveStats.result_prunes` counts it.
 
 Before any walk, `preflight_infeasible` proves some models infeasible
 statically and names the family. Besides an input outside its argument
@@ -113,6 +128,7 @@ class SolveStats:
     leaves: int = 0
     table_prunes: int = 0  # child states dropped by the transposition table
     symmetry_skips: int = 0  # never-written locations skipped as renamings
+    result_prunes: int = 0  # writes after which the first output cannot reach the result register
     wall_time: float = 0.0  # last: the report lists the fields in this order
 
 
@@ -225,6 +241,21 @@ def preflight_infeasible(model: ExtendedModel,
     return None
 
 
+class _ResultRule(NamedTuple):
+    """The first output's alts, when it has several, as one op's writes can
+    lose the last way of one into the result register (`_Searcher._result_lost`).
+
+    Kept out of `never`, which `preflight_infeasible` reads: its `rpairs`
+    proof would then name that family for a result-register failure.
+    """
+
+    alts: tuple[int, ...]
+    defs: tuple[int, ...]  # the ops defining them, the in op left out
+    # the op defines an alt, so its writes outside the result register are
+    # at stake; otherwise its writes over an alt in the result register are
+    own: bool
+
+
 class _OpFacts(NamedTuple):
     """What the walk reads of one op; fixed for the whole search."""
 
@@ -232,13 +263,16 @@ class _OpFacts(NamedTuple):
     idxs: tuple[int, ...]  # temp slot indices, the address slot as -1
     alts: tuple[tuple[int, ...], ...]  # each temp slot's alts, in branch order
     d: int | None  # the temp it defines, if any (never for the out op)
-    locs: tuple[int, ...]  # the locations `d` may take, ascending
+    # the locations `d` may take, ascending; only the result register when
+    # `d` is the first output's one alt
+    locs: tuple[int, ...]
     two_address: bool
     latency: int
     is_out: bool
     is_memory: bool
     never: frozenset[int]  # temps `d` may not overwrite: rpairs, secret-input guard
     hiders: frozenset[int] | None  # `d`'s spairs hiders; None if `d` is no key
+    result: _ResultRule | None  # None if `d` is None or the first output has one alt
 
 
 def _op_facts(model: ExtendedModel) -> list[_OpFacts | None]:
@@ -251,18 +285,30 @@ def _op_facts(model: ExtendedModel) -> list[_OpFacts | None]:
     for prev, bad in sec.sec_input.items():
         for d in bad:
             never.setdefault(d, set()).add(prev)
+    first = next((slot.alts for _i, slot in prog.out_op.temp_slots()), ())
+    first_defs = tuple(prog.temps[t].defined_by for t in first
+                       if not prog.temps[t].is_input)
+    if len(first) > 1:
+        own, other = _ResultRule(first, first_defs, True), _ResultRule(first, first_defs, False)
+    else:
+        own = other = None
     facts: list[_OpFacts | None] = [None]
     for op in prog.ops:
         slots = list(op.temp_slots())
         is_out = op.kind == "out"
         d = op.defs[0] if op.defs and not is_out else None
+        locs = model.r_dom[d] if d is not None else ()
+        result = None if d is None else other
+        if op.id in first_defs:
+            result = own
+            if own is None:  # the one alt: it must be written to the result register
+                locs = tuple(loc for loc in locs if loc == model.result_reg)
         facts.append(_OpFacts(
             prog.mem_deps.get(op.id, ()),
             tuple(i for i, _slot in slots),
             tuple(slot.alts for _i, slot in slots),
-            d, model.r_dom[d] if d is not None else (),
-            model.two_address(op), model.latency(op), is_out, op.is_memory,
-            frozenset(never.get(d, ())), sec.spairs.get(d),
+            d, locs, model.two_address(op), model.latency(op), is_out, op.is_memory,
+            frozenset(never.get(d, ())), sec.spairs.get(d), result,
         ))
     return facts
 
@@ -464,8 +510,12 @@ class _Searcher:
         in place, in slot order. A two-address op tries only its temp
         operands' locations. A location is rejected here, before `_issue`
         commits anything, when the overwrite breaks a static rule of the
-        op's `never`/`hiders` tables or the pending-key rule, or strands a
-        pending operand (`_still_satisfiable`). Yields once per committed
+        op's `never`/`hiders` tables or the pending-key rule, leaves the
+        first output no way into the result register (`_result_lost`, asked
+        once per op), or strands a pending operand (`_still_satisfiable`).
+        The out op still checks that its first selection sits in the result
+        register: no write puts the rule at stake when, say, the first
+        output is an input outside the result register. Yields once per committed
         issue, with the state of the child node in place.
         """
         remaining = len(self.active) - len(self.issued)
@@ -481,8 +531,14 @@ class _Searcher:
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
-            idxs, d, never, hiders = f.idxs, f.d, f.never, f.hiders
+            idxs, d, never, hiders, rule = f.idxs, f.d, f.never, f.hiders, f.result
             pools = [[t for t in alts if t in loc_of] for alts in f.alts]
+            # `lost`: the writes of `o` that the result-register rule puts at
+            # stake (see `_ResultRule.own`) are dead ends. The occupant test
+            # skips the call where they cannot be: an alt stays in the result
+            # register after a write elsewhere, or one into it loses no alt.
+            lost = rule is not None and (
+                occupant.get(result_reg) in rule.alts) != rule.own and self._result_lost(o, rule)
             for combo in itertools.product(*pools):
                 # the first output must sit in the result register
                 if f.is_out and combo and loc_of[combo[0]] != result_reg:
@@ -521,6 +577,8 @@ class _Searcher:
                         or (prev in s_pending and d not in spairs[prev])
                     ):
                         self.stats.propagations += 1
+                    elif lost and (loc == result_reg) != rule.own:
+                        self.stats.result_prunes += 1
                     elif prev is None or self._still_satisfiable(prev, o):
                         yield from self._issue(o, f, chosen, cycle, loc, prev)
 
@@ -619,6 +677,26 @@ class _Searcher:
             self.ms_pending.discard(o)
             if ms_resolved:
                 self.ms_pending.add(prev_mem)
+
+    def _result_lost(self, o: int, rule: _ResultRule) -> bool:
+        """Would a write of op `o` that `rule` puts at stake leave the out
+        op no alt of the first output to read from the result register?
+
+        Two kinds of write are at stake: `o` writes an alt outside the
+        result register (`rule.own`) while no alt sits there, or `o` writes
+        a temp that is no alt over one that does. `_walk` tests for the
+        alt in the result register and asks before the issue commits. After
+        either write the result register holds no alt, so the rule can hold
+        only through an alt defined by an active op still pending after the
+        issue: not `o`, and not the in op, which has issued. Temps never
+        move, so an alt placed anywhere else, or overwritten, never reaches
+        the result register again: no leaf lies below a write this rejects.
+        """
+        active, issued = self.active, self.issued
+        for p in rule.defs:
+            if p != o and p in active and p not in issued:
+                return False
+        return True
 
     def _still_satisfiable(self, lost: int, o: int) -> bool:
         """May op `o` clobber `lost`? After the issue, every pending operand

@@ -127,6 +127,44 @@ t14 = xor t10, t4
 out t13 t14
 """
 
+# The 3-share ISW AND, width 8: a, b secret (t0, t1); the share randoms
+# ra1, ra2, rb1, rb2 (t2-t5); the fresh randoms r01, r02, r12 (t6-t8).
+# Shares a0 = (a ^ ra1) ^ ra2, a1 = ra1, a2 = ra2, likewise for b; the nine
+# products ai bj in row order (t13-t21); then c0 = (a0b0 ^ r01) ^ r02,
+# c1 = (a1b1 ^ ((r01 ^ a0b1) ^ a1b0)) ^ r12 and
+# c2 = (a2b2 ^ ((r02 ^ a0b2) ^ a2b0)) ^ ((r12 ^ a1b2) ^ a2b1), one xor per
+# line, innermost first.
+ISW3 = """
+func isw3 width 8
+in t0:secret t1:secret t2:random t3:random t4:random t5:random t6:random t7:random t8:random
+t9 = xor t0, t2
+t10 = xor t9, t3
+t11 = xor t1, t4
+t12 = xor t11, t5
+t13 = and t10, t12
+t14 = and t10, t4
+t15 = and t10, t5
+t16 = and t2, t12
+t17 = and t2, t4
+t18 = and t2, t5
+t19 = and t3, t12
+t20 = and t3, t4
+t21 = and t3, t5
+t22 = xor t13, t6
+t23 = xor t22, t7
+t24 = xor t6, t14
+t25 = xor t24, t16
+t26 = xor t17, t25
+t27 = xor t26, t8
+t28 = xor t7, t15
+t29 = xor t28, t19
+t30 = xor t21, t29
+t31 = xor t8, t18
+t32 = xor t31, t20
+t33 = xor t30, t32
+out t23 t27 t33
+"""
+
 
 def test_two_address_rpairs_preflight_proof():
     base, _, secure = front_end(parse_program(TWO_ADDRESS_RPAIRS), PRESETS["thumb-like"],
@@ -154,7 +192,20 @@ def test_isw2_and_needs_three_address():
     assert (out.status, out.infeasible_family, out.stats.nodes) == ("Infeasible", "rpairs", 0)
     _, _, secure = front_end(parse_program(ISW2), _with_args("mips-like", 8), "reg")
     out = solve(secure, budget)
-    assert (out.status, out.solution.objective, out.stats.nodes) == ("Optimal", 11, 390)
+    assert (out.status, out.solution.objective, out.stats.nodes) == ("Optimal", 11, 90)
+
+
+@pytest.mark.parametrize("copies", ["none", "reg"])
+def test_isw3_and_reaches_its_bound(copies):
+    """Without the result-register rule checked as each value is placed,
+    every walk places c0 outside the result register early and learns it
+    only at the leaves: 200k nodes end in a Timeout. 26 is the subset's
+    lower bound (25 ops and the out op), so the first leaf is optimal."""
+    base, _, secure = front_end(parse_program(ISW3), _with_args("mips-like", 10), copies)
+    for model in (base, secure):
+        out = solve(model, SolveBudget(seconds=None, nodes=200_000))
+        assert (out.status, out.solution.objective) == ("Optimal", 26)
+        assert out.stats.nodes < 1000
 
 
 def test_node_limit_one_times_out():
@@ -344,18 +395,18 @@ def test_walk_state_restored_after_search(enumerate_all):
 LADDER_COUNTS = {
     (0, 3): ("Infeasible", None, 0, 0, 0),
     (0, 5): ("Infeasible", None, 0, 0, 0),
-    (0, 7): ("Optimal", 10, 3521, 2925, 1),
-    (0, 9): ("Optimal", 12, 3247, 6862, 1),
+    (0, 7): ("Optimal", 10, 2545, 1968, 1),
+    (0, 9): ("Optimal", 12, 2495, 4861, 1),
     (0, 12): ("Infeasible", None, 0, 0, 0),
-    (1, 3): ("Optimal", 5, 47, 67, 1),
+    (1, 3): ("Optimal", 5, 37, 48, 1),
     (1, 5): ("Infeasible", None, 0, 0, 0),
-    (1, 7): ("Timeout", None, 15001, 23414, 0),
+    (1, 7): ("Optimal", 10, 14909, 19248, 1),
     (1, 9): ("Infeasible", None, 0, 0, 0),
     (1, 12): ("Infeasible", None, 0, 0, 0),
-    (2, 3): ("Optimal", 4, 6, 5, 1),
+    (2, 3): ("Optimal", 4, 6, 4, 1),
     (2, 5): ("Infeasible", None, 0, 0, 0),
     (2, 7): ("Infeasible", None, 0, 0, 0),
-    (2, 9): ("Optimal", 12, 7229, 12527, 1),
+    (2, 9): ("Optimal", 12, 6021, 10683, 1),
     (2, 12): ("Infeasible", None, 0, 0, 0),
     (3, 3): ("Infeasible", None, 0, 0, 0),
     (3, 5): ("Infeasible", None, 0, 0, 0),
@@ -367,19 +418,19 @@ LADDER_COUNTS = {
 # (fixture, target, copy budget, secure?, makespan cap) ->
 # (solutions, nodes, propagations, leaves) in enumerate mode
 ENUMERATE_COUNTS = {
-    ("xor_p0", "mips-like", "none", False, 4): (15, 257, 226, 15),
-    ("xor_p0", "mips-like", "none", True, 4): (14, 212, 212, 14),
-    ("xor_p0", "thumb-like", "reg", False, 4): (156, 509, 253, 156),
-    ("xor_p0", "thumb-like", "reg", True, 4): (57, 141, 124, 57),
-    ("secmult_gf", "quad", "reg", False, 4): (110, 550, 412, 110),
-    ("secmult_gf", "quad", "reg", True, 6): (25, 500, 1419, 25),
-    ("sec_reload", "quad", "reg", False, 4): (103, 512, 378, 103),
-    ("sec_reload", "quad", "reg", True, 6): (4, 182, 492, 4),
-    ("mem_secret", "mini", "reg", False, 7): (1023, 18749, 11979, 1023),
-    ("mem_secret", "mini", "reg", True, 7): (9, 466, 668, 9),
-    ("mem_pair", "mini", "none", False, 7): (32, 254, 111, 32),
-    ("mem_pair", "mini", "none", True, 7): (12, 155, 91, 12),
-    ("nohide", "thumb-like", "reg", False, 3): (31, 271, 275, 31),
+    ("xor_p0", "mips-like", "none", False, 4): (15, 32, 1, 15),
+    ("xor_p0", "mips-like", "none", True, 4): (14, 30, 2, 14),
+    ("xor_p0", "thumb-like", "reg", False, 4): (156, 309, 35, 156),
+    ("xor_p0", "thumb-like", "reg", True, 4): (57, 130, 113, 57),
+    ("secmult_gf", "quad", "reg", False, 4): (110, 227, 57, 110),
+    ("secmult_gf", "quad", "reg", True, 6): (25, 411, 1217, 25),
+    ("sec_reload", "quad", "reg", False, 4): (103, 208, 46, 103),
+    ("sec_reload", "quad", "reg", True, 6): (4, 148, 412, 4),
+    ("mem_secret", "mini", "reg", False, 7): (1023, 10546, 3851, 1023),
+    ("mem_secret", "mini", "reg", True, 7): (9, 419, 607, 9),
+    ("mem_pair", "mini", "none", False, 7): (32, 135, 15, 32),
+    ("mem_pair", "mini", "none", True, 7): (12, 85, 31, 12),
+    ("nohide", "thumb-like", "reg", False, 3): (31, 54, 16, 31),
     ("nohide", "thumb-like", "reg", True, 8): (0, 10, 48, 0),
 }
 
@@ -474,6 +525,62 @@ def test_clobber_local_check_matches_full_scan(enumerate_all):
         checks += s.checks
         by_pending_def += s.by_pending_def
     assert checks > 1000 and by_pending_def > 0
+
+
+class _ResultScanSearcher(_Searcher):
+    """Checks each result-register verdict against a full scan.
+
+    `_walk` asks `_result_lost` before op `o` commits a write that the rule
+    puts at stake: an alt of the first output written outside the result
+    register, or a temp that is no alt written into it. The full scan
+    models the state after such a write: the pending ops minus `o`, and the
+    result register holding its old occupant or `o`'s definition. The rule
+    is lost when no alt of the first output is intact there and none is
+    defined by a pending active op. `rejected` counts the writes cut.
+    """
+
+    checks = 0
+    rejected = 0
+
+    def _result_lost(self, o, rule):
+        local = super()._result_lost(o, rule)
+        prog = self.model.program
+        first = next(slot.alts for _i, slot in prog.out_op.temp_slots())
+        d = prog.op(o).defs[0]
+        pending = self.active - self.issued.keys() - {o}
+        in_result = self.occupant.get(self.result_reg) if d in first else d
+        full = in_result not in first and not any(
+            prog.temps[t].defined_by in pending for t in first)
+        assert local == full, (o, sorted(self.issued))
+        self.checks += 1
+        self.rejected += local
+        return local
+
+
+def _result_rule_models():
+    """The `ORACLE_CASES` (base and secure) and the `LADDER_COUNTS` kernels."""
+    for name, target, copies in ORACLE_CASES:
+        base, secure, _ = build_models(name, target, copies)
+        yield from (base, secure)
+    for seed, n_ops in LADDER_COUNTS:
+        yield front_end(parse_program(workloads.ladder_kernel(seed, n_ops)),
+                        PRESETS["thumb-like"], "full")[2]
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_result_register_cut_matches_full_scan(enumerate_all):
+    checks = rejected = prunes = 0
+    for model in _result_rule_models():
+        s = _ResultScanSearcher(model, SolveBudget(seconds=None, nodes=3000),
+                                enumerate_all=enumerate_all)
+        try:
+            s.run()
+        except _Budget:
+            pass
+        checks += s.checks
+        rejected += s.rejected
+        prunes += s.stats.result_prunes
+    assert checks > rejected > 0 and prunes > 0
 
 
 def _unpruned_best(model, budget):

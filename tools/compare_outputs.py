@@ -13,7 +13,9 @@ and deep kernels under `analyze` and `compile`, and a 100-op xor chain under
 `compile --insecure` (mips-like, none/full). The 2-share ISW and Trichina
 AND kernels (width 8, five inputs) run under `compile`, secure with
 `--verify` and `--insecure`, under reg/full, on thumb-like with 6 and
-mips-like with 8 argument registers. The Monte Carlo draws run in
+mips-like with 8 argument registers; the 3-share ISW AND (nine inputs),
+once with its outputs in order and once reversed, runs the same way under
+none/reg on mips-like with 10 argument registers. The Monte Carlo draws run in
 `simulate --samples 20000 --seed 7` of `spill_sec` at widths 8/16/32 and in
 `compile --verify` of `spill_force` at width 8 (the benchmark's Monte Carlo
 case), both on mips-like under the reg budget. Node budgets stand in for time budgets so every run is
@@ -170,21 +172,63 @@ t13 = xor t12, t9
 t14 = xor t13, t10
 out t14 t4
 """,
+    # 3-share ISW AND: a, b secret (t0, t1), share randoms ra1, ra2, rb1, rb2
+    # (t2-t5), fresh randoms r01, r02, r12 (t6-t8); shares a0 = (a ^ ra1) ^ ra2,
+    # a1 = ra1, a2 = ra2, likewise for b; the products ai bj in row order
+    # (t13-t21); c0 = (a0b0 ^ r01) ^ r02, c1 = (a1b1 ^ ((r01 ^ a0b1) ^ a1b0)) ^ r12,
+    # c2 = (a2b2 ^ ((r02 ^ a0b2) ^ a2b0)) ^ ((r12 ^ a1b2) ^ a2b1)
+    "isw3": """func isw3 width 8
+in t0:secret t1:secret t2:random t3:random t4:random t5:random t6:random t7:random t8:random
+t9 = xor t0, t2
+t10 = xor t9, t3
+t11 = xor t1, t4
+t12 = xor t11, t5
+t13 = and t10, t12
+t14 = and t10, t4
+t15 = and t10, t5
+t16 = and t2, t12
+t17 = and t2, t4
+t18 = and t2, t5
+t19 = and t3, t12
+t20 = and t3, t4
+t21 = and t3, t5
+t22 = xor t13, t6
+t23 = xor t22, t7
+t24 = xor t6, t14
+t25 = xor t24, t16
+t26 = xor t17, t25
+t27 = xor t26, t8
+t28 = xor t7, t15
+t29 = xor t28, t19
+t30 = xor t21, t29
+t31 = xor t8, t18
+t32 = xor t31, t20
+t33 = xor t30, t32
+out t23 t27 t33
+""",
 }
+# the same kernel with its first output computed last
+LITERATURE["isw3b"] = LITERATURE["isw3"].replace("func isw3", "func isw3b").replace(
+    "out t23 t27 t33", "out t33 t27 t23")
 for name, text in LITERATURE.items():
     kernels[name] = irdir / f"{name}.ir"
     kernels[name].write_text(text)
-for preset, nargs in (("thumb-like", 6), ("mips-like", 8)):
-    t = TARGETS[preset]
-    tpath = irdir / f"{preset}_{nargs}args.target"
-    tpath.write_text(render_target(replace(t, args=t.registers[:nargs])))
-    for name in LITERATURE:
-        for budget in ("reg", "full"):
-            for flag in ("--verify", "--insecure"):
-                suffix = "--insecure" if flag == "--insecure" else ""
-                compile_into(f"compile_{name}_{preset}{nargs}_{budget}{suffix}", kernels[name],
-                             "--target", str(tpath), "--copy-budget", budget,
-                             "--budget-nodes", "20000", flag)
+# (kernels, (preset, argument registers) targets, copy budgets, node budget)
+for names, targets, budgets, nodes in (
+    (("isw2", "trichina"), (("thumb-like", 6), ("mips-like", 8)), ("reg", "full"), "20000"),
+    (("isw3", "isw3b"), (("mips-like", 10),), ("none", "reg"), "200000"),
+):
+    for preset, nargs in targets:
+        t = TARGETS[preset]
+        tpath = irdir / f"{preset}_{nargs}args.target"
+        tpath.write_text(render_target(replace(t, args=t.registers[:nargs])))
+        for name in names:
+            for budget in budgets:
+                for flag in ("--verify", "--insecure"):
+                    suffix = "--insecure" if flag == "--insecure" else ""
+                    compile_into(f"compile_{name}_{preset}{nargs}_{budget}{suffix}",
+                                 kernels[name], "--target", str(tpath), "--copy-budget",
+                                 budget, "--budget-nodes", nodes, flag)
 
 files = [p for p in outdir.rglob("*") if p.is_file() and p.parent != irdir]
 print(f"{len(files)} output files in {outdir}")
