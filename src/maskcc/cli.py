@@ -183,6 +183,16 @@ def front_end(prog, target, copy_budget: str):
     return base, sets, secure
 
 
+def _budget(args) -> solver.SolveBudget | None:
+    """The solve budget the flags ask for, or None after printing an input error."""
+    try:
+        return solver.SolveBudget(args.budget_seconds, args.budget_nodes)
+    except ValueError as e:
+        print(f"error: bad solve budget (--budget-seconds {args.budget_seconds}, "
+              f"--budget-nodes {args.budget_nodes}): {e}", file=sys.stderr)
+        return None
+
+
 def _load(args):
     """Read the program and target and run the front end.
 
@@ -218,6 +228,9 @@ def _verdict_dict(verdict) -> dict:
 
 
 def cmd_compile(args) -> int:
+    budget = _budget(args)
+    if budget is None:
+        return EXIT_INPUT
     loaded = _load(args)
     if loaded is None:
         return EXIT_INPUT
@@ -225,7 +238,7 @@ def cmd_compile(args) -> int:
     model = secure if args.secure else base
     if args.dump_model:
         Path(args.dump_model).write_text(json.dumps(dump_model(model), indent=2))
-    outcome = solver.solve(model, solver.SolveBudget(args.budget_seconds, args.budget_nodes))
+    outcome = solver.solve(model, budget)
     report = {
         "program": prog.name,
         "target": model.target.name,
@@ -308,6 +321,9 @@ def _int_list(flag: str, text: str, count: int, what: str) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
+    budget = _budget(args)
+    if budget is None:
+        return EXIT_INPUT
     loaded = _load(args)
     if loaded is None:
         return EXIT_INPUT
@@ -344,7 +360,7 @@ def cmd_simulate(args) -> int:
         return EXIT_INPUT
 
     model = secure if args.secure else base
-    outcome = solver.solve(model, solver.SolveBudget(args.budget_seconds, args.budget_nodes))
+    outcome = solver.solve(model, budget)
     if outcome.solution is None:
         return _unsolved(outcome)
     harness = leakage.linearize(model, outcome.solution)

@@ -14,8 +14,13 @@ Textual form, one statement per line, '#' starts a comment:
     out t4
 
 Operands are temps ('t<k>') or integer literals (decimal or 0x hex). Store
-data must be a temp. Temp ids must be dense: the k-th defined temp is t<k>,
-counting inputs first.
+data and outputs must be temps. Temp ids must be dense: the k-th defined
+temp is t<k>, counting inputs first.
+
+`parse_program` reads the syntax; `validate` is the one checker of these
+rules, for parsed and constructed programs alike. A parse error reads
+'line L, col C: <message>', and a broken rule reads
+'line L, col C: <code>: <message>' at the statement that breaks it.
 """
 
 from __future__ import annotations
@@ -107,8 +112,7 @@ class Diagnostic:
     message: str
 
     def __str__(self) -> str:
-        where = f" (op {self.op_id})" if self.op_id is not None else ""
-        return f"{self.code}{where}: {self.message}"
+        return f"{self.code}: {self.message}"
 
 
 _TEMP_RE = re.compile(r"^t(\d+)$")
@@ -126,35 +130,22 @@ def _parse_operand(tok: str, line: int, col: int) -> Operand:
 
 
 def parse_program(text: str) -> Program:
-    """Parse textual IR into a Program, checking definitions as it goes.
+    """Parse textual IR into a Program that `validate` accepts.
 
-    Raises ParseError on syntax errors, use-before-def, duplicate or
-    non-dense definitions, and unknown opcodes.
+    The parser reads syntax only: the 'func' line, where 'in' and 'out' sit,
+    't<k>:<class>' tokens, statement shape and operand tokens. Every
+    well-formedness rule belongs to `validate`; its first diagnostic is
+    raised as a ParseError at the line and column of the statement it names,
+    with the text '<code>: <message>'.
     """
     name = None
     width = None
     inputs: list[tuple[Temp, SecurityClass]] = []
     body: list[IrOperation] = []
-    outputs: list[Temp] = []
-    defined: set[int] = set()
-    next_id = 0
-    saw_in = False
+    outputs: list[Operand] = []
+    # (line, col) of each statement under validate's id for it
+    where: dict[int | None, tuple[int, int]] = {}
     saw_out = False
-
-    def define(t: Temp, line: int, col: int) -> None:
-        nonlocal next_id
-        if t.id in defined:
-            raise ParseError(line, col, f"duplicate definition of {t}")
-        if t.id != next_id:
-            raise ParseError(
-                line, col, f"temp ids must be dense: expected t{next_id}, got {t}"
-            )
-        defined.add(t.id)
-        next_id += 1
-
-    def check_use(opnd: Operand, line: int, col: int) -> None:
-        if isinstance(opnd, Temp) and opnd.id not in defined:
-            raise ParseError(line, col, f"use of {opnd} before definition")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
@@ -171,12 +162,13 @@ def parse_program(text: str) -> Program:
                 raise ParseError(lineno, col, f"bad function name {toks[1]!r}")
             name = toks[1]
             width = int(toks[3])
+            where[None] = (lineno, col)
         elif toks[0] == "in":
             if name is None:
                 raise ParseError(lineno, col, "'in' before 'func'")
-            if saw_in:
+            if 0 in where:
                 raise ParseError(lineno, col, "duplicate 'in' line")
-            saw_in = True
+            where[0] = (lineno, col)
             for tok in toks[1:]:
                 if ":" not in tok:
                     raise ParseError(lineno, col, f"expected t<k>:<class>, got {tok!r}")
@@ -190,88 +182,64 @@ def parse_program(text: str) -> Program:
                     raise ParseError(
                         lineno, col, f"unknown security class {cname!r}"
                     ) from None
-                t = Temp(int(m.group(1)))
-                define(t, lineno, col)
-                inputs.append((t, cls))
-        elif toks[0] == "out":
-            if not saw_in:
-                raise ParseError(lineno, col, "'out' before 'in'")
-            saw_out = True
-            for tok in toks[1:]:
-                opnd = _parse_operand(tok, lineno, col)
-                if not isinstance(opnd, Temp):
-                    raise ParseError(lineno, col, "outputs must be temps")
-                check_use(opnd, lineno, col)
-                outputs.append(opnd)
-        elif toks[0] == "store":
-            if not saw_in:
-                raise ParseError(lineno, col, "statement before 'in'")
-            if len(toks) != 3:
-                raise ParseError(lineno, col, "expected: store <addr>, <temp>")
-            addr = _parse_operand(toks[1], lineno, col)
-            data = _parse_operand(toks[2], lineno, col)
-            check_use(addr, lineno, col)
-            check_use(data, lineno, col)
-            if not isinstance(data, Temp):
-                raise ParseError(lineno, col, "store data must be a temp")
-            body.append(IrOperation(len(body) + 1, "store", (addr, data), None))
-        else:
-            # definition statement: t<k> = opcode operands
-            if not saw_in:
-                raise ParseError(lineno, col, "statement before 'in'")
-            if len(toks) < 3 or toks[1] != "=":
-                raise ParseError(lineno, col, f"cannot parse statement {stmt!r}")
-            m = _TEMP_RE.match(toks[0])
-            if not m:
-                raise ParseError(lineno, col, f"bad def temp {toks[0]!r}")
-            opcode = toks[2]
-            if opcode not in ALL_OPCODES or opcode in PSEUDO_OPCODES:
-                raise ParseError(lineno, col, f"unknown opcode {opcode!r}")
-            if opcode == "store":
-                raise ParseError(lineno, col, "store does not define a temp")
-            operands = tuple(
-                _parse_operand(tok, lineno, col) for tok in toks[3:]
+                inputs.append((Temp(int(m.group(1))), cls))
+        elif 0 not in where:
+            raise ParseError(
+                lineno, col, "'out' before 'in'" if toks[0] == "out" else "statement before 'in'"
             )
-            for opnd in operands:
-                check_use(opnd, lineno, col)
-            want = 2 if opcode in BINARY_OPCODES else 1
-            if len(operands) != want:
-                raise ParseError(
-                    lineno, col, f"{opcode} takes {want} operand(s), got {len(operands)}"
-                )
-            if opcode == "copy":
-                raise ParseError(lineno, col, "copies are not allowed in source IR")
-            t = Temp(int(m.group(1)))
-            define(t, lineno, col)
+        elif toks[0] == "out":
+            saw_out = True
+            where[len(body) + 1] = (lineno, col)
+            outputs = [_parse_operand(tok, lineno, col) for tok in toks[1:]]
+        else:
+            if toks[0] == "store":
+                if len(toks) != 3:
+                    raise ParseError(lineno, col, "expected: store <addr>, <temp>")
+                opcode, args, t = "store", toks[1:], None
+            else:
+                # definition statement: t<k> = opcode operands
+                if len(toks) < 3 or toks[1] != "=":
+                    raise ParseError(lineno, col, f"cannot parse statement {stmt!r}")
+                m = _TEMP_RE.match(toks[0])
+                if not m:
+                    raise ParseError(lineno, col, f"bad def temp {toks[0]!r}")
+                opcode, args, t = toks[2], toks[3:], Temp(int(m.group(1)))
+            operands = tuple(_parse_operand(tok, lineno, col) for tok in args)
             body.append(IrOperation(len(body) + 1, opcode, operands, t))
+            where[len(body)] = (lineno, col)
 
     if name is None:
         raise ParseError(1, 1, "missing 'func' line")
-    if not saw_in:
+    if 0 not in where:
         raise ParseError(1, 1, "missing 'in' line")
     if not saw_out:
         raise ParseError(1, 1, "missing 'out' line")
     prog = Program(name, width, tuple(inputs), tuple(body), tuple(outputs))
     diags = validate(prog)
     if diags:
-        raise ParseError(1, 1, "; ".join(str(d) for d in diags))
+        raise ParseError(*where[diags[0].op_id], str(diags[0]))
     return prog
 
 
 def validate(p: Program) -> list[Diagnostic]:
-    """Structural invariant check. Empty list iff the program is well formed."""
+    """Every well-formedness rule of the IR; empty list iff `p` is well formed.
+
+    A diagnostic names its statement by `op_id`: None for the 'func' line,
+    0 for the 'in' line, k for body op k and len(p.body) + 1 for the 'out'
+    line.
+    """
     diags: list[Diagnostic] = []
     if p.width not in (4, 8, 16, 32):
         diags.append(Diagnostic("bad-width", None, f"width {p.width} not in 4/8/16/32"))
     if not p.inputs:
-        diags.append(Diagnostic("no-inputs", None, "program needs at least one input"))
+        diags.append(Diagnostic("no-inputs", 0, "program needs at least one input"))
 
-    defined: dict[int, int] = {}
+    defined: set[int] = set()
     expect = 0
     for t, _cls in p.inputs:
         if t.id in defined:
             diags.append(Diagnostic("duplicate-definition", 0, f"{t} defined twice"))
-        defined[t.id] = 0
+        defined.add(t.id)
         if t.id != expect:
             diags.append(Diagnostic("non-dense-id", 0, f"expected t{expect}, got {t}"))
         expect += 1
@@ -280,15 +248,21 @@ def validate(p: Program) -> list[Diagnostic]:
         if op.opcode not in ALL_OPCODES or op.opcode in PSEUDO_OPCODES:
             diags.append(Diagnostic("unknown-opcode", op.id, op.opcode))
             continue
+        if op.opcode == "copy":
+            diags.append(
+                Diagnostic("copy-in-source", op.id, "copies are not allowed in source IR")
+            )
         if op.opcode == "store":
             if op.defs is not None:
-                diags.append(Diagnostic("store-has-def", op.id, "store defines a temp"))
+                diags.append(Diagnostic("store-has-def", op.id, "store does not define a temp"))
             if len(op.uses) != 2 or not isinstance(op.uses[1], Temp):
                 diags.append(Diagnostic("bad-arity", op.id, "store takes addr, data-temp"))
         else:
             want = 2 if op.opcode in BINARY_OPCODES else 1
             if len(op.uses) != want:
-                diags.append(Diagnostic("bad-arity", op.id, f"{op.opcode} takes {want}"))
+                diags.append(Diagnostic(
+                    "bad-arity", op.id, f"{op.opcode} takes {want} operand(s), got {len(op.uses)}"
+                ))
             if op.defs is None:
                 diags.append(Diagnostic("missing-def", op.id, f"{op.opcode} must define"))
         for u in op.uses:
@@ -304,12 +278,15 @@ def validate(p: Program) -> list[Diagnostic]:
                     diags.append(
                         Diagnostic("non-dense-id", op.id, f"expected t{expect}, got {op.defs}")
                     )
-                defined[op.defs.id] = op.id
+                defined.add(op.defs.id)
                 expect += 1
 
+    out = len(p.body) + 1
     for t in p.outputs:
-        if t.id not in defined:
-            diags.append(Diagnostic("use-before-def", len(p.body) + 1, f"output {t} undefined"))
+        if not isinstance(t, Temp):
+            diags.append(Diagnostic("literal-output", out, f"outputs must be temps, got {t}"))
+        elif t.id not in defined:
+            diags.append(Diagnostic("use-before-def", out, f"output {t} undefined"))
     return diags
 
 

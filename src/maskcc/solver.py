@@ -113,10 +113,18 @@ from .model import (
 
 @dataclass(frozen=True)
 class SolveBudget:
+    """Limits of one search; None or inf means no limit of that kind."""
+
     seconds: float | None = 60.0
     nodes: int | None = None
 
     def __post_init__(self):
+        for name in ("seconds", "nodes"):
+            limit = getattr(self, name)
+            if limit == math.inf:
+                object.__setattr__(self, name, None)
+            elif limit is not None and not limit >= 0:  # negative or NaN
+                raise ValueError(f"the {name} limit must be a number >= 0, got {limit}")
         if self.seconds is None and self.nodes is None:
             raise ValueError("at least one budget limit must be finite")
 

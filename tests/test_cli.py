@@ -253,6 +253,44 @@ def test_oracle_rejects_negative_slack(write_fixture, capsys, monkeypatch):
     assert err == "error: --slack must not be negative, got -1\n"
 
 
+@pytest.mark.parametrize("cmd", ["compile", "simulate"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--budget-nodes", "-5"], "the nodes limit must be a number >= 0, got -5"),
+        (["--budget-seconds", "-1"], "the seconds limit must be a number >= 0, got -1.0"),
+        (["--budget-seconds", "nan"], "the seconds limit must be a number >= 0, got nan"),
+        (["--budget-seconds", "inf"], "at least one budget limit must be finite"),
+    ],
+)
+def test_malformed_budget_exits_2_before_the_front_end(cmd, flags, message, write_fixture,
+                                                        capsys, monkeypatch):
+    from maskcc import cli
+
+    def no_models(*args):
+        raise AssertionError("models built for a rejected budget")
+
+    monkeypatch.setattr(cli, "front_end", no_models)
+    rc, out, err = run_cli(capsys, cmd, write_fixture("xor_p0"), *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and flags[0] in err and err.endswith(f": {message}\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_infinite_seconds_budget_is_no_time_limit(write_fixture, capsys, monkeypatch, tmp_path):
+    from maskcc import cli
+
+    budgets = []
+    solve = cli.solver.solve
+    monkeypatch.setattr(cli.solver, "solve",
+                        lambda model, budget: budgets.append(budget) or solve(model, budget))
+    rc, _, _ = run_cli(capsys, "compile", write_fixture("xor_p0"), "--budget-seconds", "inf",
+                       "--budget-nodes", "5000", "--out-dir", str(tmp_path))
+    assert rc == 0
+    assert budgets == [cli.solver.SolveBudget(seconds=None, nodes=5000)]
+
+
 def test_dump_model_and_solution(write_fixture, capsys, tmp_path):
     model_path = tmp_path / "model.json"
     sol_path = tmp_path / "sol.json"

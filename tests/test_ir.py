@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maskcc.ir import (
+    BINARY_OPCODES,
     IrOperation,
     Literal,
     ParseError,
@@ -12,6 +13,7 @@ from maskcc.ir import (
     render_program,
     validate,
 )
+from maskcc.typeinf import infer_types
 
 XOR_SRC = """\
 # masked xor kernel
@@ -201,3 +203,81 @@ def programs(draw):
 def test_parse_render_identity_on_generated_programs(src):
     p = parse_program(src)
     assert parse_program(render_program(p)) == p
+
+
+@pytest.mark.parametrize(
+    "src, line, col, text",
+    [
+        ("# a\n\n# b\nfunc f width 3\nin t0:public\nout t0\n",
+         4, 1, "bad-width: width 3 not in 4/8/16/32"),
+        ("func f width 4\n  in\nout t0\n", 2, 3, "no-inputs: program needs at least one input"),
+        ("func f width 4\nin t0:public\nt1 = not t0\n out t1 t2\n",
+         4, 2, "use-before-def: output t2 undefined"),
+        ("func f width 4\nin t0:public\nt1 = not t0\n    t2 = xor t9, t1\nout t2\n",
+         4, 5, "use-before-def: t9 not yet defined"),
+    ],
+)
+def test_diagnostic_lands_on_its_statement(src, line, col, text):
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, text)
+
+
+@st.composite
+def raw_programs(draw):
+    """Programs that `render_program` can express, well formed or not.
+
+    Ops are numbered 1..n and stores have no def. Each temp id, operand,
+    opcode, arity, output, the width and the input count is usually well
+    formed and sometimes breaks a rule of `validate`.
+    """
+    next_id = 0
+
+    def usually(good, *bad):
+        return draw(st.sampled_from([good] * 16 + list(bad)))
+
+    def fresh() -> Temp:  # a reuse or a gap now and then
+        nonlocal next_id
+        t = usually(next_id, max(next_id - 1, 0), next_id + 2)
+        next_id += 1
+        return Temp(t)
+
+    def operand(kind: str):
+        if kind == "temp" and next_id > 0:
+            return Temp(draw(st.integers(0, next_id - 1)))
+        if kind == "undefined":
+            return Temp(next_id + draw(st.integers(0, 2)))
+        return Literal(draw(st.integers(-3, 300)))
+
+    width = usually(8, 4, 3)
+    inputs = tuple((fresh(), draw(st.sampled_from(SecurityClass)))
+                   for _ in range(usually(draw(st.integers(1, 3)), 0)))
+    body = []
+    for k in range(1, draw(st.integers(0, 5)) + 1):
+        opcode = usually(draw(st.sampled_from([*BINARY_OPCODES, "not", "load", "store"])),
+                         "copy", "frob")
+        if opcode == "store":
+            uses = (operand(usually("temp", "literal", "undefined")),
+                    operand(usually("temp", "literal", "undefined")))
+            body.append(IrOperation(k, opcode, uses, None))
+            continue
+        want = 2 if opcode in BINARY_OPCODES else 1
+        uses = tuple(operand(draw(st.sampled_from(["temp", "literal"] * 8 + ["undefined"])))
+                     for _ in range(usually(want, 0, 3)))
+        body.append(IrOperation(k, opcode, uses, fresh()))
+    outputs = tuple(operand(usually("temp", "literal", "undefined"))
+                    for _ in range(draw(st.integers(1, 2))))
+    return Program("gen", width, inputs, tuple(body), outputs)
+
+
+@given(raw_programs())
+@settings(max_examples=400, deadline=None)
+def test_validate_accepts_exactly_what_parses(p):
+    try:
+        parsed = parse_program(render_program(p))
+    except ParseError:
+        parsed = None
+    assert (validate(p) == []) == (parsed is not None)
+    if parsed is not None:
+        assert parsed == p
+        infer_types(p)

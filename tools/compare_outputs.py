@@ -18,8 +18,11 @@ once with its outputs in order and once reversed, runs the same way under
 none/reg on mips-like with 10 argument registers. The Monte Carlo draws run in
 `simulate --samples 20000 --seed 7` of `spill_sec` at widths 8/16/32 and in
 `compile --verify` of `spill_force` at width 8 (the benchmark's Monte Carlo
-case), both on mips-like under the reg budget. Node budgets stand in for time budgets so every run is
-deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
+case), both on mips-like under the reg budget. A malformed-IR corpus, one
+minimal program per rule of `ir.validate` and per syntax error of
+`ir.parse_program`, runs under `compile`, so the exact wording and position
+of every parse message can be diffed too. Node budgets stand in for time
+budgets so every run is deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
 show that a refactor keeps reports, `.s` files, model dumps, messages and
 exit codes byte for byte.
 """
@@ -229,6 +232,53 @@ for names, targets, budgets, nodes in (
                     compile_into(f"compile_{name}_{preset}{nargs}_{budget}{suffix}",
                                  kernels[name], "--target", str(tpath), "--copy-budget",
                                  budget, "--budget-nodes", nodes, flag)
+
+# One minimal violation per rule: a broken rule of `ir.validate` first, then
+# each syntax error of the parser. `missing-def` has no textual form.
+HEAD = "func bad width 4\nin t0:public t1:random\n"
+MALFORMED = {
+    "bad_width": "# a comment line first\nfunc bad width 3\nin t0:public\nout t0\n",
+    "no_inputs": "func bad width 4\n  in\nout t0\n",
+    "duplicate_input": "func bad width 4\nin t0:public t0:random\nout t0\n",
+    "sparse_input": "func bad width 4\nin t0:public t2:random\nout t0\n",
+    "duplicate_def": HEAD + "t1 = not t0\nout t1\n",
+    "sparse_def": HEAD + "t5 = not t0\nout t5\n",
+    "unknown_opcode": HEAD + "t2 = frob t0\nout t2\n",
+    "pseudo_opcode": HEAD + "t2 = in t0\nout t2\n",
+    "store_has_def": HEAD + "t2 = store 16, t0\nout t0\n",
+    "store_literal_data": HEAD + "store 16, 5\nout t0\n",
+    "binary_arity": HEAD + "t2 = xor t0\nout t2\n",
+    "unary_arity": HEAD + "t2 = not t0, t1\nout t2\n",
+    "load_arity": HEAD + "t2 = load\nout t2\n",
+    "use_before_def": HEAD + "    t2 = xor t9, t1\nout t2\n",
+    "store_use_before_def": HEAD + "store t7, t1\nout t0\n",
+    "copy_in_source": HEAD + "t2 = copy t0\nout t2\n",
+    "undefined_output": HEAD + "t2 = xor t0, t1\n out t2 t3\n",
+    "literal_output": HEAD + "out t0 5\n",
+    "empty": "",
+    "missing_in": "func bad width 4\n",
+    "missing_out": HEAD,
+    "statement_after_out": HEAD + "out t0\nt2 = not t0\n",
+    "func_shape": "func bad width\nin t0:public\nout t0\n",
+    "func_width_word": "func bad width x\nin t0:public\nout t0\n",
+    "func_name": "func 9bad width 4\nin t0:public\nout t0\n",
+    "in_before_func": "in t0:public\nfunc bad width 4\nout t0\n",
+    "duplicate_in": HEAD + "in t2:public\nout t0\n",
+    "input_token": "func bad width 4\nin t0\nout t0\n",
+    "input_temp": "func bad width 4\nin x0:public\nout t0\n",
+    "input_class": "func bad width 4\nin t0:private\nout t0\n",
+    "out_before_in": "func bad width 4\nout t0\n",
+    "statement_before_in": "func bad width 4\nt0 = not 1\n",
+    "operand_token": HEAD + "t2 = xor t0, x1\nout t2\n",
+    "output_token": HEAD + "out t0 x\n",
+    "store_shape": HEAD + "store 16\nout t0\n",
+    "statement_shape": HEAD + "t2 xor t0, t1\nout t2\n",
+    "def_temp": HEAD + "x2 = xor t0, t1\nout t0\n",
+}
+for name, text in MALFORMED.items():
+    path = irdir / f"malformed_{name}.ir"
+    path.write_text(text)
+    record(f"malformed_{name}", ["compile", str(path), "--out-dir", str(outdir / "malformed")])
 
 files = [p for p in outdir.rglob("*") if p.is_file() and p.parent != irdir]
 print(f"{len(files)} output files in {outdir}")
