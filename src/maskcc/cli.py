@@ -5,7 +5,7 @@ security (+implied) constraints -> branch-and-bound -> assembly + report.
 
 Exit codes: 0 success, 2 parse/validate/input errors, 3 infeasible model,
 4 budget exhausted without a solution, 1 other failures (e.g. a --verify
-run that finds the output leaky).
+run that finds the output leaky, or an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -155,11 +155,21 @@ def validate_report(report: dict) -> list[str]:
     return problems
 
 
+class _UnreadableInput(Exception):
+    """An input file that is missing, unreadable or not UTF-8 text."""
+
+
 def _read_program(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    return parse_program(p.read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise _UnreadableInput(f"no such file: {path}") from None
+    except UnicodeDecodeError as e:
+        raise _UnreadableInput(f"cannot read {path}: not UTF-8 text (byte "
+                               f"{e.object[e.start]:#04x} at offset {e.start})") from None
+    except OSError as e:
+        raise _UnreadableInput(f"cannot read {path}: {e.strerror}") from None
+    return parse_program(text)
 
 
 def _default_secret_pair(prog, width):
@@ -203,7 +213,7 @@ def _load(args):
         prog = _read_program(args.ir)
         target = resolve_target(args.target)
         return (prog, *front_end(prog, target, args.copy_budget))
-    except (ParseError, FileNotFoundError, TargetError, ModelBuildError) as e:
+    except (ParseError, _UnreadableInput, TargetError, ModelBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
         return None
 
@@ -300,7 +310,7 @@ def cmd_analyze(args) -> int:
         prog = _read_program(args.ir)
         elab = elaborate(prog, copy_budget=args.copy_budget)
         env = elab_types(elab)
-    except (ParseError, FileNotFoundError, ModelBuildError) as e:
+    except (ParseError, _UnreadableInput, ModelBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     payload = analysis_dict(elab, env, secsets.compute_sets(elab, env))
@@ -475,6 +485,9 @@ def main(argv=None) -> int:
     except leakage.SimulationError as e:  # e.g. a load from a never-written address
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except OSError as e:  # input files raise their own errors: an output failed
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

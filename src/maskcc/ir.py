@@ -156,6 +156,8 @@ def parse_program(text: str) -> Program:
         if saw_out:
             raise ParseError(lineno, col, "statement after 'out'")
         if toks[0] == "func":
+            if None in where:
+                raise ParseError(lineno, col, "duplicate 'func' line")
             if len(toks) != 4 or toks[2] != "width" or not toks[3].isdecimal():
                 raise ParseError(lineno, col, "expected: func <name> width <bits>")
             if not _NAME_RE.match(toks[1]):

@@ -7,35 +7,39 @@ its operand selections (original temp first), and the definition's location
 (ascending index). Cycles follow from the issue order by compaction, so the
 objective of a leaf is its makespan.
 
-The walk state (issued ops, locations, selections, the last memory op and
-the spairs/mspairs keys still waiting for a hider) lives on the searcher.
-Each issue undoes its own changes, so one state, set up once with the
-inputs in their argument registers, serves every activeness subset. What
-the walk reads of the program is fixed per search and built once: a
-per-op table (memory deps, temp slots and their alts, the definition and
-its locations, two-address, latency, the temps the definition may not
-overwrite, its spairs hiders and how its writes bear on the
-result-register rule) and a temp -> reader-slots index.
-The walk does not recurse: each node is a `_walk` generator that yields
-once per committed issue, and `_search` keeps the generators of the
-current path on an explicit stack, so no program size is limited by the
-Python stack.
+The walk state (issued ops, locations, selections and the last memory op)
+lives on the searcher. It also tells which keys still wait for the hider
+that must follow them, with no set of its own: a value leaves its location
+only when overwritten, and the walk lets only a hider overwrite an spairs
+key, so the keys waiting are the keys among the occupants; likewise only a
+hider may follow an mspairs key on the bus, so a memory key waits exactly
+while it is the last memory op. Each issue undoes its own changes, so one
+state, set up once with the inputs in their argument registers, serves
+every activeness subset. What the walk reads of the program is fixed per
+search and built once: a per-op table (memory deps, temp slots and their
+alts, the definition and its locations, two-address, latency, the temps
+the definition may not overwrite, its spairs hiders and how its writes
+bear on the result-register rule) and a temp -> reader-slots index. The
+walk does not recurse: each node is a `_walk` generator that yields once
+per committed issue, and `_search` keeps the generators of the current
+path on an explicit stack, so no program size is limited by the Python
+stack.
 
 Pruning: a makespan lower bound against the incumbent (the cardinality of
 an activeness subset already bounds its best makespan), plus one forward
 check per resource of the security families (`model.security`, one table
 per family), as the transitions form. `_walk` checks every register
 overwrite: the static rules (rpairs, the secret-input guard, a new key
-over a non-hider) come from the per-op table, and only the pending-key
-rule reads the walk state. `_issue` checks every memory adjacency with
-`_adjacent_ok`. Before an overwrite commits, `_still_satisfiable` checks
-that each pending slot naming the lost temp keeps an alt in place or
-defined by a pending op, judging on the pre-issue state what the issue
-would leave; no other slot can lose one. So an issue that would strand an
-operand is rejected without committing and undoing it. Every returned
-solution is re-validated by `model.check_solution`, which checks the base
-families from the program and target and each security family from the
-same tables.
+over a non-hider) come from the per-op table, and the pending-key rule (a
+key in place overwritten by a non-hider) from the occupant it would
+replace. `_issue` checks every memory adjacency with `_adjacent_ok`.
+Before an overwrite commits, `_still_satisfiable` checks that each pending
+slot naming the lost temp keeps an alt in place or defined by a pending
+op, judging on the pre-issue state what the issue would leave; no other
+slot can lose one. So an issue that would strand an operand is rejected
+without committing and undoing it. Every returned solution is re-validated
+by `model.check_solution`, which checks the base families from the program
+and target and each security family from the same tables.
 
 Pruning also checks the result-register rule (the out op's first
 selection sits in the result register) as each value is placed, not only
@@ -68,7 +72,7 @@ Optimize mode adds two prunes that skip only repeats:
 
 - Transposition table. What the rest of a walk can do depends only on the
   issued ops, each location's occupant (dead values included), the last
-  memory op, the pending spairs/mspairs keys and, relative to
+  memory op (these two also fix the pending keys) and, relative to
   `last_cycle`, the ready cycle of each value not yet readable at the next
   cycle. Each state carries a 64-bit Zobrist key over these, updated in
   `_issue` and restored on undo, and the table maps key -> earliest
@@ -331,12 +335,19 @@ class _Words(NamedTuple):
     place: list[list[int]]  # [location][temp]: the temp occupies the location
     issued: list[int]  # [op]: the op has issued
     last_mem: list[int]  # [op]: the op is the last memory op
-    s_pending: list[int]  # [temp]: an spairs key waits for a hider
-    ms_pending: list[int]  # [op]: an mspairs key waits for a hider
     ready: list[list[int]]  # [cycles after last_cycle][temp]: readable then
 
 
 class _Searcher:
+    """One search over a model: the static tables and the walk state.
+
+    The walk state keeps no pending keys. A value leaves its location only
+    when overwritten, and `_walk` lets only a hider overwrite an spairs
+    key, so a key waits for its hider exactly while it is an occupant. An
+    mspairs key waits exactly while it is `last_mem`, since `_adjacent_ok`
+    lets only a hider follow it on the bus.
+    """
+
     # Fewer than 30 attributes: past that, CPython 3.11 stops sharing the
     # instance-dict keys and every attribute load in the walk gets slower.
     def __init__(self, model: ExtendedModel, budget: SolveBudget,
@@ -382,7 +393,7 @@ class _Searcher:
         max_latency = max(f.latency for f in self.facts[1:])
         self.words = _Words(
             [words(n_temps) for _loc in range(self.nregs + target.stack_slots)],
-            words(n_ops), words(n_ops), words(n_temps), words(n_ops),
+            words(n_ops), words(n_ops),
             [words(n_temps) for _c in range(max_latency + 1)],
         )
         # The prunes of optimize mode (see the module docstring).
@@ -408,8 +419,6 @@ class _Searcher:
         self.assigned: dict[int, int] = {}  # temp -> location (permanent)
         self.sels: dict[tuple[int, int], int] = {}  # (op, slot) -> temp
         self.last_mem: int | None = None  # the memory op last on the bus
-        self.s_pending: set[int] = set()  # spairs keys still waiting for a hider
-        self.ms_pending: set[int] = set()  # mspairs keys still waiting for a hider
         self.key = self.words.issued[prog.in_op.id]  # the Zobrist key of this state
         for t, _cls in prog.inputs:
             loc = prog.temps[t.id].input_index
@@ -521,6 +530,8 @@ class _Searcher:
         op's `never`/`hiders` tables or the pending-key rule, leaves the
         first output no way into the result register (`_result_lost`, asked
         once per op), or strands a pending operand (`_still_satisfiable`).
+        The pending-key rule reads the occupant: a key in place still waits
+        for its hider, as nothing but a hider ever overwrites it.
         The out op still checks that its first selection sits in the result
         register: no write puts the rule at stake when, say, the first
         output is an input outside the result register. Yields once per committed
@@ -535,7 +546,7 @@ class _Searcher:
             return
         loc_of, ready_at, occupant, nregs = self.loc_of, self.ready_at, self.occupant, self.nregs
         symmetric, result_reg = self.symmetric, self.result_reg
-        s_pending, spairs = self.s_pending, self.sec.spairs
+        spairs = self.sec.spairs
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
@@ -582,7 +593,7 @@ class _Searcher:
                     if loc < nregs and (
                         prev in never
                         or (hiders is not None and prev not in hiders)
-                        or (prev in s_pending and d not in spairs[prev])
+                        or (prev in spairs and d not in spairs[prev])
                     ):
                         self.stats.propagations += 1
                     elif lost and (loc == result_reg) != rule.own:
@@ -593,14 +604,15 @@ class _Searcher:
     def _adjacent_ok(self, prev: int | None, o: int) -> bool:
         """May memory op `o` follow `prev` on the bus (None: the first one)?
 
-        Checks mmpairs, that a pending mspairs key `prev` gets `o` as its
-        hider, and that a new key `o` follows one.
+        Checks mmpairs, that a key `prev` gets `o` as its hider, and that a
+        new key `o` follows one. A key waits for its hider exactly while it
+        is the last memory op, since only a hider may follow it here.
         """
         sec = self.sec
         if prev is not None:
             if sec.mmpair(prev, o):
                 return False
-            if prev in self.ms_pending and o not in sec.mspairs[prev]:
+            if prev in sec.mspairs and o not in sec.mspairs[prev]:
                 return False
         hiders = sec.mspairs.get(o)
         return hiders is None or prev in hiders
@@ -609,7 +621,10 @@ class _Searcher:
         """Check the bus adjacency, commit `o` with its key (writing `f.d`,
         if any, to `loc` over `occupant`), yield once for the child walk
         unless the table has the child state, then undo. `_walk` has
-        checked the overwrite and that it strands no pending operand."""
+        checked the overwrite and that it strands no pending operand.
+
+        No pending keys are kept: a key waits while it is an occupant or
+        `last_mem`, and the checks let only a hider replace it."""
         d = f.d
         prev_mem = self.last_mem
         is_memory = f.is_memory
@@ -617,12 +632,9 @@ class _Searcher:
             self.stats.propagations += 1
             return
 
-        # commit, keying each change; the checks passed, so a pending
-        # neighbour is now hidden
+        # commit, keying each change
         w = self.words
         key = self.key
-        s_resolved = occupant in self.s_pending
-        ms_resolved = is_memory and prev_mem in self.ms_pending
         self.issued[o] = cycle
         last_cycle, self.last_cycle = self.last_cycle, cycle
         child = key ^ w.issued[o]
@@ -639,21 +651,9 @@ class _Searcher:
             child ^= place[d]
             if f.latency > 1:
                 self.ready_at[d] = cycle + f.latency
-            if f.hiders is not None:  # keys are register temps: `_walk` checked
-                self.s_pending.add(d)
-                child ^= w.s_pending[d]
-        if s_resolved:
-            self.s_pending.discard(occupant)
-            child ^= w.s_pending[occupant]
         if is_memory:
             if prev_mem is not None:
                 child ^= w.last_mem[prev_mem]
-            if ms_resolved:
-                self.ms_pending.discard(prev_mem)
-                child ^= w.ms_pending[prev_mem]
-            if o in self.sec.mspairs:
-                self.ms_pending.add(o)
-                child ^= w.ms_pending[o]
             self.last_mem = o
             child ^= w.last_mem[o]
         self.key = child
@@ -677,14 +677,8 @@ class _Searcher:
                 self.loc_of[occupant] = loc
             else:
                 del self.occupant[loc]
-            self.s_pending.discard(d)
-        if s_resolved:
-            self.s_pending.add(occupant)
         if is_memory:
             self.last_mem = prev_mem
-            self.ms_pending.discard(o)
-            if ms_resolved:
-                self.ms_pending.add(prev_mem)
 
     def _result_lost(self, o: int, rule: _ResultRule) -> bool:
         """Would a write of op `o` that `rule` puts at stake leave the out
@@ -757,7 +751,11 @@ class _Searcher:
         return True
 
     def _leaf(self) -> None:
-        if self.s_pending or self.ms_pending:
+        """Record a complete walk, unless a key still waits for the hider
+        that must follow it: an spairs key still in place, or an mspairs
+        key last on the bus. Inputs are never keys."""
+        sec = self.sec
+        if self.last_mem in sec.mspairs or any(t in sec.spairs for t in self.occupant.values()):
             self.stats.propagations += 1
             return
         self.stats.leaves += 1

@@ -230,7 +230,13 @@ def resolve_target(name_or_path: str) -> TargetDesc:
         return PRESETS[name_or_path]
     from pathlib import Path
 
-    path = Path(name_or_path)
-    if not path.exists():
-        raise TargetError(f"unknown preset or missing file: {name_or_path}")
-    return load_target(path.read_text())
+    try:
+        text = Path(name_or_path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise TargetError(f"unknown preset or missing file: {name_or_path}") from None
+    except UnicodeDecodeError as e:
+        raise TargetError(f"cannot read {name_or_path}: not UTF-8 text (byte "
+                          f"{e.object[e.start]:#04x} at offset {e.start})") from None
+    except OSError as e:
+        raise TargetError(f"cannot read {name_or_path}: {e.strerror}") from None
+    return load_target(text)

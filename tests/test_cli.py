@@ -168,6 +168,43 @@ def test_missing_target_file_exits_2(write_fixture, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "compile"])
+def test_unreadable_ir_exits_2(cmd, capsys, tmp_path):
+    latin = tmp_path / "latin.ir"
+    latin.write_bytes(b"func f width 4\nin t0:public  # caf\xe9\nout t0\n")
+    rc, out, err = run_cli(capsys, cmd, str(latin))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot read {latin}: not UTF-8 text (byte 0xe9 at offset 34)\n"
+    rc, out, err = run_cli(capsys, cmd, str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_unreadable_target_exits_2(write_fixture, capsys, tmp_path):
+    latin = tmp_path / "latin.target"
+    latin.write_bytes(b"name = caf\xe9\n")
+    for target, why in ((latin, "not UTF-8 text (byte 0xe9 at offset 10)"),
+                        (tmp_path, "Is a directory")):
+        rc, out, err = run_cli(capsys, "compile", write_fixture("xor_p0"),
+                               "--target", str(target))
+        assert (rc, out) == (2, "")
+        assert err == f"error: cannot read {target}: {why}\n"
+
+
+def test_unwritable_outputs_exit_1(write_fixture, capsys, tmp_path):
+    """An output that cannot be written ends the run with one error line."""
+    src = write_fixture("xor_p0")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc, out, err = run_cli(capsys, "compile", src, "--out-dir", str(taken))
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write {taken}: File exists\n"
+    rc, out, err = run_cli(capsys, "compile", src, "--out-dir", str(tmp_path),
+                           "--dump-model", str(tmp_path))
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 def test_infeasible_exits_3_naming_family(write_fixture, capsys, tmp_path):
     rc, out, err = run_cli(
         capsys,

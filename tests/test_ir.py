@@ -82,6 +82,17 @@ def test_syntax_error_carries_position():
     assert e.value.line == 3
 
 
+@pytest.mark.parametrize("src, line", [
+    ("func a width 4\nin t0:public\nfunc b width 8\nt1 = not t0\nout t1\n", 3),
+    ("func a width 4\n  func a width 4\nin t0:public\nout t0\n", 2),
+])
+def test_second_func_line_rejected(src, line):
+    """A second 'func' line is a syntax error, not a new name and width."""
+    with pytest.raises(ParseError) as e:
+        parse_program(src)
+    assert (e.value.line, e.value.message) == (line, "duplicate 'func' line")
+
+
 def test_non_numeric_width_rejected():
     with pytest.raises(ParseError) as e:
         parse_program("func f width x\nin t0:public\nout t0\n")

@@ -12,7 +12,7 @@ from conftest import (EQUIV_CASES, FIXTURE_SOURCES, MINI, ORACLE_CASES, QUAD, TA
                       build_models, narrow)
 from maskcc.cli import front_end
 from maskcc.ir import parse_program
-from maskcc.model import ModelBuildError, build_base_model, check_solution
+from maskcc.model import ModelBuildError, build_base_model, check_solution, make_solution
 from maskcc.oracle import brute_force
 from maskcc.solver import SolveBudget, _Budget, _Searcher, enumerate_solutions, solve
 from maskcc.target import PRESETS
@@ -350,7 +350,7 @@ def test_solver_stats_populated():
 
 
 WALK_FIELDS = ("issued", "last_cycle", "ready_at", "loc_of", "occupant", "assigned",
-               "sels", "last_mem", "s_pending", "ms_pending", "key")
+               "sels", "last_mem", "key")
 
 
 class _CheckedSearcher(_Searcher):
@@ -583,6 +583,54 @@ def test_result_register_cut_matches_full_scan(enumerate_all):
     assert checks > rejected > 0 and prunes > 0
 
 
+class _LeafCheckSearcher(_Searcher):
+    """Checks each leaf verdict against `check_solution`.
+
+    The walk keeps no pending keys: `_leaf` rejects a complete walk that
+    leaves an spairs key in place or an mspairs key last on the bus. That
+    must be exactly the complete walks whose solution breaks some rule.
+    """
+
+    checked = 0
+    rejected = 0
+
+    def _leaf(self):
+        sol = make_solution(self.model, self.active, self.issued, self.assigned, self.sels)
+        errs = check_solution(self.model, sol)
+        leaves = self.stats.leaves
+        super()._leaf()
+        accepted = self.stats.leaves > leaves
+        assert accepted == (not errs), (errs, sorted(self.issued))
+        self.checked += 1
+        self.rejected += not accepted
+
+
+def _leaf_check_models():
+    """The secure `ORACLE_CASES`, xor_p0 spilled on mini (complete walks that
+    end on an mspairs key) and small ladder kernels (thumb-like, full)."""
+    for name, target, copies in ORACLE_CASES + [("xor_p0", "mini", "full")]:
+        yield build_models(name, target, copies)[1]
+    for seed in range(4):
+        for n_ops in (3, 5, 7, 9):
+            yield front_end(parse_program(workloads.ladder_kernel(seed, n_ops)),
+                            PRESETS["thumb-like"], "full")[2]
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_leaf_verdict_matches_check_solution(enumerate_all):
+    checked = rejected = 0
+    for model in _leaf_check_models():
+        s = _LeafCheckSearcher(model, SolveBudget(seconds=None, nodes=3000),
+                               enumerate_all=enumerate_all)
+        try:
+            s.run()
+        except _Budget:
+            pass
+        checked += s.checked
+        rejected += s.rejected
+    assert checked > rejected > 0
+
+
 def _unpruned_best(model, budget):
     """The incumbent of the search without the transposition table and the
     fresh-location symmetry, and whether that search finished."""
@@ -642,10 +690,6 @@ def _recomputed_key(s):
         key ^= w.issued[o]
     if s.last_mem is not None:
         key ^= w.last_mem[s.last_mem]
-    for t in s.s_pending:
-        key ^= w.s_pending[t]
-    for o in s.ms_pending:
-        key ^= w.ms_pending[o]
     return key
 
 

@@ -20,9 +20,10 @@ none/reg on mips-like with 10 argument registers. The Monte Carlo draws run in
 `compile --verify` of `spill_force` at width 8 (the benchmark's Monte Carlo
 case), both on mips-like under the reg budget. A malformed-IR corpus, one
 minimal program per rule of `ir.validate` and per syntax error of
-`ir.parse_program`, runs under `compile`, so the exact wording and position
-of every parse message can be diffed too. Node budgets stand in for time
-budgets so every run is deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
+`ir.parse_program`, plus a file that is not UTF-8 text, runs under
+`compile`, so the exact wording and position of every parse message can be
+diffed too. Node budgets stand in for time budgets so every run is
+deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
 show that a refactor keeps reports, `.s` files, model dumps, messages and
 exit codes byte for byte.
 """
@@ -77,7 +78,9 @@ def compile_into(name: str, path: Path, *flags: str) -> None:
 
 def record(name: str, argv: list[str]) -> None:
     rc, out, err = run(argv)
-    (outdir / f"{name}.txt").write_text(f"{rc}\n{out}\n{err}")
+    # a message may name an input file: keep the records free of <outdir>
+    text = f"{rc}\n{out}\n{err}".replace(str(outdir), "<outdir>")
+    (outdir / f"{name}.txt").write_text(text)
 
 
 outdir.mkdir(parents=True, exist_ok=True)
@@ -263,6 +266,7 @@ MALFORMED = {
     "func_width_word": "func bad width x\nin t0:public\nout t0\n",
     "func_name": "func 9bad width 4\nin t0:public\nout t0\n",
     "in_before_func": "in t0:public\nfunc bad width 4\nout t0\n",
+    "duplicate_func": "func bad width 4\nin t0:public\nfunc worse width 8\nout t0\n",
     "duplicate_in": HEAD + "in t2:public\nout t0\n",
     "input_token": "func bad width 4\nin t0\nout t0\n",
     "input_temp": "func bad width 4\nin x0:public\nout t0\n",
@@ -279,6 +283,10 @@ for name, text in MALFORMED.items():
     path = irdir / f"malformed_{name}.ir"
     path.write_text(text)
     record(f"malformed_{name}", ["compile", str(path), "--out-dir", str(outdir / "malformed")])
+# an input that is not UTF-8 text
+path = irdir / "malformed_not_utf8.ir"
+path.write_bytes(b"func bad width 4\nin t0:public  # caf\xe9\nout t0\n")
+record("malformed_not_utf8", ["compile", str(path), "--out-dir", str(outdir / "malformed")])
 
 files = [p for p in outdir.rglob("*") if p.is_file() and p.parent != irdir]
 print(f"{len(files)} output files in {outdir}")
