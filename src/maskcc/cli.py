@@ -11,8 +11,10 @@ run that finds the output leaky, or an output file that cannot be written).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -246,6 +248,7 @@ def cmd_compile(args) -> int:
         return EXIT_INPUT
     prog, base, sets, secure = loaded
     model = secure if args.secure else base
+    out_dir = _writable_dir(Path(args.out_dir))
     if args.dump_model:
         Path(args.dump_model).write_text(json.dumps(dump_model(model), indent=2))
     outcome = solver.solve(model, budget)
@@ -282,12 +285,19 @@ def cmd_compile(args) -> int:
         if not verdict.equivalent:
             print("verification failed: output is leaky", file=sys.stderr)
             rc = EXIT_FAIL
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{prog.name}.s").write_text("\n".join(report["asm"]) + "\n")
     (out_dir / f"{prog.name}.report.json").write_text(json.dumps(report, indent=2))
     _emit(args, report)
     return rc
+
+
+def _writable_dir(path: Path) -> Path:
+    """Create `path` if need be, before any solve spends its budget; raise
+    OSError when it cannot hold the outputs."""
+    path.mkdir(parents=True, exist_ok=True)
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+    return path
 
 
 def _verify(prog, harness, args):

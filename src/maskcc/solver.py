@@ -7,8 +7,9 @@ its operand selections (original temp first), and the definition's location
 (ascending index). Cycles follow from the issue order by compaction, so the
 objective of a leaf is its makespan.
 
-The walk state (issued ops, locations, selections and the last memory op)
-lives on the searcher. It also tells which keys still wait for the hider
+The walk state (issued ops, locations, selections, the last memory op and,
+for optimize mode's prunes, the pending readers of each plain temp) lives
+on the searcher. It also tells which keys still wait for the hider
 that must follow them, with no set of its own: a value leaves its location
 only when overwritten, and the walk lets only a hider overwrite an spairs
 key, so the keys waiting are the keys among the occupants; likewise only a
@@ -68,31 +69,47 @@ definition may overwrite no alt of any temp operand. They only reject
 models with no solution, so they change no search order and no solution;
 such a model stops after 0 nodes instead of exhausting or timing out.
 
-Optimize mode adds two prunes that skip only repeats:
+Optimize mode adds two prunes that skip only repeats. Both treat a dead
+plain temp as an empty location. A temp is plain when no security rule
+names it: it is no spairs key, in no hider set and in no op's `never` set.
+It is dead once no pending active op has an operand slot naming it. Every
+check of the walk sees such an occupant exactly as it sees an empty
+location: the `never`, new-key and pending-key tests (a new key needs a
+hider under it, and neither a plain temp nor `None` is one), the
+clobber check (no pending slot names it), the result-register rule (the
+out op's slots name every output, so no output is dead before the leaf)
+and the leaf's key test. Plainness is fixed per search, and a temp that
+died stays dead below, so the walk keeps a count of pending reader slots
+per plain temp (`unread`), updated as each op issues.
 
 - Transposition table. What the rest of a walk can do depends only on the
-  issued ops, each location's occupant (dead values included), the last
-  memory op (these two also fix the pending keys) and, relative to
-  `last_cycle`, the ready cycle of each value not yet readable at the next
-  cycle. Each state carries a 64-bit Zobrist key over these, updated in
-  `_issue` and restored on undo, and the table maps key -> earliest
-  `last_cycle` seen in the current activeness subset (it is cleared per
-  subset). A child state already reached at the same or an earlier cycle
-  is dropped before its walk starts: every leaf under it repeats, one
-  cycle or more later, a leaf already walked. Two distinct states may
-  share a key; at 64 bits against at most millions of states per subset
-  the chance is negligible.
-- Fresh-location symmetry. When every non-input temp may take every
-  register, or every slot, the locations never written so far, other
-  than the result register, are interchangeable, so a definition tries
-  only the lowest never-written one of its class. Renaming maps every
-  skipped branch onto a tried one that comes earlier in search order.
+  issued ops, each location's occupant (a dead plain temp counting as
+  none), the last memory op (these two also fix the pending keys) and,
+  relative to `last_cycle`, the ready cycle of each value not yet
+  readable at the next cycle. Each state carries a 64-bit Zobrist key over
+  these, updated in `_issue` and restored on undo, and the table maps key
+  -> earliest `last_cycle` seen in the current activeness subset (it is
+  cleared per subset). A child state already reached at the same or an
+  earlier cycle is dropped before its walk starts: the two states have
+  the same future, so every leaf under it repeats, one cycle or more
+  later, a leaf already walked. Two distinct states may share a key; at
+  64 bits against at most millions of states per subset the chance is
+  negligible.
+- Location symmetry. When every non-input temp may take every register,
+  or every slot, the locations that are empty or hold a dead plain temp,
+  other than the result register, are interchangeable, so a definition
+  tries only the lowest of them in its class. Swapping two such locations
+  in the rest of the walk maps every skipped branch onto the tried one,
+  which comes earlier in search order: after the swap the state differs
+  from the tried branch's only in which dead plain temp, if any, sits in
+  each of the two locations, and no check tells those apart.
 
 Either prune removes only leaves that repeat, at no better makespan, a
 leaf found earlier in search order, and the incumbent only improves; so
 the first optimal leaf in search order is still reached, and optima and
 returned solutions are those of the unpruned search. Enumerate mode uses
-neither prune: its solution sets stay complete, renamings included.
+neither prune and counts no temp as plain: its solution sets stay
+complete, renamings included.
 
 A solve call is single-threaded and self-contained; models are never
 mutated, so independent solves may run concurrently on shared models.
@@ -139,7 +156,7 @@ class SolveStats:
     propagations: int = 0
     leaves: int = 0
     table_prunes: int = 0  # child states dropped by the transposition table
-    symmetry_skips: int = 0  # never-written locations skipped as renamings
+    symmetry_skips: int = 0  # empty or plain-dead locations skipped as renamings
     result_prunes: int = 0  # writes after which the first output cannot reach the result register
     wall_time: float = 0.0  # last: the report lists the fields in this order
 
@@ -332,7 +349,8 @@ _ZOBRIST_SEED = 0x5EC0DE
 class _Words(NamedTuple):
     """Random 64-bit words whose XOR is the Zobrist key of a walk state."""
 
-    place: list[list[int]]  # [location][temp]: the temp occupies the location
+    # [location][temp]: the temp occupies the location, and is no dead plain temp
+    place: list[list[int]]
     issued: list[int]  # [op]: the op has issued
     last_mem: list[int]  # [op]: the op is the last memory op
     ready: list[list[int]]  # [cycles after last_cycle][temp]: readable then
@@ -404,6 +422,10 @@ class _Searcher:
         self.symmetric = not enumerate_all and all(
             dom in classes for t, dom in model.r_dom.items() if t not in inputs
         )
+        # `reads[o]`: the plain temps op o's slots name, once per slot alt
+        plain = frozenset() if enumerate_all else self._plain_temps()
+        self.reads = [()] + [tuple(t for alts in f.alts for t in alts if t in plain)
+                             for f in self.facts[1:]]
 
         # The walk state. Every `_issue` undoes its own changes, so each walk
         # leaves it as set up here and one state serves every subset.
@@ -419,13 +441,38 @@ class _Searcher:
         self.assigned: dict[int, int] = {}  # temp -> location (permanent)
         self.sels: dict[tuple[int, int], int] = {}  # (op, slot) -> temp
         self.last_mem: int | None = None  # the memory op last on the bus
+        # temp -> its pending reader slots if plain, else 1, so that 0 means
+        # a dead plain temp. It counts the mandatory ops; `run` adds each
+        # subset's optional ones for the subset's walk.
+        self.unread = [0 if t in plain else 1 for t in range(n_temps)]
         self.key = self.words.issued[prog.in_op.id]  # the Zobrist key of this state
         for t, _cls in prog.inputs:
             loc = prog.temps[t.id].input_index
             self.loc_of[t.id] = loc
             self.occupant[loc] = t.id
             self.assigned[t.id] = loc
-            self.key ^= self.words.place[loc][t.id]
+            if self.unread[t.id]:
+                self.key ^= self.words.place[loc][t.id]
+        self._count_readers([op.id for op in prog.ops if op.mandatory], 1)
+
+    def _plain_temps(self) -> frozenset[int]:
+        """The temps no security rule names: no spairs key, no hider and in
+        no op's `never` set. The walk sees such a temp, once dead, as it
+        sees an empty location (see the module docstring)."""
+        spairs = self.sec.spairs
+        named = set(spairs).union(*spairs.values(), *(f.never for f in self.facts[1:]))
+        return frozenset(t for t in range(len(self.model.program.temps)) if t not in named)
+
+    def _count_readers(self, ops, step: int) -> None:
+        """Add `step` to `unread` for each plain temp the slots of `ops`
+        name, keying each such temp in place as it turns dead or live."""
+        unread, loc_of, place = self.unread, self.loc_of, self.words.place
+        for o in ops:
+            for t in self.reads[o]:
+                was = unread[t]
+                unread[t] = was + step
+                if t in loc_of and (not was) != (not unread[t]):
+                    self.key ^= place[loc_of[t]][t]
 
     @property
     def best(self) -> Solution | None:
@@ -475,7 +522,9 @@ class _Searcher:
                 self.order = sorted(self.active)
                 if self.table is not None:  # its states hold for this subset only
                     self.table.clear()
+                self._count_readers(combo, 1)
                 self._search()
+                self._count_readers(combo, -1)
 
     # -- machine walk ---------------------------------------------------------
 
@@ -545,8 +594,8 @@ class _Searcher:
             self.stats.propagations += 1
             return
         loc_of, ready_at, occupant, nregs = self.loc_of, self.ready_at, self.occupant, self.nregs
-        symmetric, result_reg = self.symmetric, self.result_reg
-        spairs = self.sec.spairs
+        symmetric, result_reg, unread = self.symmetric, self.result_reg, self.unread
+        spairs, stats = self.sec.spairs, self.stats
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
@@ -561,7 +610,7 @@ class _Searcher:
             for combo in itertools.product(*pools):
                 # the first output must sit in the result register
                 if f.is_out and combo and loc_of[combo[0]] != result_reg:
-                    self.stats.propagations += 1
+                    stats.propagations += 1
                     continue
                 cycle = self.last_cycle + 1
                 for t in combo:
@@ -569,7 +618,7 @@ class _Searcher:
                         cycle = ready_at[t]
                 # the ops left after this one each take a later distinct cycle
                 if cycle + remaining - 1 >= self.bound:
-                    self.stats.propagations += 1
+                    stats.propagations += 1
                     continue
                 chosen = list(zip(idxs, combo))
                 if d is None:
@@ -581,24 +630,24 @@ class _Searcher:
                     locs = [loc for loc in sorted({loc_of[t] for t in combo}) if loc in f.locs]
                 else:
                     locs = f.locs
-                fresh_tried = False
+                free_tried = False
                 for loc in locs:
-                    if symmetric and loc not in occupant and loc != result_reg:
-                        # never written: the lowest stands for its whole class
-                        if fresh_tried:
-                            self.stats.symmetry_skips += 1
-                            continue
-                        fresh_tried = True
                     prev = occupant.get(loc)
+                    if symmetric and loc != result_reg and (prev is None or not unread[prev]):
+                        # empty or a dead plain temp: the lowest stands for its class
+                        if free_tried:
+                            stats.symmetry_skips += 1
+                            continue
+                        free_tried = True
                     if loc < nregs and (
                         prev in never
                         or (hiders is not None and prev not in hiders)
                         or (prev in spairs and d not in spairs[prev])
                     ):
-                        self.stats.propagations += 1
+                        stats.propagations += 1
                     elif lost and (loc == result_reg) != rule.own:
-                        self.stats.result_prunes += 1
-                    elif prev is None or self._still_satisfiable(prev, o):
+                        stats.result_prunes += 1
+                    elif prev is None or not unread[prev] or self._still_satisfiable(prev, o):
                         yield from self._issue(o, f, chosen, cycle, loc, prev)
 
     def _adjacent_ok(self, prev: int | None, o: int) -> bool:
@@ -624,7 +673,10 @@ class _Searcher:
         checked the overwrite and that it strands no pending operand.
 
         No pending keys are kept: a key waits while it is an occupant or
-        `last_mem`, and the checks let only a hider replace it."""
+        `last_mem`, and the checks let only a hider replace it. Each plain
+        temp a slot of `o` names loses a pending reader; one left in place
+        with none leaves the key, as does a dead plain `occupant`, and a
+        plain `f.d` with no pending reader never enters it."""
         d = f.d
         prev_mem = self.last_mem
         is_memory = f.is_memory
@@ -633,7 +685,7 @@ class _Searcher:
             return
 
         # commit, keying each change
-        w = self.words
+        w, loc_of, unread = self.words, self.loc_of, self.unread
         key = self.key
         self.issued[o] = cycle
         last_cycle, self.last_cycle = self.last_cycle, cycle
@@ -643,14 +695,21 @@ class _Searcher:
         if d is not None:
             place = w.place[loc]
             if occupant is not None:
-                del self.loc_of[occupant]
-                child ^= place[occupant]
+                del loc_of[occupant]
+                if unread[occupant]:
+                    child ^= place[occupant]
             self.occupant[loc] = d
-            self.loc_of[d] = loc
+            loc_of[d] = loc
             self.assigned[d] = loc
-            child ^= place[d]
+            if unread[d]:
+                child ^= place[d]
             if f.latency > 1:
                 self.ready_at[d] = cycle + f.latency
+        reads = self.reads[o]
+        for t in reads:
+            unread[t] -= 1
+            if not unread[t] and t in loc_of:
+                child ^= w.place[loc_of[t]][t]
         if is_memory:
             if prev_mem is not None:
                 child ^= w.last_mem[prev_mem]
@@ -667,14 +726,16 @@ class _Searcher:
         self.last_cycle = last_cycle
         for idx, _t in chosen:
             del self.sels[(o, idx)]
+        for t in reads:
+            unread[t] += 1
         if d is not None:
-            del self.loc_of[d]
+            del loc_of[d]
             del self.assigned[d]
             if f.latency > 1:
                 del self.ready_at[d]
             if occupant is not None:
                 self.occupant[loc] = occupant
-                self.loc_of[occupant] = loc
+                loc_of[occupant] = loc
             else:
                 del self.occupant[loc]
         if is_memory:

@@ -1,10 +1,12 @@
 """Command-line contract: exit codes, outputs, report schema."""
 
 import json
+import os
 
 import pytest
 
 from conftest import FIXTURE_SOURCES
+from maskcc import solver
 from maskcc.cli import main, validate_report
 
 
@@ -203,6 +205,28 @@ def test_unwritable_outputs_exit_1(write_fixture, capsys, tmp_path):
                            "--dump-model", str(tmp_path))
     assert (rc, out) == (1, "")
     assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_unwritable_out_dir_fails_before_the_solve(write_fixture, capsys, tmp_path,
+                                                   monkeypatch):
+    """`compile` checks `--out-dir` before the search spends its budget:
+    no solve runs, and a compile that finds no solution still creates it."""
+    solves = []
+    monkeypatch.setattr(solver, "solve", lambda *a: solves.append(a))
+    src = write_fixture("xor_p0")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out_dir, why in ((taken, "File exists"), (taken / "sub", "Not a directory")):
+        rc, out, err = run_cli(capsys, "compile", src, "--out-dir", str(out_dir))
+        assert (rc, out, err) == (1, "", f"error: cannot write {out_dir}: {why}\n")
+    monkeypatch.setattr(os, "access", lambda *a: False)  # a read-only directory
+    rc, out, err = run_cli(capsys, "compile", src, "--out-dir", str(tmp_path))
+    assert (rc, out, err) == (1, "", f"error: cannot write {tmp_path}: Permission denied\n")
+    assert solves == []
+    monkeypatch.undo()
+    fresh = tmp_path / "fresh" / "dir"
+    rc, _, _ = run_cli(capsys, "compile", write_fixture("nohide"), "--out-dir", str(fresh))
+    assert rc == 3 and fresh.is_dir() and not any(fresh.iterdir())
 
 
 def test_infeasible_exits_3_naming_family(write_fixture, capsys, tmp_path):

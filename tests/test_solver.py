@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (EQUIV_CASES, FIXTURE_SOURCES, MINI, ORACLE_CASES, QUAD, TARGETS,
                       build_models, narrow)
+from maskcc import solver
 from maskcc.cli import front_end
 from maskcc.ir import parse_program
 from maskcc.model import ModelBuildError, build_base_model, check_solution, make_solution
@@ -350,7 +351,7 @@ def test_solver_stats_populated():
 
 
 WALK_FIELDS = ("issued", "last_cycle", "ready_at", "loc_of", "occupant", "assigned",
-               "sels", "last_mem", "key")
+               "sels", "last_mem", "key", "unread")
 
 
 class _CheckedSearcher(_Searcher):
@@ -395,24 +396,35 @@ def test_walk_state_restored_after_search(enumerate_all):
 LADDER_COUNTS = {
     (0, 3): ("Infeasible", None, 0, 0, 0),
     (0, 5): ("Infeasible", None, 0, 0, 0),
-    (0, 7): ("Optimal", 10, 2545, 1968, 1),
-    (0, 9): ("Optimal", 12, 2495, 4861, 1),
+    (0, 7): ("Optimal", 10, 1659, 1616, 1),
+    (0, 9): ("Optimal", 12, 2488, 4814, 1),
     (0, 12): ("Infeasible", None, 0, 0, 0),
     (1, 3): ("Optimal", 5, 37, 48, 1),
     (1, 5): ("Infeasible", None, 0, 0, 0),
-    (1, 7): ("Optimal", 10, 14909, 19248, 1),
+    (1, 7): ("Optimal", 10, 7614, 10168, 1),
     (1, 9): ("Infeasible", None, 0, 0, 0),
     (1, 12): ("Infeasible", None, 0, 0, 0),
     (2, 3): ("Optimal", 4, 6, 4, 1),
     (2, 5): ("Infeasible", None, 0, 0, 0),
     (2, 7): ("Infeasible", None, 0, 0, 0),
-    (2, 9): ("Optimal", 12, 6021, 10683, 1),
+    (2, 9): ("Optimal", 12, 3971, 7294, 1),
     (2, 12): ("Infeasible", None, 0, 0, 0),
     (3, 3): ("Infeasible", None, 0, 0, 0),
     (3, 5): ("Infeasible", None, 0, 0, 0),
     (3, 7): ("Infeasible", None, 0, 0, 0),
     (3, 9): ("Infeasible", None, 0, 0, 0),
     (3, 12): ("Infeasible", None, 0, 0, 0),
+}
+
+# The same rows for the search that keeps every dead value apart from an
+# empty location (`_NoPlainSearcher`); only the node and propagation
+# counts of four kernels differ.
+NO_PLAIN_LADDER_COUNTS = {
+    **LADDER_COUNTS,
+    (0, 7): ("Optimal", 10, 2545, 1968, 1),
+    (0, 9): ("Optimal", 12, 2495, 4861, 1),
+    (1, 7): ("Optimal", 10, 14909, 19248, 1),
+    (2, 9): ("Optimal", 12, 6021, 10683, 1),
 }
 
 # (fixture, target, copy budget, secure?, makespan cap) ->
@@ -435,7 +447,15 @@ ENUMERATE_COUNTS = {
 }
 
 
-def test_ladder_search_counts_pinned():
+class _NoPlainSearcher(_Searcher):
+    """The search that counts no temp as plain: a dead value stays apart
+    from an empty location in the symmetry prune and in the table key."""
+
+    def _plain_temps(self):
+        return frozenset()
+
+
+def _ladder_counts():
     got = {}
     for seed, n_ops in LADDER_COUNTS:
         prog = parse_program(workloads.ladder_kernel(seed, n_ops))
@@ -444,7 +464,45 @@ def test_ladder_search_counts_pinned():
         st = out.stats
         got[seed, n_ops] = (out.status, out.solution and out.solution.objective,
                             st.nodes, st.propagations, st.leaves)
-    assert got == LADDER_COUNTS
+    return got
+
+
+def test_ladder_search_counts_pinned():
+    assert _ladder_counts() == LADDER_COUNTS
+
+
+def test_no_plain_search_counts_pinned(monkeypatch):
+    """Without plain temps the search is the one before they were folded
+    in, node for node."""
+    monkeypatch.setattr(solver, "_Searcher", _NoPlainSearcher)
+    assert _ladder_counts() == NO_PLAIN_LADDER_COUNTS
+
+
+def _plain_fold_models():
+    """The `LADDER_COUNTS` kernels, the `ORACLE_CASES` (base and secure) and
+    the 3-share ISW AND on mips-like with 10 argument registers."""
+    for seed, n_ops in LADDER_COUNTS:
+        yield front_end(parse_program(workloads.ladder_kernel(seed, n_ops)),
+                        PRESETS["thumb-like"], "full")[2], workloads.LADDER_NODES
+    for name, target, copies in ORACLE_CASES:
+        base, secure, _ = build_models(name, target, copies)
+        yield from ((base, 200_000), (secure, 200_000))
+    for copies in ("none", "reg"):
+        base, _, secure = front_end(parse_program(ISW3), _with_args("mips-like", 10), copies)
+        yield from ((base, 200_000), (secure, 200_000))
+
+
+def test_plain_dead_folding_keeps_every_result(monkeypatch):
+    """Folding dead plain temps into empty locations skips only renamings
+    and repeats, so `solve` returns what the search without it returns."""
+    models = list(_plain_fold_models())
+    got = [solve(m, SolveBudget(seconds=None, nodes=n)) for m, n in models]
+    monkeypatch.setattr(solver, "_Searcher", _NoPlainSearcher)
+    want = [solve(m, SolveBudget(seconds=None, nodes=n)) for m, n in models]
+    for g, w in zip(got, want):
+        assert (g.status, g.solution) == (w.status, w.solution)
+        assert g.stats.nodes <= w.stats.nodes
+    assert sum(g.stats.nodes for g in got) < sum(w.stats.nodes for w in want)
 
 
 def test_enumerate_search_counts_pinned():
@@ -633,7 +691,7 @@ def test_leaf_verdict_matches_check_solution(enumerate_all):
 
 def _unpruned_best(model, budget):
     """The incumbent of the search without the transposition table and the
-    fresh-location symmetry, and whether that search finished."""
+    location symmetry, and whether that search finished."""
     s = _Searcher(model, budget)
     s.table, s.symmetric = None, False
     try:
@@ -680,12 +738,25 @@ def test_narrowed_domain_turns_symmetry_off():
     assert not enum.symmetric and enum.table is None
 
 
+def _pending_readers(s):
+    """temp -> the slot alts of pending active ops that name it."""
+    counts = {}
+    for o in s.active - s.issued.keys():
+        for alts in s.facts[o].alts:
+            for t in alts:
+                counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
 def _recomputed_key(s):
-    """The Zobrist key of the searcher's state, built from scratch."""
+    """The Zobrist key of the searcher's state, built from scratch. A plain
+    temp with no pending reader counts as an empty location."""
     w = s.words
+    plain, pending = s._plain_temps(), _pending_readers(s)
     key = 0
     for loc, t in s.occupant.items():
-        key ^= w.place[loc][t]
+        if t not in plain or t in pending:
+            key ^= w.place[loc][t]
     for o in s.issued:
         key ^= w.issued[o]
     if s.last_mem is not None:
@@ -701,6 +772,9 @@ def _probed_keys(model):
     class Logged(_Searcher):
         def _unseen(self):
             assert self.key == _recomputed_key(self)
+            plain, pending = self._plain_temps(), _pending_readers(self)
+            assert self.unread == [pending.get(t, 0) if t in plain else 1
+                                   for t in range(len(self.unread))]
             keys.append(self.key)
             return super()._unseen()
 
