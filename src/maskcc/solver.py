@@ -69,36 +69,40 @@ definition may overwrite no alt of any temp operand. They only reject
 models with no solution, so they change no search order and no solution;
 such a model stops after 0 nodes instead of exhausting or timing out.
 
-Optimize mode adds two prunes that skip only repeats. Both treat a dead
-plain temp as an empty location. A temp is plain when no security rule
-names it: it is no spairs key, in no hider set and in no op's `never` set.
-It is dead once no pending active op has an operand slot naming it. Every
-check of the walk sees such an occupant exactly as it sees an empty
-location: the `never`, new-key and pending-key tests (a new key needs a
-hider under it, and neither a plain temp nor `None` is one), the
-clobber check (no pending slot names it), the result-register rule (the
-out op's slots name every output, so no output is dead before the leaf)
-and the leaf's key test. Plainness is fixed per search, and a temp that
-died stays dead below, so the walk keeps a count of pending reader slots
-per plain temp (`unread`), updated as each op issues.
+The walk reads each location through `held`: `held[loc]` is the occupant
+of `loc` as the rules see it, or None when `loc` is empty or holds a dead
+plain temp. A temp is plain when no security rule names it: it is no
+spairs key, in no hider set and in no op's `never` set. It is dead once no
+pending active op has an operand slot naming it. Every check of the walk
+sees such an occupant exactly as it sees an empty location: the `never`,
+new-key and pending-key tests (a new key needs a hider under it, and
+neither a plain temp nor `None` is one), the clobber check (no pending
+slot names it), the result-register rule (the out op's slots name every
+output, so no output is dead before the leaf) and the leaf's key test.
+So every check in `_walk` reads `held`; only `_issue`, which must restore
+what it overwrites, reads the true `occupant`. Plainness is fixed per
+search, and a temp that died stays dead below, so the walk keeps a count
+of pending reader slots per plain temp (`unread`), updated as each op
+issues, and clears a temp's `held` entry when the count reaches 0.
+
+Optimize mode adds two prunes that skip only repeats, and both read `held`.
 
 - Transposition table. What the rest of a walk can do depends only on the
-  issued ops, each location's occupant (a dead plain temp counting as
-  none), the last memory op (these two also fix the pending keys) and,
-  relative to `last_cycle`, the ready cycle of each value not yet
-  readable at the next cycle. Each state carries a 64-bit Zobrist key over
-  these, updated in `_issue` and restored on undo, and the table maps key
-  -> earliest `last_cycle` seen in the current activeness subset (it is
-  cleared per subset). A child state already reached at the same or an
-  earlier cycle is dropped before its walk starts: the two states have
-  the same future, so every leaf under it repeats, one cycle or more
-  later, a leaf already walked. Two distinct states may share a key; at
-  64 bits against at most millions of states per subset the chance is
-  negligible.
+  issued ops, `held`, the last memory op (these two also fix the pending
+  keys) and, relative to `last_cycle`, the ready cycle of each value not
+  yet readable at the next cycle. The table maps that state, as the exact
+  tuple (issued ops as a bit set, `held`, `last_mem`, ready offsets), to
+  the earliest `last_cycle` it was reached at in the current activeness
+  subset (it is cleared per subset). A child state already reached at the
+  same or an earlier cycle is dropped before its walk starts: the two
+  states have the same future, so every leaf under it repeats, one cycle
+  or more later, a leaf already walked. A probe copies `held`, one entry
+  per location: 24 on `mips-like`, the largest preset, but as many as the
+  stack slots a target file declares (up to `target.MAX_STACK_SLOTS`).
 - Location symmetry. When every non-input temp may take every register,
-  or every slot, the locations that are empty or hold a dead plain temp,
-  other than the result register, are interchangeable, so a definition
-  tries only the lowest of them in its class. Swapping two such locations
+  or every slot, the locations whose `held` entry is None, other than the
+  result register, are interchangeable, so a definition tries only the
+  lowest of them in its class. Swapping two such locations
   in the rest of the walk maps every skipped branch onto the tried one,
   which comes earlier in search order: after the swap the state differs
   from the tried branch's only in which dead plain temp, if any, sits in
@@ -119,7 +123,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -342,20 +345,6 @@ def _op_facts(model: ExtendedModel) -> list[_OpFacts | None]:
     return facts
 
 
-# Any fixed value: Zobrist keys, and so the search, are the same in every run.
-_ZOBRIST_SEED = 0x5EC0DE
-
-
-class _Words(NamedTuple):
-    """Random 64-bit words whose XOR is the Zobrist key of a walk state."""
-
-    # [location][temp]: the temp occupies the location, and is no dead plain temp
-    place: list[list[int]]
-    issued: list[int]  # [op]: the op has issued
-    last_mem: list[int]  # [op]: the op is the last memory op
-    ready: list[list[int]]  # [cycles after last_cycle][temp]: readable then
-
-
 class _Searcher:
     """One search over a model: the static tables and the walk state.
 
@@ -402,20 +391,8 @@ class _Searcher:
                 for t in alts:
                     self.readers[t].append(entry)
 
-        rng = random.Random(_ZOBRIST_SEED)
-
-        def words(n: int) -> list[int]:
-            return [rng.getrandbits(64) for _ in range(n)]
-
-        n_temps, n_ops = len(prog.temps), len(self.facts)
-        max_latency = max(f.latency for f in self.facts[1:])
-        self.words = _Words(
-            [words(n_temps) for _loc in range(self.nregs + target.stack_slots)],
-            words(n_ops), words(n_ops),
-            [words(n_temps) for _c in range(max_latency + 1)],
-        )
         # The prunes of optimize mode (see the module docstring).
-        self.table: dict[int, int] | None = None if enumerate_all else {}
+        self.table: dict[tuple, int] | None = None if enumerate_all else {}
         inputs = {t.id for t, _cls in prog.inputs}
         classes = (tuple(range(self.nregs)),
                    tuple(range(self.nregs, self.nregs + target.stack_slots)))
@@ -432,28 +409,31 @@ class _Searcher:
         self.active: set[int] = set()  # the activeness subset being walked
         self.order: list[int] = []  # the same subset, ascending
         self.issued = {prog.in_op.id: 0}  # op -> cycle
+        self.issued_bits = 1 << prog.in_op.id  # the same ops, as a bit set
         self.last_cycle = 0
         # temp -> the cycle it becomes readable, for the definitions of
         # latency > 1 only: any other value is readable at every later issue
         self.ready_at: dict[int, int] = {}
         self.loc_of: dict[int, int] = {}  # temp -> location while intact
-        self.occupant: dict[int, int] = {}  # location -> temp
+        n_locs = self.nregs + target.stack_slots
+        self.occupant: list[int | None] = [None] * n_locs  # location -> temp
+        # location -> the occupant, or None if it is a dead plain temp
+        self.held: list[int | None] = [None] * n_locs
         self.assigned: dict[int, int] = {}  # temp -> location (permanent)
         self.sels: dict[tuple[int, int], int] = {}  # (op, slot) -> temp
         self.last_mem: int | None = None  # the memory op last on the bus
         # temp -> its pending reader slots if plain, else 1, so that 0 means
         # a dead plain temp. It counts the mandatory ops; `run` adds each
         # subset's optional ones for the subset's walk.
-        self.unread = [0 if t in plain else 1 for t in range(n_temps)]
-        self.key = self.words.issued[prog.in_op.id]  # the Zobrist key of this state
+        self.unread = [0 if t in plain else 1 for t in range(len(prog.temps))]
+        self._count_readers([op.id for op in prog.ops if op.mandatory], 1)
         for t, _cls in prog.inputs:
             loc = prog.temps[t.id].input_index
             self.loc_of[t.id] = loc
             self.occupant[loc] = t.id
             self.assigned[t.id] = loc
             if self.unread[t.id]:
-                self.key ^= self.words.place[loc][t.id]
-        self._count_readers([op.id for op in prog.ops if op.mandatory], 1)
+                self.held[loc] = t.id
 
     def _plain_temps(self) -> frozenset[int]:
         """The temps no security rule names: no spairs key, no hider and in
@@ -465,14 +445,13 @@ class _Searcher:
 
     def _count_readers(self, ops, step: int) -> None:
         """Add `step` to `unread` for each plain temp the slots of `ops`
-        name, keying each such temp in place as it turns dead or live."""
-        unread, loc_of, place = self.unread, self.loc_of, self.words.place
+        name, and set the `held` entry of each such temp in place."""
+        unread, loc_of, held = self.unread, self.loc_of, self.held
         for o in ops:
             for t in self.reads[o]:
-                was = unread[t]
-                unread[t] = was + step
-                if t in loc_of and (not was) != (not unread[t]):
-                    self.key ^= place[loc_of[t]][t]
+                unread[t] += step
+                if t in loc_of:
+                    held[loc_of[t]] = t if unread[t] else None
 
     @property
     def best(self) -> Solution | None:
@@ -579,8 +558,9 @@ class _Searcher:
         op's `never`/`hiders` tables or the pending-key rule, leaves the
         first output no way into the result register (`_result_lost`, asked
         once per op), or strands a pending operand (`_still_satisfiable`).
-        The pending-key rule reads the occupant: a key in place still waits
-        for its hider, as nothing but a hider ever overwrites it.
+        Each check reads the location's `held` entry. The pending-key rule
+        reads it too: a key in place still waits for its hider, as nothing
+        but a hider ever overwrites it.
         The out op still checks that its first selection sits in the result
         register: no write puts the rule at stake when, say, the first
         output is an input outside the result register. Yields once per committed
@@ -593,8 +573,8 @@ class _Searcher:
         if self.last_cycle + remaining >= self.bound:
             self.stats.propagations += 1
             return
-        loc_of, ready_at, occupant, nregs = self.loc_of, self.ready_at, self.occupant, self.nregs
-        symmetric, result_reg, unread = self.symmetric, self.result_reg, self.unread
+        loc_of, ready_at, held, nregs = self.loc_of, self.ready_at, self.held, self.nregs
+        symmetric, result_reg = self.symmetric, self.result_reg
         spairs, stats = self.sec.spairs, self.stats
         for o in self._ready_ops():
             self._tick()
@@ -602,11 +582,11 @@ class _Searcher:
             idxs, d, never, hiders, rule = f.idxs, f.d, f.never, f.hiders, f.result
             pools = [[t for t in alts if t in loc_of] for alts in f.alts]
             # `lost`: the writes of `o` that the result-register rule puts at
-            # stake (see `_ResultRule.own`) are dead ends. The occupant test
+            # stake (see `_ResultRule.own`) are dead ends. The `held` test
             # skips the call where they cannot be: an alt stays in the result
             # register after a write elsewhere, or one into it loses no alt.
             lost = rule is not None and (
-                occupant.get(result_reg) in rule.alts) != rule.own and self._result_lost(o, rule)
+                held[result_reg] in rule.alts) != rule.own and self._result_lost(o, rule)
             for combo in itertools.product(*pools):
                 # the first output must sit in the result register
                 if f.is_out and combo and loc_of[combo[0]] != result_reg:
@@ -622,7 +602,7 @@ class _Searcher:
                     continue
                 chosen = list(zip(idxs, combo))
                 if d is None:
-                    yield from self._issue(o, f, chosen, cycle, None, None)
+                    yield from self._issue(o, f, chosen, cycle, None)
                     continue
                 if f.two_address and combo:
                     # it overwrites one of its temp operands (a binary op's
@@ -632,8 +612,8 @@ class _Searcher:
                     locs = f.locs
                 free_tried = False
                 for loc in locs:
-                    prev = occupant.get(loc)
-                    if symmetric and loc != result_reg and (prev is None or not unread[prev]):
+                    prev = held[loc]
+                    if symmetric and loc != result_reg and prev is None:
                         # empty or a dead plain temp: the lowest stands for its class
                         if free_tried:
                             stats.symmetry_skips += 1
@@ -647,8 +627,8 @@ class _Searcher:
                         stats.propagations += 1
                     elif lost and (loc == result_reg) != rule.own:
                         stats.result_prunes += 1
-                    elif prev is None or not unread[prev] or self._still_satisfiable(prev, o):
-                        yield from self._issue(o, f, chosen, cycle, loc, prev)
+                    elif prev is None or self._still_satisfiable(prev, o):
+                        yield from self._issue(o, f, chosen, cycle, loc)
 
     def _adjacent_ok(self, prev: int | None, o: int) -> bool:
         """May memory op `o` follow `prev` on the bus (None: the first one)?
@@ -666,17 +646,17 @@ class _Searcher:
         hiders = sec.mspairs.get(o)
         return hiders is None or prev in hiders
 
-    def _issue(self, o: int, f: _OpFacts, chosen, cycle, loc, occupant):
-        """Check the bus adjacency, commit `o` with its key (writing `f.d`,
-        if any, to `loc` over `occupant`), yield once for the child walk
-        unless the table has the child state, then undo. `_walk` has
-        checked the overwrite and that it strands no pending operand.
+    def _issue(self, o: int, f: _OpFacts, chosen, cycle, loc):
+        """Check the bus adjacency, commit `o` (writing `f.d`, if any, to
+        `loc` over its occupant), yield once for the child walk unless the
+        table has the child state, then undo. `_walk` has checked the
+        overwrite and that it strands no pending operand.
 
         No pending keys are kept: a key waits while it is an occupant or
         `last_mem`, and the checks let only a hider replace it. Each plain
-        temp a slot of `o` names loses a pending reader; one left in place
-        with none leaves the key, as does a dead plain `occupant`, and a
-        plain `f.d` with no pending reader never enters it."""
+        temp a slot of `o` names loses a pending reader, and `held` drops
+        one left in place with none; a plain `f.d` with no pending reader
+        is held as None from the start."""
         d = f.d
         prev_mem = self.last_mem
         is_memory = f.is_memory
@@ -684,60 +664,52 @@ class _Searcher:
             self.stats.propagations += 1
             return
 
-        # commit, keying each change
-        w, loc_of, unread = self.words, self.loc_of, self.unread
-        key = self.key
+        # commit
+        loc_of, unread, occupant, held = self.loc_of, self.unread, self.occupant, self.held
         self.issued[o] = cycle
+        self.issued_bits |= 1 << o
         last_cycle, self.last_cycle = self.last_cycle, cycle
-        child = key ^ w.issued[o]
         for idx, t in chosen:
             self.sels[(o, idx)] = t
         if d is not None:
-            place = w.place[loc]
-            if occupant is not None:
-                del loc_of[occupant]
-                if unread[occupant]:
-                    child ^= place[occupant]
-            self.occupant[loc] = d
+            prev, prev_held = occupant[loc], held[loc]
+            if prev is not None:
+                del loc_of[prev]
+            occupant[loc] = d
+            held[loc] = d if unread[d] else None
             loc_of[d] = loc
             self.assigned[d] = loc
-            if unread[d]:
-                child ^= place[d]
             if f.latency > 1:
                 self.ready_at[d] = cycle + f.latency
         reads = self.reads[o]
         for t in reads:
             unread[t] -= 1
             if not unread[t] and t in loc_of:
-                child ^= w.place[loc_of[t]][t]
+                held[loc_of[t]] = None
         if is_memory:
-            if prev_mem is not None:
-                child ^= w.last_mem[prev_mem]
             self.last_mem = o
-            child ^= w.last_mem[o]
-        self.key = child
 
         if self._unseen():
             yield  # the child walk runs here
 
-        # undo
-        self.key = key
+        # undo; each temp `o` reads was live, as `o` was pending
         del self.issued[o]
+        self.issued_bits ^= 1 << o
         self.last_cycle = last_cycle
         for idx, _t in chosen:
             del self.sels[(o, idx)]
         for t in reads:
             unread[t] += 1
+            if t in loc_of:
+                held[loc_of[t]] = t
         if d is not None:
             del loc_of[d]
             del self.assigned[d]
             if f.latency > 1:
                 del self.ready_at[d]
-            if occupant is not None:
-                self.occupant[loc] = occupant
-                loc_of[occupant] = loc
-            else:
-                del self.occupant[loc]
+            occupant[loc], held[loc] = prev, prev_held
+            if prev is not None:
+                loc_of[prev] = loc
         if is_memory:
             self.last_mem = prev_mem
 
@@ -800,10 +772,12 @@ class _Searcher:
         table = self.table
         if table is None:
             return True
-        cycle, key, ready, loc_of = self.last_cycle, self.key, self.words.ready, self.loc_of
-        for t, at in self.ready_at.items():
-            if at > cycle + 1 and t in loc_of:
-                key ^= ready[at - cycle][t]
+        cycle, loc_of = self.last_cycle, self.loc_of
+        ready = None  # the values in place not readable at the next cycle
+        if self.ready_at:
+            ready = frozenset((t, at - cycle) for t, at in self.ready_at.items()
+                              if at > cycle + 1 and t in loc_of) or None
+        key = (self.issued_bits, tuple(self.held), self.last_mem, ready)
         seen = table.get(key)
         if seen is not None and seen <= cycle:
             self.stats.table_prunes += 1
@@ -816,7 +790,7 @@ class _Searcher:
         that must follow it: an spairs key still in place, or an mspairs
         key last on the bus. Inputs are never keys."""
         sec = self.sec
-        if self.last_mem in sec.mspairs or any(t in sec.spairs for t in self.occupant.values()):
+        if self.last_mem in sec.mspairs or any(t in sec.spairs for t in self.occupant):
             self.stats.propagations += 1
             return
         self.stats.leaves += 1
@@ -867,7 +841,8 @@ def enumerate_solutions(
 ) -> tuple[list[Solution], bool]:
     """All canonical solutions (optionally bounded by makespan), sorted.
 
-    Returns (solutions, truncated). `truncated` reports that the cap was hit.
+    Returns (solutions, truncated). `truncated` reports that the walk
+    stopped early: the cap was hit or the time budget ran out.
     """
     facts = _op_facts(model)
     if preflight_infeasible(model, facts) is not None:
@@ -876,8 +851,8 @@ def enumerate_solutions(
                   makespan_cap=makespan_cap, facts=facts)
     try:
         s.run()
+        truncated = False
     except _Budget:
-        pass
+        truncated = True
     sols = sorted(set(s.solutions), key=lambda x: x.sort_key())
-    truncated = len(s.solutions) > cap
     return sols[:cap], truncated

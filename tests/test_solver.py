@@ -254,6 +254,25 @@ def test_enumerate_counts_and_cap():
     assert len(capped) == 1 and truncated
 
 
+class _StoppingSearcher(_Searcher):
+    """A searcher whose budget runs out after 50 nodes, as the time budget
+    of `enumerate_solutions` would on a large model."""
+
+    def _tick(self):
+        super()._tick()
+        if self.stats.nodes > 50:
+            raise _Budget()
+
+
+def test_enumeration_stopped_by_its_budget_is_truncated(monkeypatch):
+    base, _, _ = build_models("xor_p0", "thumb-like", "reg")
+    sols, truncated = enumerate_solutions(base, makespan_cap=4)
+    assert len(sols) == 156 and not truncated
+    monkeypatch.setattr(solver, "_Searcher", _StoppingSearcher)
+    part, truncated = enumerate_solutions(base, makespan_cap=4)
+    assert 0 < len(part) < 156 and truncated
+
+
 def test_secure_model_forces_operand_swap():
     """On a two-address machine the first xor must land on the key's register."""
     _, secure, _ = build_models("xor_p0", "thumb-like", "none")
@@ -350,8 +369,8 @@ def test_solver_stats_populated():
     assert out.stats.wall_time >= 0
 
 
-WALK_FIELDS = ("issued", "last_cycle", "ready_at", "loc_of", "occupant", "assigned",
-               "sels", "last_mem", "key", "unread")
+WALK_FIELDS = ("issued", "issued_bits", "last_cycle", "ready_at", "loc_of", "occupant",
+               "held", "assigned", "sels", "last_mem", "unread")
 
 
 class _CheckedSearcher(_Searcher):
@@ -606,7 +625,7 @@ class _ResultScanSearcher(_Searcher):
         first = next(slot.alts for _i, slot in prog.out_op.temp_slots())
         d = prog.op(o).defs[0]
         pending = self.active - self.issued.keys() - {o}
-        in_result = self.occupant.get(self.result_reg) if d in first else d
+        in_result = self.occupant[self.result_reg] if d in first else d
         full = in_result not in first and not any(
             prog.temps[t].defined_by in pending for t in first)
         assert local == full, (o, sorted(self.issued))
@@ -748,47 +767,63 @@ def _pending_readers(s):
     return counts
 
 
-def _recomputed_key(s):
-    """The Zobrist key of the searcher's state, built from scratch. A plain
-    temp with no pending reader counts as an empty location."""
-    w = s.words
+def _recomputed_state(s):
+    """The searcher's state as the table sees it, built from scratch: the
+    issued ops, each location's intact temp (None when it is empty or holds
+    a plain temp with no pending reader), the last memory op and each value
+    in place that is not readable at the next cycle, with its offset."""
     plain, pending = s._plain_temps(), _pending_readers(s)
-    key = 0
-    for loc, t in s.occupant.items():
+    held = [None] * len(s.held)
+    for t, loc in s.loc_of.items():
         if t not in plain or t in pending:
-            key ^= w.place[loc][t]
-    for o in s.issued:
-        key ^= w.issued[o]
-    if s.last_mem is not None:
-        key ^= w.last_mem[s.last_mem]
-    return key
+            held[loc] = t
+    cycle = s.last_cycle
+    ready = {(t, at - cycle) for t, at in s.ready_at.items()
+             if at > cycle + 1 and t in s.loc_of}
+    return frozenset(s.issued), tuple(held), s.last_mem, frozenset(ready)
 
 
-def _probed_keys(model):
-    """Each key the transposition table is probed with, checked against a
-    recomputation from the state."""
-    keys = []
+class _ProbeCheckSearcher(_Searcher):
+    """Checks at every table probe that `held`, the issued bits and `unread`
+    equal a recomputation from the state, and that each table prune drops
+    a state recorded earlier in the same activeness subset at the same or
+    an earlier cycle."""
 
-    class Logged(_Searcher):
-        def _unseen(self):
-            assert self.key == _recomputed_key(self)
-            plain, pending = self._plain_temps(), _pending_readers(self)
-            assert self.unread == [pending.get(t, 0) if t in plain else 1
-                                   for t in range(len(self.unread))]
-            keys.append(self.key)
-            return super()._unseen()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.recorded = {}  # (subset, recomputed state) -> earliest cycle
+        self.prunes = self.dead_plain = 0
 
-    s = Logged(model, SolveBudget(seconds=None, nodes=20_000))
+    def _unseen(self):
+        state = _recomputed_state(self)
+        issued, held, _last_mem, _ready = state
+        assert self.held == list(held)
+        assert self.issued_bits == sum(1 << o for o in issued)
+        plain, pending = self._plain_temps(), _pending_readers(self)
+        assert self.unread == [pending.get(t, 0) if t in plain else 1
+                               for t in range(len(self.unread))]
+        self.dead_plain += any(self.held[loc] is None for loc in self.loc_of.values())
+        key, cycle = (tuple(self.order), state), self.last_cycle
+        unseen = super()._unseen()
+        if unseen:
+            self.recorded.setdefault(key, cycle)
+        else:
+            assert self.recorded[key] <= cycle
+            self.prunes += 1
+        return unseen
+
+
+@pytest.mark.parametrize("case", ["goubin_mask", "ladder"])
+def test_table_state_matches_recomputation(case):
+    if case == "ladder":  # s1_n7: the ladder kernel with the most table prunes
+        model = front_end(parse_program(workloads.ladder_kernel(1, 7)),
+                          PRESETS["thumb-like"], "full")[2]
+    else:
+        model = build_models("goubin_mask", "mini", "full")[1]
+    s = _ProbeCheckSearcher(model, SolveBudget(seconds=None, nodes=20_000))
     s.run()
-    return keys, s.stats.table_prunes
-
-
-def test_zobrist_keys_are_incremental_and_reproducible():
-    _, secure, _ = build_models("goubin_mask", "mini", "full")
-    keys, prunes = _probed_keys(secure)
-    again, _ = _probed_keys(secure)
-    assert keys == again  # the words come from a fixed seed
-    assert len(set(keys)) > 50 and prunes > 0
+    assert s.prunes == s.stats.table_prunes > 0
+    assert len(s.recorded) > 50 and s.dead_plain > 0
 
 
 def test_empty_result_register_is_not_folded_into_fresh_registers():
