@@ -9,11 +9,10 @@ Observables, per executed instruction:
   one leaks against the constant initial bus word. Loads place the loaded
   word on the bus and then write it to a register, in that order.
 
-Two independent pure-Python implementations produce the trace of one input
-assignment: a forward machine walk (`simulate`) and a literal backwards
-recursion over the instruction sequence (`leak_trace_recursive`); tests
-compare them on every fixture, and they are the references for the
-statistics below.
+`simulate`, a forward machine walk in pure Python, produces the trace of
+one input assignment. The tests hold it to a literal backwards recursion
+over the instruction sequence on every fixture, and it is the reference
+for the statistics below.
 
 `leak_stats` walks the random-input assignments in chunks of CHUNK lanes:
 each register, the bus and each memory cell is one numpy array over the
@@ -197,82 +196,6 @@ def simulate(
             )
             write_reg(ins.pos, ins.dest, val)
     return st, trace
-
-
-def leak_trace_recursive(
-    instrs: tuple[MInstr, ...] | list[MInstr],
-    width: int,
-    regs0: dict[int, int],
-) -> list[tuple[str, int]]:
-    """The leakage recursion evaluated literally on the write-event sequence.
-
-    Loads are first transformed into a bus write followed by a register
-    write. The result is the (kind, observation) sequence in program order;
-    it must agree with `simulate`'s trace values.
-    """
-    st = MachineState(width=width, regs=dict(regs0))
-
-    # forward pass only to learn each event's written value
-    events: list[tuple[str, int, int]] = []  # ('reg', regindex, value) | ('mem', -1, value)
-
-    def resolve(src):
-        kind, x = src
-        return x & mask(width) if kind == "lit" else st.regs.get(x, 0)
-
-    def memkey(ref):
-        kind, x = ref
-        if kind == "slot":
-            return ("slot", x)
-        if kind == "lit":
-            return ("abs", x)
-        return ("abs", st.regs.get(x, 0))
-
-    for ins in instrs:
-        if ins.opcode == "store":
-            val = resolve(ins.srcs[0])
-            events.append(("mem", -1, val))
-            st.memory[memkey(ins.mem)] = val
-        elif ins.opcode == "load":
-            key = memkey(ins.mem)
-            if key not in st.memory:
-                raise SimulationError(f"read of uninitialized memory address {key}")
-            val = st.memory[key]
-            events.append(("mem", -1, val))
-            events.append(("reg", ins.dest, val))
-            st.regs[ins.dest] = val
-        else:
-            if ins.opcode in ("not", "copy"):
-                val = apply_unop(ins.opcode, resolve(ins.srcs[0]), width)
-            else:
-                val = apply_binop(
-                    ins.opcode, resolve(ins.srcs[0]), resolve(ins.srcs[1]), width
-                )
-            events.append(("reg", ins.dest, val))
-            st.regs[ins.dest] = val
-
-    def leakage(k: int) -> list[tuple[str, int]]:
-        if k == 0:
-            return []
-        kind, where, value = events[k - 1]
-        prefix = leakage(k - 1)
-        if kind == "reg":
-            prev = None
-            for j in range(k - 2, -1, -1):
-                kj, wj, vj = events[j]
-                if kj == "reg" and wj == where:
-                    prev = vj
-                    break
-            if prev is None:
-                prev = regs0.get(where, 0)
-            return prefix + [("ROT", hw(value ^ prev))]
-        prev = 0  # the bus starts at 0
-        for j in range(k - 2, -1, -1):
-            if events[j][0] == "mem":
-                prev = events[j][2]
-                break
-        return prefix + [("MRE", hw(value ^ prev))]
-
-    return leakage(len(events))
 
 
 # -- statistics ----------------------------------------------------------------

@@ -56,18 +56,47 @@ which `_still_satisfiable` rejects. The cut removes only leafless
 subtrees, so it keeps every leaf, in search order, and runs in both
 modes; `SolveStats.result_prunes` counts it.
 
+Before it walks an activeness subset, `run` checks Hall's condition on
+the operand instances that two-address ops destroy. The instances of a
+value class (`ModelTemp.rep`) are its register members: its input or
+definition, its copies and its reloads. A mandatory two-address op with a
+temp slot writes its definition over an operand it selects, so it destroys
+an instance of one of its operand classes:
+
+- each instance is overwritten at most once: a temp is written once, to
+  one location, and an overwritten value never comes back;
+- every two-address op overwrites the operand instance it selects: it
+  writes only to its selected operands' locations, where they sit intact,
+  as the op reads them;
+- so two ops cannot destroy the same instance, and each destroys one whose
+  defining op is in the subset;
+- a class the out op reads keeps one instance to the end: the out op
+  issues last and reads that instance intact.
+
+So a subset has a leaf only if each such op can be matched to one of its
+operand classes, a class taking at most its capacity: its instances that
+ops of the subset define, less one if the out op reads it. An
+augmenting-path matching (`_Capacity`) decides this, and a subset it fails
+is skipped unwalked. The check removes only subsets with no leaf, so it runs
+in both modes; `SolveStats.capacity_skips` counts the skips. Capacities only
+grow as optional ops join a subset: when the mandatory ops alone pass, every
+subset passes and the check is left out (as on a model with no two-address
+op), and when the subset of every optional op fails, no subset can pass.
+
 Before any walk, `preflight_infeasible` proves some models infeasible
 statically and names the family. Besides an input outside its argument
-register's domain and a key with no hider at all, it has four proofs.
+register's domain and a key with no hider at all, it has five proofs.
 Three show that some spairs key can never get a hider on both sides: a
 key the out op reads (the out op issues last, so nothing follows it), a
 mandatory two-address op whose key overwrites an operand that cannot hide
 it, and fewer hider temps in the whole program than always-live keys plus
 one (in each register, hiders bracket and separate its keys). The fourth,
 family `rpairs`, reads the per-op table: a mandatory two-address op whose
-definition may overwrite no alt of any temp operand. They only reject
-models with no solution, so they change no search order and no solution;
-such a model stops after 0 nodes instead of exhausting or timing out.
+definition may overwrite no alt of any temp operand. The fifth, family
+`two-address`, is the capacity check failing with every optional op
+active. They only reject models with no solution, so they change no
+search order and no solution; such a model stops after 0 nodes instead of
+exhausting or timing out.
 
 The walk reads each location through `held`: `held[loc]` is the occupant
 of `loc` as the rules see it, or None when `loc` is empty or holds a dead
@@ -161,6 +190,7 @@ class SolveStats:
     table_prunes: int = 0  # child states dropped by the transposition table
     symmetry_skips: int = 0  # empty or plain-dead locations skipped as renamings
     result_prunes: int = 0  # writes after which the first output cannot reach the result register
+    capacity_skips: int = 0  # subsets whose two-address ops cannot all destroy an operand instance
     wall_time: float = 0.0  # last: the report lists the fields in this order
 
 
@@ -177,11 +207,10 @@ class _Budget(Exception):
     pass
 
 
-def preflight_infeasible(model: ExtendedModel,
-                         facts: list[_OpFacts | None]) -> tuple[str, str] | None:
+def preflight_infeasible(model: ExtendedModel, facts: list) -> tuple[str, str] | None:
     """Static unsatisfiability checks that can name the failing family.
 
-    `facts` is the model's per-op table, `_op_facts(model)`.
+    `facts` is the model's table, `_op_facts(model)`.
     Besides a misplaced input and a key with no hider at all, three proofs
     show that some spairs key (a secret temp) can never have a hider (a
     random temp) written just before and just after it in its register:
@@ -211,6 +240,15 @@ def preflight_infeasible(model: ExtendedModel,
       every alt of every such slot is in `d`'s `never` set (an rpair with
       `d`, or a secret input that `d` may not overwrite), each choice
       breaks rpairs or the secret-input guard. Family `rpairs`.
+
+    A fifth proof shows that two-address ops run out of operands to
+    overwrite:
+
+    - Capacity. With every optional op active, the mandatory two-address
+      ops with a temp slot cannot each be matched to a distinct instance of
+      an operand class that the out op does not keep (see the module
+      docstring). No smaller subset has more instances. Family
+      `two-address`.
     """
     prog = model.program
     sec = model.security
@@ -260,7 +298,7 @@ def preflight_infeasible(model: ExtendedModel,
             f"at least {len(keys) + 1} random temps to hide them, but only "
             f"{len(hiders)} can",
         )
-    for o, f in enumerate(facts):
+    for o, f in enumerate(facts[1:], start=1):
         if f is None or not (f.two_address and prog.op(o).mandatory):
             continue
         srcs = [t for alts in f.alts for t in alts]  # a binary op's slots hold data
@@ -270,6 +308,16 @@ def preflight_infeasible(model: ExtendedModel,
                 f"two-address o{o} must write t{f.d} over an operand it may not "
                 f"overwrite",
             )
+    capacity = facts[0]
+    short = capacity and capacity.violation(o.id for o in prog.ops if not o.mandatory)
+    if short:
+        ops, classes, spare = short
+        return (
+            "two-address",
+            f"two-address {', '.join(f'o{o}' for o in ops)}: each overwrites an operand "
+            f"instance, but the operand classes ({', '.join(f't{c}' for c in classes)}) "
+            f"have only {spare} to lose, every copy and reload included",
+        )
     return None
 
 
@@ -307,8 +355,88 @@ class _OpFacts(NamedTuple):
     result: _ResultRule | None  # None if `d` is None or the first output has one alt
 
 
-def _op_facts(model: ExtendedModel) -> list[_OpFacts | None]:
-    """One `_OpFacts` per op id (index 0 is unused)."""
+class _Capacity(NamedTuple):
+    """Hall's condition on the operand instances that two-address ops
+    destroy (see the module docstring), fixed per model."""
+
+    ops: tuple[int, ...]  # the mandatory two-address ops with a temp slot
+    classes: tuple[tuple[int, ...], ...]  # each one's operand classes
+    # class -> its instances that mandatory ops define, less one if the out
+    # op reads it
+    base: dict[int, int]
+    adds: dict[int, int]  # optional op -> the class of the instance it defines
+
+    def violation(self, optional) -> tuple[list[int], list[int], int] | None:
+        """Match `ops` to classes within the capacities of the mandatory ops
+        plus `optional`, by augmenting paths. None if every op matches; else
+        a Hall violator, (ops, classes, capacity): the ops have no operand
+        class outside the classes, whose capacities sum to fewer than the
+        ops."""
+        cap = self.base
+        grown = [self.adds[o] for o in optional if o in self.adds]
+        if grown:
+            cap = dict(cap)
+            for c in grown:
+                cap[c] += 1
+        taken: dict[int, list[int]] = {c: [] for c in cap}  # class -> ops matched to it
+        for i in range(len(self.ops)):
+            # search from op i over alternating paths; `came[c]` is the op
+            # that would move into c and the class it would leave
+            came: dict[int, tuple[int, int | None]] = {}
+            queue: list[tuple[int, int | None]] = [(i, None)]
+            end = None
+            for j, left in queue:  # the queue grows as it is read
+                for c in self.classes[j]:
+                    if c not in came:
+                        came[c] = (j, left)
+                        if len(taken[c]) < cap[c]:
+                            end = c
+                            break
+                        queue.extend((k, c) for k in taken[c])
+                if end is not None:
+                    break
+            else:  # every class reached is full of ops reached
+                return (sorted(self.ops[j] for j, _left in queue), sorted(came),
+                        sum(cap[c] for c in came))
+            while end is not None:
+                j, left = came[end]
+                taken[end].append(j)
+                if left is not None:
+                    taken[left].remove(j)
+                end = left
+        return None
+
+
+def _capacity_of(model: ExtendedModel) -> _Capacity | None:
+    """The model's `_Capacity`, or None when no subset can fail it: no
+    two-address op has a temp slot, or the mandatory ops alone pass."""
+    prog = model.program
+    ops, classes = [], []
+    for op in prog.ops:
+        if op.mandatory and model.two_address(op):
+            reps = tuple(dict.fromkeys(prog.temps[slot.alts[0]].rep
+                                       for _i, slot in op.temp_slots()))
+            if reps:
+                ops.append(op.id)
+                classes.append(reps)
+    base = {c: 0 for reps in classes for c in reps}
+    adds = {}
+    for t in prog.temps.values():
+        if t.kind == "reg" and t.rep in base:
+            if prog.op(t.defined_by).mandatory:
+                base[t.rep] += 1
+            else:
+                adds[t.defined_by] = t.rep
+    for c in {prog.temps[slot.alts[0]].rep for _i, slot in prog.out_op.temp_slots()}:
+        if c in base:
+            base[c] -= 1
+    capacity = _Capacity(tuple(ops), tuple(classes), base, adds)
+    return capacity if ops and capacity.violation(()) else None
+
+
+def _op_facts(model: ExtendedModel) -> list:
+    """One `_OpFacts` per op id; index 0, which no op has, holds the
+    model's `_Capacity` (or None)."""
     prog, sec = model.program, model.security
     never: dict[int, set[int]] = {}
     for a, b in sec.rpairs:
@@ -324,7 +452,7 @@ def _op_facts(model: ExtendedModel) -> list[_OpFacts | None]:
         own, other = _ResultRule(first, first_defs, True), _ResultRule(first, first_defs, False)
     else:
         own = other = None
-    facts: list[_OpFacts | None] = [None]
+    facts: list = [_capacity_of(model)]
     for op in prog.ops:
         slots = list(op.temp_slots())
         is_out = op.kind == "out"
@@ -360,7 +488,7 @@ class _Searcher:
     def __init__(self, model: ExtendedModel, budget: SolveBudget,
                  enumerate_all: bool = False, cap: int | None = None,
                  makespan_cap: int | None = None,
-                 facts: list[_OpFacts | None] | None = None):
+                 facts: list | None = None):
         prog = model.program
         target = model.target
         self.model = model
@@ -378,7 +506,8 @@ class _Searcher:
         # Every leaf in enumerate mode; each improving incumbent otherwise.
         self.solutions: list[Solution] = []
 
-        # Static tables. `facts[o]` describes op o; `readers[t]` lists
+        # Static tables. `facts[o]` describes op o (and `facts[0]` the
+        # two-address capacities); `readers[t]` lists
         # (op, ((alt, alt's defining op), ...)) for each temp slot that names
         # temp t (temp ids are dense).
         self.facts = _op_facts(model) if facts is None else facts
@@ -475,13 +604,16 @@ class _Searcher:
 
         The fewest-active subsets carry the smallest possible makespans, so
         the first feasible leaf gives a tight incumbent and the cardinality
-        bound then prunes whole subset families at once.
+        bound then prunes whole subset families at once. A subset whose
+        two-address ops cannot each destroy an operand instance of their
+        own has no leaf and is skipped (see the module docstring).
         """
         ops = self.model.program.ops
         mandatory = {o.id for o in ops if o.mandatory}
         n_mand_real = sum(1 for o in ops if o.mandatory and o.kind not in ("in", "out"))
         opt_ids = [o.id for o in ops if not o.mandatory]
         kind = {o.id: o.kind for o in ops}
+        capacity = self.facts[0]
         for k in range(len(opt_ids) + 1):
             if n_mand_real + k + 1 >= self.bound:
                 self.stats.propagations += 1
@@ -497,6 +629,9 @@ class _Searcher:
                 if n_mand_real + k + 1 >= self.bound:
                     self.stats.propagations += 1
                     break
+                if capacity is not None and capacity.violation(combo):
+                    self.stats.capacity_skips += 1
+                    continue
                 self.active = mandatory | chosen
                 self.order = sorted(self.active)
                 if self.table is not None:  # its states hold for this subset only

@@ -179,6 +179,53 @@ def test_two_address_rpairs_preflight_proof():
     assert brute_force(secure, max_makespan=base_opt + 4) == (None, [])
 
 
+# Hall violations on two-address thumb-like: (source, a phrase of the
+# preflight message). The xors with a literal overwrite an instance of t0's
+# class each; without copies it has one, the input, and none to lose when
+# the out op reads t0 too.
+HALL_VIOLATIONS = {
+    "shared operand": ("""
+func shared width 4
+in t0:random
+t1 = xor t0, 1
+t2 = xor t0, 2
+t3 = xor t1, t2
+out t3
+""", "two-address o2, o3: each overwrites an operand instance, but the operand "
+         "classes (t0) have only 1 to lose"),
+    "output kept": ("""
+func kept width 4
+in t0:random
+t1 = xor t0, 1
+out t1 t0
+""", "two-address o2: each overwrites an operand instance, but the operand "
+         "classes (t0) have only 0 to lose"),
+}
+
+
+@pytest.mark.parametrize("case", HALL_VIOLATIONS)
+def test_two_address_capacity_preflight_proof(case):
+    """Without copies the two-address ops cannot each destroy an instance
+    of t0's class. With t0's copy active they can, so the model becomes
+    feasible, and the subset without the copy is skipped unwalked."""
+    src, says = HALL_VIOLATIONS[case]
+    prog = parse_program(src)
+    model = build_base_model(prog, PRESETS["thumb-like"], "none")
+    out = solve(model)
+    assert (out.status, out.infeasible_family, out.stats.nodes) == (
+        "Infeasible", "two-address", 0)
+    assert says in out.message
+    assert brute_force(model, max_makespan=8) == (None, [])
+    model = build_base_model(prog, PRESETS["thumb-like"], "reg")
+    out = solve(model)
+    assert out.status == "Optimal" and out.stats.capacity_skips > 0
+    instances = {t.defined_by for t in model.program.temps.values()
+                 if t.rep == 0 and t.kind == "reg"}
+    assert instances <= out.solution.active
+    optimum, sols = brute_force(model)
+    assert out.solution.objective == optimum and out.solution in sols
+
+
 def _with_args(preset: str, n: int):
     t = PRESETS[preset]
     return replace(t, args=t.registers[:n])
@@ -415,18 +462,18 @@ def test_walk_state_restored_after_search(enumerate_all):
 LADDER_COUNTS = {
     (0, 3): ("Infeasible", None, 0, 0, 0),
     (0, 5): ("Infeasible", None, 0, 0, 0),
-    (0, 7): ("Optimal", 10, 1659, 1616, 1),
-    (0, 9): ("Optimal", 12, 2488, 4814, 1),
+    (0, 7): ("Optimal", 10, 1196, 1051, 1),
+    (0, 9): ("Optimal", 12, 2052, 4022, 1),
     (0, 12): ("Infeasible", None, 0, 0, 0),
     (1, 3): ("Optimal", 5, 37, 48, 1),
     (1, 5): ("Infeasible", None, 0, 0, 0),
-    (1, 7): ("Optimal", 10, 7614, 10168, 1),
+    (1, 7): ("Optimal", 10, 1108, 936, 1),
     (1, 9): ("Infeasible", None, 0, 0, 0),
     (1, 12): ("Infeasible", None, 0, 0, 0),
     (2, 3): ("Optimal", 4, 6, 4, 1),
     (2, 5): ("Infeasible", None, 0, 0, 0),
     (2, 7): ("Infeasible", None, 0, 0, 0),
-    (2, 9): ("Optimal", 12, 3971, 7294, 1),
+    (2, 9): ("Optimal", 12, 3696, 6757, 1),
     (2, 12): ("Infeasible", None, 0, 0, 0),
     (3, 3): ("Infeasible", None, 0, 0, 0),
     (3, 5): ("Infeasible", None, 0, 0, 0),
@@ -440,10 +487,10 @@ LADDER_COUNTS = {
 # counts of four kernels differ.
 NO_PLAIN_LADDER_COUNTS = {
     **LADDER_COUNTS,
-    (0, 7): ("Optimal", 10, 2545, 1968, 1),
-    (0, 9): ("Optimal", 12, 2495, 4861, 1),
-    (1, 7): ("Optimal", 10, 14909, 19248, 1),
-    (2, 9): ("Optimal", 12, 6021, 10683, 1),
+    (0, 7): ("Optimal", 10, 2013, 1350, 1),
+    (0, 9): ("Optimal", 12, 2052, 4054, 1),
+    (1, 7): ("Optimal", 10, 1780, 1541, 1),
+    (2, 9): ("Optimal", 12, 5742, 10138, 1),
 }
 
 # (fixture, target, copy budget, secure?, makespan cap) ->
@@ -658,6 +705,64 @@ def test_result_register_cut_matches_full_scan(enumerate_all):
         rejected += s.rejected
         prunes += s.stats.result_prunes
     assert checks > rejected > 0 and prunes > 0
+
+
+class _RecordedCapacity:
+    """A model's `_Capacity` that records each subset it fails."""
+
+    def __init__(self, capacity):
+        self.capacity, self.failed = capacity, []
+
+    def violation(self, optional):
+        short = self.capacity.violation(optional)
+        if short:
+            self.failed.append(tuple(optional))
+        return short
+
+
+def _subset_leaves(model, optional):
+    """The leaves of one walk of the subset that adds `optional` to the
+    mandatory ops, as `run` walks it but with no capacity check. The walk
+    is in optimize mode, whose prunes keep the first leaf of a subset."""
+    s = _Searcher(model, SolveBudget(seconds=None, nodes=10**6))
+    s.active = {op.id for op in model.program.ops if op.mandatory} | set(optional)
+    s.order = sorted(s.active)
+    s._count_readers(optional, 1)
+    s._search()
+    return s.stats.leaves
+
+
+def _capacity_models():
+    """The `ORACLE_CASES` on thumb-like (base and secure) and the
+    `LADDER_COUNTS` kernels."""
+    for name, target, copies in ORACLE_CASES:
+        if target == "thumb-like":
+            yield from build_models(name, target, copies)[:2]
+    for seed, n_ops in LADDER_COUNTS:
+        yield front_end(parse_program(workloads.ladder_kernel(seed, n_ops)),
+                        PRESETS["thumb-like"], "full")[2]
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_capacity_check_matches_full_scan(enumerate_all):
+    """Every subset the two-address capacity check skips has no leaf: a
+    walk of it without the check finds none."""
+    skipped = 0
+    for model in _capacity_models():
+        s = _Searcher(model, SolveBudget(seconds=None, nodes=3000),
+                      enumerate_all=enumerate_all)
+        if s.facts[0] is None:
+            continue
+        recorded = s.facts[0] = _RecordedCapacity(s.facts[0])
+        try:
+            s.run()
+        except _Budget:
+            pass
+        assert s.stats.capacity_skips == len(recorded.failed)
+        for optional in recorded.failed:
+            assert _subset_leaves(model, optional) == 0, optional
+        skipped += len(recorded.failed)
+    assert skipped > 0
 
 
 class _LeafCheckSearcher(_Searcher):
