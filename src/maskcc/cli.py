@@ -1,7 +1,8 @@
 """Command-line front end: compile, analyze, simulate, oracle.
 
 Pipeline: parse -> type inference -> security sets -> base model ->
-security (+implied) constraints -> branch-and-bound -> assembly + report.
+security (+implied) constraints, built only for a secure compile or
+simulate and for oracle -> branch-and-bound -> assembly + report.
 
 Exit codes: 0 success, 2 parse/validate/input errors, 3 infeasible model,
 4 budget exhausted without a solution, 1 other failures (e.g. a --verify
@@ -182,17 +183,20 @@ def _default_secret_pair(prog, width):
     return s1, s2
 
 
-def front_end(prog, target, copy_budget: str):
+def front_end(prog, target, copy_budget: str, secure: bool = True):
     """(base model, security sets, secure model) for a parsed program.
 
     Types and sets are computed once. The secure model carries the security
     constraints and the implied family; the solver never reads that family,
-    only the post-solve re-check and `--dump-model` do.
+    only the post-solve re-check and `--dump-model` do. It is built only
+    when `secure` is set (a secure compile or simulate, and oracle), and is
+    None otherwise: an `--insecure` run reads only the sets, for its report.
     """
     base = build_base_model(prog, target, copy_budget=copy_budget)
     sets = secsets.compute_sets(base.program, base.env)
-    secure = add_implied_constraints(add_security_constraints(base, sets))
-    return base, sets, secure
+    if not secure:
+        return base, sets, None
+    return base, sets, add_implied_constraints(add_security_constraints(base, sets))
 
 
 def _budget(args) -> solver.SolveBudget | None:
@@ -205,16 +209,16 @@ def _budget(args) -> solver.SolveBudget | None:
         return None
 
 
-def _load(args):
+def _load(args, secure: bool):
     """Read the program and target and run the front end.
 
-    Returns (program, base, sets, secure), or None after printing an input
-    error.
+    Returns (program, base, sets, secure model or None), or None after
+    printing an input error.
     """
     try:
         prog = _read_program(args.ir)
         target = resolve_target(args.target)
-        return (prog, *front_end(prog, target, args.copy_budget))
+        return (prog, *front_end(prog, target, args.copy_budget, secure))
     except (ParseError, _UnreadableInput, TargetError, ModelBuildError) as e:
         print(f"error: {e}", file=sys.stderr)
         return None
@@ -243,7 +247,7 @@ def cmd_compile(args) -> int:
     budget = _budget(args)
     if budget is None:
         return EXIT_INPUT
-    loaded = _load(args)
+    loaded = _load(args, args.secure)
     if loaded is None:
         return EXIT_INPUT
     prog, base, sets, secure = loaded
@@ -280,7 +284,8 @@ def cmd_compile(args) -> int:
         Path(args.dump_solution).write_text(json.dumps(sol.to_dict(), indent=2))
     rc = EXIT_OK
     if args.verify:
-        verdict = _verify(prog, harness, args)
+        pub = {t.id: 0 for t in prog.public_inputs()}
+        verdict = _verify(harness, pub, _default_secret_pair(prog, prog.width), args.seed)
         report["verify"] = _verdict_dict(verdict)
         if not verdict.equivalent:
             print("verification failed: output is leaky", file=sys.stderr)
@@ -300,14 +305,20 @@ def _writable_dir(path: Path) -> Path:
     return path
 
 
-def _verify(prog, harness, args):
-    s1, s2 = _default_secret_pair(prog, prog.width)
-    pub = {t.id: 0 for t in prog.public_inputs()}
-    if leakage.exhaustive_ok(harness):
+def _verify(harness, pub, secrets, seed, samples=None):
+    """The leakage verdict of `compile --verify` and `simulate`.
+
+    `samples` Monte Carlo draws when given, else exhaustive enumeration
+    within `leakage.EXHAUSTIVE_BOUND`, else the default Monte Carlo sample;
+    both Monte Carlo cases draw under `seed`.
+    """
+    if samples:
+        sampling = MonteCarlo(samples=samples, seed=seed)
+    elif leakage.exhaustive_ok(harness):
         sampling = Exhaustive()
     else:
-        sampling = MonteCarlo(seed=args.seed)
-    return leakage.check_equivalence(harness, pub, (s1, s2), sampling)
+        sampling = MonteCarlo(seed=seed)
+    return leakage.check_equivalence(harness, pub, secrets, sampling)
 
 
 def _emit(args, payload: dict) -> None:
@@ -344,7 +355,7 @@ def cmd_simulate(args) -> int:
     budget = _budget(args)
     if budget is None:
         return EXIT_INPUT
-    loaded = _load(args)
+    loaded = _load(args, args.secure)
     if loaded is None:
         return EXIT_INPUT
     prog, base, _sets, secure = loaded
@@ -384,18 +395,9 @@ def cmd_simulate(args) -> int:
     if outcome.solution is None:
         return _unsolved(outcome)
     harness = leakage.linearize(model, outcome.solution)
-    if args.samples:
-        sampling = MonteCarlo(samples=args.samples, seed=args.seed)
-    elif args.exhaustive or leakage.exhaustive_ok(harness):
-        sampling = Exhaustive()
-    else:
-        sampling = MonteCarlo(seed=args.seed)
-
-    draws = leakage.draw_assignments(harness, sampling)
-    stats = leakage.leak_stats(harness, {**pub, **s1}, sampling, draws)
-    verdict = leakage.compare_stats(
-        harness, stats, leakage.leak_stats(harness, {**pub, **s2}, sampling, draws), sampling
-    )
+    # an --exhaustive that passed the check above is within the bound
+    verdict = _verify(harness, pub, (s1, s2), args.seed, args.samples)
+    stats = verdict.stats
     values = {**pub, **s1}
     for t in prog.random_inputs():
         values[t.id] = 0
@@ -420,7 +422,7 @@ def cmd_oracle(args) -> int:
     if args.slack < 0:
         print(f"error: --slack must not be negative, got {args.slack}", file=sys.stderr)
         return EXIT_INPUT
-    loaded = _load(args)
+    loaded = _load(args, True)
     if loaded is None:
         return EXIT_INPUT
     _prog, base, _sets, secure = loaded
@@ -431,7 +433,7 @@ def cmd_oracle(args) -> int:
     except oracle.OracleError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(asdict(report), indent=2))
     return EXIT_OK if not report.discrepancies else EXIT_FAIL
 
 

@@ -427,6 +427,8 @@ class Verdict:
     positions: tuple[tuple[int, str], ...] = ()
     delta_mean: Fraction = Fraction(0)
     delta_var: Fraction = Fraction(0)
+    # the first instance's statistics, for `simulate`'s per-position report
+    stats: LeakStats | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         if self.equivalent:
@@ -443,7 +445,8 @@ def check_equivalence(
     secrets: tuple[dict[int, int], dict[int, int]],
     sampling: Sampling = Exhaustive(),
 ) -> Verdict:
-    """Compare the leak distributions of two secret instances."""
+    """Compare the leak distributions of two secret instances; the verdict
+    carries the first instance's `LeakStats`."""
     s1, s2 = secrets
     draws = draw_assignments(harness, sampling)
     return compare_stats(
@@ -460,7 +463,7 @@ def compare_stats(
     st2: LeakStats,
     sampling: Sampling,
 ) -> Verdict:
-    """Verdict on two secret instances from their `leak_stats`.
+    """Verdict on two secret instances from their `leak_stats`; it carries `st1`.
 
     Exact comparison under Exhaustive. Under MonteCarlo the tolerance
     covers sampling noise (about four standard deviations of the
@@ -476,14 +479,14 @@ def compare_stats(
     dmean = st1.sum_mean - st2.sum_mean
     dvar = st1.sum_var - st2.sum_var
     if abs(dmean) <= tolerance and abs(dvar) <= tolerance:
-        return Verdict(True)
+        return Verdict(True, stats=st1)
     bad = tuple(
         k
         for k in st1.positions
         if abs(st1.mean[k] - st2.mean[k]) > tolerance
         or abs(st1.var[k] - st2.var[k]) > tolerance
     )
-    return Verdict(False, bad, dmean, dvar)
+    return Verdict(False, bad, dmean, dvar, st1)
 
 
 def exhaustive_ok(harness: Harness) -> bool:

@@ -369,26 +369,41 @@ def elab_types(prog: ElabProgram) -> TypeEnv:
 
 
 def _capacity_check(prog: ElabProgram, target: TargetDesc) -> None:
-    """Reject programs whose mandatory pressure cannot fit registers + slots."""
+    """Reject programs whose mandatory pressure cannot fit registers + slots.
+
+    The solver may issue ops in any order their dependencies allow, so the
+    count is what every schedule needs. When a mandatory op o issues, a
+    value class is held somewhere if an op that must precede o defines it
+    (the in op, or a transitive data or memory-order predecessor of o) and
+    o, an op that must follow o or the out op reads it.
+    """
     capacity = target.num_registers + target.stack_slots
-    mandatory = [op for op in prog.ops if op.mandatory]
-    last_use: dict[int, int] = {}
-    for op in mandatory:
+    # bit sets over value classes (bit = the class representative's id)
+    defined: dict[int, int] = {}  # mandatory op -> the classes it defines
+    read: dict[int, int] = {}  # mandatory op -> the classes it reads
+    deps: dict[int, set[int]] = {}  # mandatory op -> the ops it directly waits for
+    for op in prog.ops:
+        if not op.mandatory:
+            continue
+        defined[op.id] = 0 if op.kind == "out" else sum(1 << prog.temps[d].rep for d in op.defs)
+        read[op.id] = 0
+        deps[op.id] = set(prog.mem_deps.get(op.id, ()))
         for _i, slot in op.temp_slots():
-            last_use[prog.temps[slot.alts[0]].rep] = op.id
-    live = 0
-    peak = 0
-    events: dict[int, int] = {}
-    for op in mandatory:
-        for d in op.defs:
-            if op.kind == "out":
-                continue
-            live += 1
-            end = last_use.get(prog.temps[d].rep)
-            if end is not None:
-                events[end] = events.get(end, 0) + 1
-        peak = max(peak, live)
-        live -= events.get(op.id, 0)
+            rep = prog.temps[slot.alts[0]].rep
+            read[op.id] |= 1 << rep
+            deps[op.id].add(prog.temps[rep].defined_by)
+    # source order is a topological order: the classes defined before each
+    # op, then the classes read by it or after it
+    before = dict.fromkeys(deps, defined[prog.in_op.id])
+    for o in deps:
+        for d in deps[o]:
+            before[o] |= before[d] | defined[d]
+    later = dict(read)
+    for o in reversed(deps):
+        for d in deps[o]:
+            later[d] |= later[o]
+    final = read[prog.out_op.id]
+    peak = max((before[o] & (later[o] | final)).bit_count() for o in deps)
     if peak > capacity:
         raise ModelBuildError(
             f"program needs {peak} simultaneously live values; "

@@ -53,17 +53,6 @@ class OracleReport:
     secure_count: int
     discrepancies: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "program": self.program,
-            "target": self.target,
-            "insecure_optimum": self.insecure_optimum,
-            "secure_optimum": self.secure_optimum,
-            "insecure_count": self.insecure_count,
-            "secure_count": self.secure_count,
-            "discrepancies": self.discrepancies,
-        }
-
 
 def _valid_active_sets(model: ExtendedModel):
     """Every activeness subset in which each spill load follows its spill store."""

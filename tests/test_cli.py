@@ -134,6 +134,40 @@ def test_compile_500_op_chain(capsys, tmp_path):
     assert report["status"] == "Optimal" and report["objective"] == 501
 
 
+def pressure_source(interleaved: bool) -> str:
+    """18 copies of `not t0` folded by an xor chain.
+
+    In source order all 18 are defined before the chain reads them; the
+    interleaved order defines each just before the xor that reads it. The
+    dataflow is the same, so any schedule of one is a schedule of the other.
+    """
+    lines = ["func pressure width 4", "in t0:random t1:public"]
+    if interleaved:
+        lines += ["t2 = not t0", "t3 = not t0", "t4 = xor t2, t3"]
+        for i in range(5, 37, 2):
+            lines += [f"t{i} = not t0", f"t{i + 1} = xor t{i - 1}, t{i}"]
+    else:
+        lines += [f"t{i} = not t0" for i in range(2, 20)]
+        lines += ["t20 = xor t2, t3"] + [f"t{i} = xor t{i - 1}, t{i - 17}" for i in range(21, 37)]
+    return "\n".join(lines + ["out t36"]) + "\n"
+
+
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_register_pressure_counts_what_every_schedule_needs(interleaved, capsys, tmp_path):
+    """Source order would hold 20 values at once on a 16-location target;
+    the solver may reorder the ops, so the capacity check does not reject it."""
+    path = tmp_path / "pressure.ir"
+    path.write_text(pressure_source(interleaved))
+    rc, out, err = run_cli(
+        capsys,
+        "--json", "compile", str(path), "--target", "thumb-like", "--copy-budget", "none",
+        "--insecure", "--out-dir", str(tmp_path),
+    )
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "Optimal" and report["objective"] == 36
+
+
 @pytest.mark.parametrize("cmd", ["compile", "simulate"])
 def test_500_op_chain_stops_in_preflight(cmd, capsys, tmp_path):
     # a secret temp of the chain has no random to hide it (default: secure)
@@ -509,6 +543,77 @@ def test_simulate_exhaustive_beyond_bound_exits_2(tmp_path, capsys):
     assert out == ""
     assert "--exhaustive" in err and "--samples" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["compile", "--insecure"], False),
+        (["simulate", "--insecure"], False),
+        (["compile"], True),
+        (["simulate"], True),
+        (["oracle", "--copy-budget", "none"], True),
+    ],
+)
+def test_secure_model_built_only_for_runs_that_read_it(argv, built, write_fixture, capsys,
+                                                        tmp_path, monkeypatch):
+    from maskcc import cli
+
+    calls = []
+    for name in ("add_security_constraints", "add_implied_constraints"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    if argv[0] == "compile":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    rc, _, err = run_cli(capsys, argv[0], write_fixture("xor_p0"), *argv[1:])
+    assert err == "" and rc == (1 if argv == ["simulate", "--insecure"] else 0)  # that one leaks
+    assert calls == (["add_security_constraints", "add_implied_constraints"] if built else [])
+
+
+@pytest.mark.parametrize(
+    "argv, sampling",
+    [
+        (["compile", "--verify"], "exhaustive"),
+        (["simulate"], "exhaustive"),
+        (["simulate", "--exhaustive"], "exhaustive"),
+        (["simulate", "--samples", "500", "--exhaustive"], "samples"),
+        (["simulate", "--samples", "500", "--seed", "9"], "samples"),
+        (["compile", "--verify", "--seed", "9"], "montecarlo"),
+        (["simulate", "--seed", "9"], "montecarlo"),
+    ],
+)
+def test_verify_and_simulate_share_one_verdict_path(argv, sampling, capsys, tmp_path,
+                                                     monkeypatch):
+    """Both reach the verdict through one `check_equivalence` call, under one
+    sampling rule: --samples, else exhaustive within the bound, else the
+    default seeded Monte Carlo sample."""
+    from maskcc import leakage
+
+    calls = []
+    real = leakage.check_equivalence
+
+    def spy(harness, pub, secrets, sampling):
+        calls.append(sampling)
+        return real(harness, pub, secrets, sampling)
+
+    monkeypatch.setattr(leakage, "check_equivalence", spy)
+    path = tmp_path / "k.ir"
+    if sampling == "montecarlo":  # 2^24 random assignments, past the bound
+        path.write_text("func k width 8\nin t0:secret t1:random t2:random t3:random\n"
+                        "t4 = xor t0, t1\nt5 = xor t4, t2\nt6 = xor t5, t3\nout t6\n")
+    else:
+        path.write_text(FIXTURE_SOURCES["xor_p0"])
+    if argv[0] == "compile":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    rc, _, _ = run_cli(capsys, argv[0], str(path), *argv[1:], "--target", "mips-like")
+    assert rc == 0
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else leakage.DEFAULT_SEED
+    assert calls == [{
+        "exhaustive": leakage.Exhaustive(),
+        "samples": leakage.MonteCarlo(samples=500, seed=seed),
+        "montecarlo": leakage.MonteCarlo(seed=seed),
+    }[sampling]]
 
 
 def test_simulate_runs_two_leak_stats_passes(write_fixture, capsys, monkeypatch):

@@ -244,6 +244,46 @@ def test_distr_rules_match_factored_form(lhs):
         assert Classifier().classify(e) == Classifier().classify(factored[i])
 
 
+# Inputs with a secret leaf, so PUB1 does not decide them first; each
+# reaches the rule it is named after. y = k ^ m is uniform for every secret.
+m2, m3 = Var(4, R), Var(5, R)
+y = X(k, m)
+
+
+def A(a, b):
+    return Binary("and", a, b)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        # supp's nested cancellation a ^ (a ^ b) -> b, then PUB1
+        pytest.param(X(A(k, m), X(A(k, m), p)), id="supp-nested-cancel"),
+        # PUB9: two public operands sharing only the secret leaf
+        pytest.param(X(A(y, m1), A(X(k, m2), m3)), id="pub9"),
+        # PUB8: (y * m1) ^ y = y * (m1 ^ 1)
+        pytest.param(X(G(y, m1), y), id="pub8"),
+        # PUB8 when the third factor shares y's mask: ((k ^ m) * m) ^ (k ^ m)
+        # is (k ^ m) * (m ^ 1), which depends on k
+        pytest.param(X(G(y, m), y), id="pub8-shared-mask", marks=pytest.mark.xfail(
+            strict=True, reason="PUB8 types (y * o) ^ y Public when o shares a random "
+            "leaf with y, though the value depends on the secret")),
+        # DISTR0-3: the four operand orders of a shared factor y
+        pytest.param(X(G(y, m1), G(y, m2)), id="distr0"),
+        pytest.param(X(G(y, m1), G(m2, y)), id="distr1"),
+        pytest.param(X(G(m1, y), G(y, m2)), id="distr2"),
+        pytest.param(X(G(m1, y), G(m2, y)), id="distr3"),
+    ],
+)
+def test_rules_reached_past_pub1_are_sound(e):
+    cls = Classifier().classify(e)
+    assert cls is not S
+    if cls is R:
+        assert is_uniform(e), f"classified Random but not uniform: {e}"
+    else:
+        assert is_secret_independent(e), f"classified Public but depends: {e}"
+
+
 def test_classification_is_sound_on_random_expressions():
     """Random-classified exprs must be uniform; Public ones secret-independent."""
     rng = np.random.default_rng(7)
