@@ -6,7 +6,13 @@ simulate and for oracle -> branch-and-bound -> assembly + report.
 
 Exit codes: 0 success, 2 parse/validate/input errors, 3 infeasible model,
 4 budget exhausted without a solution, 1 other failures (e.g. a --verify
-run that finds the output leaky, or an output file that cannot be written).
+run that finds the output leaky, or an output file or standard output that
+cannot be written). Subcommands return 0, 1, 3 or 4 and raise on bad input:
+`main` is the only place that maps an exception to an exit code, 2 for the
+`INPUT_ERRORS` (`_InputError`, `ParseError`, `TargetError`,
+`ModelBuildError`, `oracle.OracleError`, `leakage.SimulationError`) and 1
+for an `OSError`, which only an output raises. Any other exception is a bug
+and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -158,20 +164,21 @@ def validate_report(report: dict) -> list[str]:
     return problems
 
 
-class _UnreadableInput(Exception):
-    """An input file that is missing, unreadable or not UTF-8 text."""
+class _InputError(Exception):
+    """Bad input the CLI detects itself: an input file that is missing,
+    unreadable or not UTF-8 text, or a flag value out of range."""
 
 
 def _read_program(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise _UnreadableInput(f"no such file: {path}") from None
+        raise _InputError(f"no such file: {path}") from None
     except UnicodeDecodeError as e:
-        raise _UnreadableInput(f"cannot read {path}: not UTF-8 text (byte "
-                               f"{e.object[e.start]:#04x} at offset {e.start})") from None
+        raise _InputError(f"cannot read {path}: not UTF-8 text (byte "
+                          f"{e.object[e.start]:#04x} at offset {e.start})") from None
     except OSError as e:
-        raise _UnreadableInput(f"cannot read {path}: {e.strerror}") from None
+        raise _InputError(f"cannot read {path}: {e.strerror}") from None
     return parse_program(text)
 
 
@@ -199,29 +206,21 @@ def front_end(prog, target, copy_budget: str, secure: bool = True):
     return base, sets, add_implied_constraints(add_security_constraints(base, sets))
 
 
-def _budget(args) -> solver.SolveBudget | None:
-    """The solve budget the flags ask for, or None after printing an input error."""
+def _budget(args) -> solver.SolveBudget:
+    """The solve budget the flags ask for."""
     try:
         return solver.SolveBudget(args.budget_seconds, args.budget_nodes)
     except ValueError as e:
-        print(f"error: bad solve budget (--budget-seconds {args.budget_seconds}, "
-              f"--budget-nodes {args.budget_nodes}): {e}", file=sys.stderr)
-        return None
+        raise _InputError(f"bad solve budget (--budget-seconds {args.budget_seconds}, "
+                          f"--budget-nodes {args.budget_nodes}): {e}") from None
 
 
 def _load(args, secure: bool):
-    """Read the program and target and run the front end.
-
-    Returns (program, base, sets, secure model or None), or None after
-    printing an input error.
-    """
-    try:
-        prog = _read_program(args.ir)
-        target = resolve_target(args.target)
-        return (prog, *front_end(prog, target, args.copy_budget, secure))
-    except (ParseError, _UnreadableInput, TargetError, ModelBuildError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return None
+    """Read the program and target and run the front end: (program, base,
+    sets, secure model or None)."""
+    prog = _read_program(args.ir)
+    target = resolve_target(args.target)
+    return (prog, *front_end(prog, target, args.copy_budget, secure))
 
 
 def _unsolved(outcome) -> int:
@@ -245,12 +244,7 @@ def _verdict_dict(verdict) -> dict:
 
 def cmd_compile(args) -> int:
     budget = _budget(args)
-    if budget is None:
-        return EXIT_INPUT
-    loaded = _load(args, args.secure)
-    if loaded is None:
-        return EXIT_INPUT
-    prog, base, sets, secure = loaded
+    prog, base, sets, secure = _load(args, args.secure)
     model = secure if args.secure else base
     out_dir = _writable_dir(Path(args.out_dir))
     if args.dump_model:
@@ -327,68 +321,50 @@ def _emit(args, payload: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        prog = _read_program(args.ir)
-        elab = elaborate(prog, copy_budget=args.copy_budget)
-        env = elab_types(elab)
-    except (ParseError, _UnreadableInput, ModelBuildError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    elab = elaborate(_read_program(args.ir), copy_budget=args.copy_budget)
+    env = elab_types(elab)
     payload = analysis_dict(elab, env, secsets.compute_sets(elab, env))
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _int_list(flag: str, text: str, count: int, what: str) -> list[int]:
-    """Parse a comma list of exactly `count` integers; ValueError otherwise."""
+    """Parse a comma list of exactly `count` integers."""
     parts = text.split(",")
     if len(parts) != count:
         noun = "value" if count == 1 else "values"
-        raise ValueError(f"{flag} takes {count} {noun} ({what}), got {len(parts)}")
+        raise _InputError(f"{flag} takes {count} {noun} ({what}), got {len(parts)}")
     try:
         return [int(x, 0) for x in parts]
     except ValueError:
-        raise ValueError(f"{flag}: not a list of integers: {text!r}") from None
+        raise _InputError(f"{flag}: not a list of integers: {text!r}") from None
 
 
 def cmd_simulate(args) -> int:
     budget = _budget(args)
-    if budget is None:
-        return EXIT_INPUT
-    loaded = _load(args, args.secure)
-    if loaded is None:
-        return EXIT_INPUT
-    prog, base, _sets, secure = loaded
+    prog, base, _sets, secure = _load(args, args.secure)
     width = prog.width
     secret_ids = [t.id for t in prog.secret_inputs()]
     pub_ids = [t.id for t in prog.public_inputs()]
-    try:
-        if args.secrets:
-            n = len(secret_ids)
-            parts = _int_list(
-                "--secrets", args.secrets, 2 * n,
-                f"{n} for the first secret assignment, then {n} for the second",
-            )
-            s1 = dict(zip(secret_ids, parts[:n]))
-            s2 = dict(zip(secret_ids, parts[n:]))
-        else:
-            s1, s2 = _default_secret_pair(prog, width)
-        if args.pub:
-            values = _int_list("--pub", args.pub, len(pub_ids), "one per public input")
-            pub = dict(zip(pub_ids, values))
-        else:
-            pub = {t: 0 for t in pub_ids}
-        if args.samples is not None and args.samples < 1:
-            raise ValueError(f"--samples must be positive, got {args.samples}")
-        total = (1 << width) ** len(prog.random_inputs())
-        if args.exhaustive and not args.samples and total > leakage.EXHAUSTIVE_BOUND:
-            raise ValueError(
-                f"--exhaustive would enumerate {total} random assignments, more "
-                f"than the bound {leakage.EXHAUSTIVE_BOUND}; use --samples"
-            )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.secrets:
+        n = len(secret_ids)
+        parts = _int_list("--secrets", args.secrets, 2 * n,
+                          f"{n} for the first secret assignment, then {n} for the second")
+        s1 = dict(zip(secret_ids, parts[:n]))
+        s2 = dict(zip(secret_ids, parts[n:]))
+    else:
+        s1, s2 = _default_secret_pair(prog, width)
+    pub_values = (_int_list("--pub", args.pub, len(pub_ids), "one per public input")
+                  if args.pub else [0] * len(pub_ids))
+    pub = dict(zip(pub_ids, pub_values))
+    if args.samples is not None and args.samples < 1:
+        raise _InputError(f"--samples must be positive, got {args.samples}")
+    total, within = leakage.exhaustive_count(width, len(prog.random_inputs()))
+    if args.exhaustive and not args.samples and not within:
+        raise _InputError(
+            f"--exhaustive would enumerate {total} random assignments, more "
+            f"than the bound {leakage.EXHAUSTIVE_BOUND}; use --samples"
+        )
 
     model = secure if args.secure else base
     outcome = solver.solve(model, budget)
@@ -420,19 +396,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.slack < 0:
-        print(f"error: --slack must not be negative, got {args.slack}", file=sys.stderr)
-        return EXIT_INPUT
-    loaded = _load(args, True)
-    if loaded is None:
-        return EXIT_INPUT
-    _prog, base, _sets, secure = loaded
-    try:
-        report = oracle.compare_with_solver(
-            base, secure, op_bound=args.bound, count_slack=args.slack
-        )
-    except oracle.OracleError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        raise _InputError(f"--slack must not be negative, got {args.slack}")
+    _prog, base, _sets, secure = _load(args, True)
+    report = oracle.compare_with_solver(base, secure, op_bound=args.bound,
+                                        count_slack=args.slack)
     print(json.dumps(asdict(report), indent=2))
     return EXIT_OK if not report.discrepancies else EXIT_FAIL
 
@@ -490,15 +457,28 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
+# bad input, exit 2 (a SimulationError is e.g. a load from an unwritten address)
+INPUT_ERRORS = (_InputError, ParseError, TargetError, ModelBuildError,
+                oracle.OracleError, leakage.SimulationError)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except leakage.SimulationError as e:  # e.g. a load from a never-written address
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return rc
+    except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as e:  # input files raise their own errors: an output failed
-        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+    except OSError as e:  # input files raise _InputError: an output failed
+        if isinstance(e, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # so that the interpreter's exit-time flush does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "standard output" if e.filename is None else e.filename
+        print(f"error: cannot write {where}: {e.strerror}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -276,8 +276,8 @@ def _assignment_chunks(harness: Harness, sampling: Sampling, draws: np.ndarray |
     k = len(harness.random_inputs())
     w = harness.width
     if isinstance(sampling, Exhaustive):
-        total = (1 << w) ** k
-        if total > EXHAUSTIVE_BOUND:
+        total, within = exhaustive_count(w, k)
+        if not within:
             raise SimulationError(
                 f"exhaustive enumeration of {total} assignments exceeds the bound"
             )
@@ -489,6 +489,12 @@ def compare_stats(
     return Verdict(False, bad, dmean, dvar, st1)
 
 
+def exhaustive_count(width: int, n_random: int) -> tuple[int, bool]:
+    """How many random-input assignments an exhaustive pass enumerates, and
+    whether that is within `EXHAUSTIVE_BOUND`."""
+    total = (1 << width) ** n_random
+    return total, total <= EXHAUSTIVE_BOUND
+
+
 def exhaustive_ok(harness: Harness) -> bool:
-    total = (1 << harness.width) ** len(harness.random_inputs())
-    return total <= EXHAUSTIVE_BOUND
+    return exhaustive_count(harness.width, len(harness.random_inputs()))[1]

@@ -141,8 +141,7 @@ Either prune removes only leaves that repeat, at no better makespan, a
 leaf found earlier in search order, and the incumbent only improves; so
 the first optimal leaf in search order is still reached, and optima and
 returned solutions are those of the unpruned search. Enumerate mode uses
-neither prune and counts no temp as plain: its solution sets stay
-complete, renamings included.
+neither prune: its solution sets stay complete, renamings included.
 
 A solve call is single-threaded and self-contained; models are never
 mutated, so independent solves may run concurrently on shared models.
@@ -529,7 +528,7 @@ class _Searcher:
             dom in classes for t, dom in model.r_dom.items() if t not in inputs
         )
         # `reads[o]`: the plain temps op o's slots name, once per slot alt
-        plain = frozenset() if enumerate_all else self._plain_temps()
+        plain = self._plain_temps()
         self.reads = [()] + [tuple(t for alts in f.alts for t in alts if t in plain)
                              for f in self.facts[1:]]
 

@@ -1,13 +1,19 @@
 """Command-line contract: exit codes, outputs, report schema."""
 
+import errno
+import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_SOURCES
-from maskcc import solver
+from maskcc import cli, solver
 from maskcc.cli import main, validate_report
+from maskcc.ir import ParseError
 
 
 @pytest.fixture
@@ -335,9 +341,53 @@ def test_oracle_subcommand_clean(write_fixture, capsys):
     assert payload["insecure_optimum"] == payload["secure_optimum"] == 3
 
 
-def test_oracle_rejects_negative_slack(write_fixture, capsys, monkeypatch):
-    from maskcc import cli
+def test_closed_standard_output_exits_1(write_fixture, capsys, monkeypatch):
+    """A standard output that cannot be written is named as such, not as None."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = main(["simulate", write_fixture("xor_p0"), "--insecure"])
+    assert (rc, capsys.readouterr().err) == (1, "error: cannot write standard output: Broken pipe\n")
+
+
+def test_closed_pipe_exits_1_without_a_traceback(write_fixture):
+    """`maskcc simulate ... | true`: a block-buffered pipe with no reader fails
+    inside `main`, and the interpreter's exit-time flush adds nothing."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    with open(write_end, "wb") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "maskcc.cli", "simulate", write_fixture("xor_p0"), "--insecure"],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    assert (done.returncode, done.stderr) == (1, "error: cannot write standard output: Broken pipe\n")
+
+
+def _raise(error):
+    def raising(*args):
+        raise error
+    return raising
+
+
+@pytest.mark.parametrize("kind", cli.INPUT_ERRORS, ids=lambda kind: kind.__name__)
+def test_main_maps_each_input_error_to_exit_2(kind, write_fixture, capsys, monkeypatch):
+    error = kind(3, 5, "bad input") if kind is ParseError else kind("bad input")
+    monkeypatch.setattr(cli, "_read_program", _raise(error))
+    rc, out, err = run_cli(capsys, "analyze", write_fixture("xor_p0"))
+    assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_a_bug_in_a_subcommand_is_a_traceback_not_exit_2(write_fixture, monkeypatch):
+    monkeypatch.setattr(cli, "_read_program", _raise(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        main(["analyze", write_fixture("xor_p0")])
+
+
+def test_oracle_rejects_negative_slack(write_fixture, capsys, monkeypatch):
     def no_models(*args):
         raise AssertionError("models built for a rejected --slack")
 
@@ -360,8 +410,6 @@ def test_oracle_rejects_negative_slack(write_fixture, capsys, monkeypatch):
 )
 def test_malformed_budget_exits_2_before_the_front_end(cmd, flags, message, write_fixture,
                                                         capsys, monkeypatch):
-    from maskcc import cli
-
     def no_models(*args):
         raise AssertionError("models built for a rejected budget")
 
@@ -374,8 +422,6 @@ def test_malformed_budget_exits_2_before_the_front_end(cmd, flags, message, writ
 
 
 def test_infinite_seconds_budget_is_no_time_limit(write_fixture, capsys, monkeypatch, tmp_path):
-    from maskcc import cli
-
     budgets = []
     solve = cli.solver.solve
     monkeypatch.setattr(cli.solver, "solve",
@@ -426,7 +472,7 @@ def test_json_flag_echoes_report(write_fixture, capsys, tmp_path):
 
 def test_main_reuses_parser_without_leaking_options(write_fixture, capsys, tmp_path, monkeypatch):
     """One parser per process; options of one call never reach the next."""
-    from maskcc import cli, leakage
+    from maskcc import leakage
 
     assert cli._parser() is cli._parser()
     compile_argv = ["--json", "compile", write_fixture("xor_p0"), "--out-dir", str(tmp_path)]
@@ -557,8 +603,6 @@ def test_simulate_exhaustive_beyond_bound_exits_2(tmp_path, capsys):
 )
 def test_secure_model_built_only_for_runs_that_read_it(argv, built, write_fixture, capsys,
                                                         tmp_path, monkeypatch):
-    from maskcc import cli
-
     calls = []
     for name in ("add_security_constraints", "add_implied_constraints"):
         real = getattr(cli, name)

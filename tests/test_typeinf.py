@@ -106,6 +106,8 @@ m = Var(1, R)
 m1 = Var(3, R)
 k = Var(2, S)
 p = Var(0, P)
+m2, m3 = Var(4, R), Var(5, R)
+y = Binary("xor", k, m)  # a secret leaf, yet uniform for every secret
 
 
 def X(a, b):
@@ -221,39 +223,33 @@ def test_nest3_and_unfolding():
 @pytest.mark.parametrize(
     "lhs",
     [
-        X(G(p, m), G(p, m1)),  # (a*b) ^ (a*c)
-        X(G(p, m), G(m1, p)),  # (a*b) ^ (c*a)
-        X(G(p, m), G(m, m1)),  # (a*b) ^ (b*c)
-        X(G(p, m), G(m1, m)),  # (a*b) ^ (c*b)
+        X(G(y, m1), G(y, m2)),  # (a*b) ^ (a*c)
+        X(G(y, m1), G(m2, y)),  # (a*b) ^ (c*a)
+        X(G(m1, y), G(y, m2)),  # (a*b) ^ (b*c)
+        X(G(m1, y), G(m2, y)),  # (a*b) ^ (c*b)
     ],
 )
-def test_distr_rules_match_factored_form(lhs):
-    factored = {
-        0: G(p, X(m, m1)),
-        1: G(p, X(m, m1)),
-        2: G(m, X(p, m1)),
-        3: G(m, X(p, m1)),
-    }
-    cl = Classifier()
-    results = [cl.classify(lhs)]
-    assert results[0] in (R, P, S)
-    # all four operand orders agree with their factored form
-    for i, e in enumerate(
-        [X(G(p, m), G(p, m1)), X(G(p, m), G(m1, p)), X(G(p, m), G(m, m1)), X(G(p, m), G(m1, m))]
-    ):
-        assert Classifier().classify(e) == Classifier().classify(factored[i])
+def test_distr_rules_match_factored_form(lhs, monkeypatch):
+    """DISTR0-3: each operand order classifies as its factored form
+    y * (m1 ^ m2). The secret leaf of y keeps PUB1 from deciding first."""
+    rewritten = []
+    rewrite = Classifier._rewrite_rules
 
+    def spy(self, e, a, b, depth):
+        rewritten.append(e)
+        return rewrite(self, e, a, b, depth)
 
-# Inputs with a secret leaf, so PUB1 does not decide them first; each
-# reaches the rule it is named after. y = k ^ m is uniform for every secret.
-m2, m3 = Var(4, R), Var(5, R)
-y = X(k, m)
+    monkeypatch.setattr(Classifier, "_rewrite_rules", spy)
+    assert Classifier().classify(lhs) == Classifier().classify(G(y, X(m1, m2)))
+    assert lhs in rewritten
 
 
 def A(a, b):
     return Binary("and", a, b)
 
 
+# Inputs with a secret leaf, so PUB1 does not decide them first; each
+# reaches the rule it is named after.
 @pytest.mark.parametrize(
     "e",
     [

@@ -22,7 +22,10 @@ case), both on mips-like under the reg budget. A malformed-IR corpus, one
 minimal program per rule of `ir.validate` and per syntax error of
 `ir.parse_program`, plus a file that is not UTF-8 text, runs under
 `compile`, so the exact wording and position of every parse message can be
-diffed too. Node budgets stand in for time budgets so every run is
+diffed too. So does every other error exit of the CLI: bad budget, kernel,
+`--target`, `simulate` and `oracle` flags, a load from an unwritten
+address, too many inputs for the target's argument registers, and outputs
+that cannot be written. Node budgets stand in for time budgets so every run is
 deterministic; `solver_stats.wall_time` is dropped from reports. Use it to
 show that a refactor keeps reports, `.s` files, model dumps, messages and
 exit codes byte for byte.
@@ -287,6 +290,49 @@ for name, text in MALFORMED.items():
 path = irdir / "malformed_not_utf8.ir"
 path.write_bytes(b"func bad width 4\nin t0:public  # caf\xe9\nout t0\n")
 record("malformed_not_utf8", ["compile", str(path), "--out-dir", str(outdir / "malformed")])
+
+# Every other error exit: bad flags, inputs and outputs. Each exits before
+# writing anything but its record.
+xor_p0 = str(kernels["xor_p0"])
+errdir = str(outdir / "errors")
+absent = str(irdir / "absent.ir")
+for cmd in ("compile", "simulate"):
+    record(f"error_{cmd}_budget_seconds", [cmd, xor_p0, "--budget-seconds", "-1"])
+    record(f"error_{cmd}_budget_nodes", [cmd, xor_p0, "--budget-nodes", "-5"])
+for cmd in ("compile", "analyze", "oracle"):
+    record(f"error_{cmd}_missing_kernel", [cmd, absent])
+for cmd in ("compile", "analyze"):
+    record(f"error_{cmd}_directory_kernel", [cmd, str(irdir)])
+bad_target = irdir / "malformed.target"
+bad_target.write_text("registers = R0 R1\n")
+for name, target in (("missing", str(irdir / "absent.target")), ("malformed", str(bad_target))):
+    record(f"error_compile_{name}_target", ["compile", xor_p0, "--target", target,
+                                            "--out-dir", errdir])
+for name, flags in (("secrets_count", ["--secrets", "0x5"]),
+                    ("secrets_value", ["--secrets", "0x0,zz"]),
+                    ("pub_count", ["--pub", "1,2"]),
+                    ("samples_zero", ["--samples", "0"])):
+    record(f"error_simulate_{name}", ["simulate", xor_p0, *flags])
+wide = irdir / "wide.ir"
+wide.write_text("func wide width 8\nin t0:secret t1:random t2:random t3:random\n"
+                "t4 = xor t0, t1\nt5 = xor t4, t2\nt6 = xor t5, t3\nout t6\n")
+record("error_simulate_exhaustive_bound", ["simulate", str(wide), "--exhaustive"])
+record("error_oracle_slack", ["oracle", xor_p0, "--slack", "-1"])
+record("error_oracle_bound", ["oracle", xor_p0, "--bound", "1"])
+unwritten = irdir / "unwritten_load.ir"
+unwritten.write_text("func ld width 4\nin t0:random t1:random\nt2 = load 5\nt3 = xor t2, t0\nout t3\n")
+record("error_simulate_unwritten_load", ["simulate", str(unwritten), "--budget-nodes", "2000"])
+record("error_compile_unwritten_load", ["compile", str(unwritten), "--budget-nodes", "2000",
+                                        "--verify", "--out-dir", errdir])
+five = irdir / "five_inputs.ir"
+five.write_text("func five width 4\nin t0:public t1:public t2:public t3:public t4:public\n"
+                "t5 = xor t0, t4\nout t5\n")
+record("error_compile_five_inputs", ["compile", str(five), "--out-dir", errdir])
+taken = irdir / "taken"
+taken.write_text("")
+record("error_compile_out_dir_file", ["compile", xor_p0, "--out-dir", str(taken)])
+record("error_compile_dump_model_directory", ["compile", xor_p0, "--out-dir", errdir,
+                                               "--dump-model", str(irdir)])
 
 files = [p for p in outdir.rglob("*") if p.is_file() and p.parent != irdir]
 print(f"{len(files)} output files in {outdir}")
