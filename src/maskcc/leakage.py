@@ -15,15 +15,14 @@ over the instruction sequence on every fixture, and it is the reference
 for the statistics below.
 
 `leak_stats` walks the random-input assignments in chunks of CHUNK lanes:
-each register, the bus and each memory cell is one numpy array over the
-chunk, each instruction is one numpy op, and each leak is a
-`np.bitwise_count`. A memory address taken from a register that differs
-across the lanes of a chunk sends that chunk to the scalar `simulate` loop.
-Per-position sums and sums of squares are Python ints, so means and
-variances are exact rationals, under exhaustive enumeration of the random
-inputs or over a seeded Monte Carlo sample. Equivalence of two secret
-instances compares the sums of means and of variances over all leak
-positions.
+each register and the bus is one numpy array over the chunk, memory is the
+list of stores so far with an address and a word per lane (so an address
+read from a register may differ between lanes), each instruction is one
+numpy op, and each leak is a `np.bitwise_count`. Per-position sums and sums
+of squares are Python ints, so means and variances are exact rationals,
+under exhaustive enumeration of the random inputs or over a seeded Monte
+Carlo sample. Equivalence of two secret instances compares the sums of
+means and of variances over all leak positions.
 """
 
 from __future__ import annotations
@@ -304,17 +303,16 @@ def _positions(instrs) -> list[tuple[int, str]]:
     return order
 
 
-class _LaneDependentAddress(Exception):
-    """A register address differs across the lanes of one chunk."""
-
-
 def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> np.ndarray:
     """`simulate` over every lane of `lanes` at once, one numpy op per instruction.
 
     `lanes` holds one row of values per random input. Returns the leak
-    values as a (trace position, lane) uint8 array. Raises
-    `_LaneDependentAddress` when a memory address is not the same in every
-    lane, since memory is held as one array per address.
+    values as a (trace position, lane) uint8 array. Memory is the list of
+    stores so far, each (space, address, word) with the address and the
+    word per lane (a literal or slot address is one int); a load takes in
+    each lane the word of the newest store to its address there, at one
+    array op per earlier store to its space. A load at which some lane
+    reads an unwritten address raises, naming the lowest such lane's address.
     """
     w = harness.width
     m = mask(w)
@@ -326,7 +324,7 @@ def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> n
         for r, v in harness.initial_regs(values).items()
     }
     bus = zero
-    memory: dict[object, np.ndarray] = {}
+    stores: list[tuple[str, int | np.ndarray, np.ndarray]] = []
     leaks = np.empty((len(_positions(harness.instrs)), n), dtype=np.uint8)
     row = 0
 
@@ -336,16 +334,29 @@ def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> n
             return np.broadcast_to(np.int64(x & m), (n,))
         return regs.get(x, zero)
 
-    def memkey(ref: tuple[str, int]) -> object:
+    def address(ref: tuple[str, int]) -> tuple[str, int | np.ndarray]:
         kind, x = ref
         if kind == "slot":
-            return ("slot", x)
-        if kind == "lit":
-            return ("abs", x)
-        addr = regs.get(x, zero)
-        if (addr != addr[0]).any():
-            raise _LaneDependentAddress
-        return ("abs", int(addr[0]))
+            return "slot", x
+        return "abs", x if kind == "lit" else regs.get(x, zero)
+
+    def load(ref: tuple[str, int]) -> np.ndarray:
+        space, addr = address(ref)
+        word, written = zero, False
+        for s_space, s_addr, s_word in stores:
+            if s_space != space:
+                continue
+            hit = s_addr == addr
+            if hit is True:
+                word, written = s_word, True
+            elif hit is not False:
+                word, written = np.where(hit, s_word, word), written | hit
+        missing = ~np.broadcast_to(written, (n,))
+        if missing.any():
+            lane = int(missing.argmax())
+            at = addr if isinstance(addr, int) else int(addr[lane])
+            raise SimulationError(f"read of uninitialized memory address {(space, at)}")
+        return word
 
     def leak(a: np.ndarray, b: np.ndarray) -> None:
         nonlocal row
@@ -356,13 +367,11 @@ def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> n
         if ins.opcode == "store":
             val = resolve(ins.srcs[0])
             leak(val, bus)
-            bus = memory[memkey(ins.mem)] = val
+            bus = val
+            stores.append((*address(ins.mem), val))
             continue
         if ins.opcode == "load":
-            key = memkey(ins.mem)
-            if key not in memory:
-                raise SimulationError(f"read of uninitialized memory address {key}")
-            val = memory[key]
+            val = load(ins.mem)
             leak(val, bus)
             bus = val
         elif ins.opcode in ("not", "copy"):
@@ -371,17 +380,6 @@ def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> n
             val = apply_binop(ins.opcode, resolve(ins.srcs[0]), resolve(ins.srcs[1]), w)
         leak(val, regs.get(ins.dest, zero))
         regs[ins.dest] = val
-    return leaks
-
-
-def _simulate_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> np.ndarray:
-    """The fallback for `_walk_lanes`: one `simulate` run per lane."""
-    rand = harness.random_inputs()
-    leaks = np.empty((len(_positions(harness.instrs)), lanes.shape[1]), dtype=np.uint8)
-    for j, column in enumerate(lanes.T.tolist()):
-        values = {**fixed, **dict(zip(rand, column))}
-        _, trace = simulate(harness.instrs, harness.width, harness.initial_regs(values))
-        leaks[:, j] = [o.value for o in trace]
     return leaks
 
 
@@ -404,10 +402,7 @@ def leak_stats(
     sqs = dict.fromkeys(order, 0)
     counts = 0
     for lanes in _assignment_chunks(harness, sampling, draws):
-        try:
-            leaks = _walk_lanes(harness, fixed, lanes)
-        except _LaneDependentAddress:
-            leaks = _simulate_lanes(harness, fixed, lanes)
+        leaks = _walk_lanes(harness, fixed, lanes)
         counts += lanes.shape[1]
         s = leaks.sum(axis=1, dtype=np.int64)
         q = np.square(leaks, dtype=np.uint16).sum(axis=1, dtype=np.int64)

@@ -267,6 +267,7 @@ class Classifier:
                 if not (self.supp(a) & self.supp(b) & rand_ids):
                     return P
             # PUB8: one side is the product of the other with a third factor
+            # that shares no leaf with it; (y * o) ^ y = y * (o ^ 1)
             for x, y, cy in ((a, b, cb), (b, a, ca)):
                 if isinstance(x, Binary) and x.op == "gf_mul":
                     other = None
@@ -274,9 +275,13 @@ class Classifier:
                         other = x.right
                     elif x.right == y:
                         other = x.left
-                    if other is not None and cy is not S:
-                        if self.classify(other, depth) is not S:
-                            return P
+                    if (
+                        other is not None
+                        and cy is not S
+                        and not (self.supp(other) & self.supp(y))
+                        and self.classify(other, depth) is not S
+                    ):
+                        return P
             if depth < REWRITE_DEPTH:
                 res = self._rewrite_rules(e, a, b, depth)
                 if res is not None:

@@ -464,31 +464,51 @@ def random_address_harness():
     )
 
 
-@pytest.mark.parametrize(
-    "sampling", [Exhaustive(), MonteCarlo(samples=300, seed=2)], ids=["exhaustive", "montecarlo"]
-)
-def test_lane_dependent_address_falls_back_to_simulate(monkeypatch, sampling):
-    calls = []
-    real = leakage._simulate_lanes
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(leakage, "_simulate_lanes", counting)
-    h = random_address_harness()
-    for secret in (0x0, 0x9):
-        got = leak_stats(h, {1: secret}, sampling)
-        assert_same_stats(got, reference_leak_stats(h, {1: secret}, sampling))
-    assert len(calls) == 2
-
-
-def test_uniform_register_address_stays_vectorized(monkeypatch):
-    monkeypatch.setattr(leakage, "_simulate_lanes", None)
+def test_lane_dependent_addresses_walk_without_simulate(monkeypatch):
     h = random_address_harness()
     # the address register holds a fixed (public) word in every lane
-    h = Harness(h.instrs, ((0, SecurityClass.PUBLIC, 0), (1, SecurityClass.RANDOM, 1)), 4)
-    assert_same_stats(leak_stats(h, {0: 6}), reference_leak_stats(h, {0: 6}))
+    uniform = Harness(h.instrs, ((0, SecurityClass.PUBLIC, 0), (1, SecurityClass.RANDOM, 1)), 4)
+    # a second random input at width 8: (2^8)^2 assignments, 16 chunks
+    wide = Harness(
+        h.instrs + (MInstr(6, "xor", 5, (("reg", 3), ("reg", 2))),),
+        h.inputs + ((2, SecurityClass.RANDOM, 2),),
+        8,
+    )
+    assert (1 << 16) // CHUNK == 16
+    cases = [
+        (h, {1: secret}, sampling)
+        for secret in (0x0, 0x9)
+        for sampling in (Exhaustive(), MonteCarlo(samples=300, seed=2))
+    ]
+    cases += [(uniform, {0: 6}, Exhaustive()), (wide, {1: 0xA5}, Exhaustive())]
+    want = [reference_leak_stats(*case) for case in cases]
+
+    def no_simulate(*args):
+        raise AssertionError("leak_stats ran the scalar simulate")
+
+    monkeypatch.setattr(leakage, "simulate", no_simulate)
+    for case, ref in zip(cases, want):
+        assert_same_stats(leak_stats(*case), ref, case)
+
+
+def test_unwritten_load_names_the_lowest_missing_lane_at_the_first_load():
+    """Lane 0 (t0 = 0) misses only at the second load, at address 5; lanes 1-15
+    already miss at the first, so the walk names lane 1's address."""
+    h = Harness(
+        (
+            MInstr(1, "store", None, (("reg", 0),), ("lit", 0)),
+            MInstr(2, "xor", 1, (("reg", 0), ("lit", 5))),
+            MInstr(3, "load", 2, (), ("reg", 0)),
+            MInstr(4, "load", 3, (), ("reg", 1)),
+        ),
+        ((0, SecurityClass.RANDOM, 0),),
+        4,
+    )
+    with pytest.raises(SimulationError, match=r"\('abs', 5\)"):
+        reference_leak_stats(h, {})
+    with pytest.raises(SimulationError) as got:
+        leak_stats(h, {})
+    assert str(got.value) == "read of uninitialized memory address ('abs', 1)"
 
 
 @pytest.mark.parametrize(
@@ -496,7 +516,7 @@ def test_uniform_register_address_stays_vectorized(monkeypatch):
     [
         (("lit", 99), ((0, SecurityClass.RANDOM, 0),), {}),
         (("reg", 0), ((0, SecurityClass.PUBLIC, 0), (1, SecurityClass.RANDOM, 1)), {0: 7}),
-        (("reg", 0), ((0, SecurityClass.RANDOM, 0),), {}),  # differs per lane: fallback
+        (("reg", 0), ((0, SecurityClass.RANDOM, 0),), {}),
     ],
     ids=["literal", "uniform-register", "random-register"],
 )

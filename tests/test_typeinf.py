@@ -259,11 +259,6 @@ def A(a, b):
         pytest.param(X(A(y, m1), A(X(k, m2), m3)), id="pub9"),
         # PUB8: (y * m1) ^ y = y * (m1 ^ 1)
         pytest.param(X(G(y, m1), y), id="pub8"),
-        # PUB8 when the third factor shares y's mask: ((k ^ m) * m) ^ (k ^ m)
-        # is (k ^ m) * (m ^ 1), which depends on k
-        pytest.param(X(G(y, m), y), id="pub8-shared-mask", marks=pytest.mark.xfail(
-            strict=True, reason="PUB8 types (y * o) ^ y Public when o shares a random "
-            "leaf with y, though the value depends on the secret")),
         # DISTR0-3: the four operand orders of a shared factor y
         pytest.param(X(G(y, m1), G(y, m2)), id="distr0"),
         pytest.param(X(G(y, m1), G(m2, y)), id="distr1"),
@@ -278,6 +273,13 @@ def test_rules_reached_past_pub1_are_sound(e):
         assert is_uniform(e), f"classified Random but not uniform: {e}"
     else:
         assert is_secret_independent(e), f"classified Public but depends: {e}"
+
+
+def test_pub8_skips_a_third_factor_sharing_a_leaf_with_y():
+    """((k ^ m) * m) ^ (k ^ m) is (k ^ m) * (m ^ 1), which depends on k."""
+    e = X(G(y, m), y)
+    assert Classifier().classify(e) is S
+    assert not is_secret_independent(e)
 
 
 def test_classification_is_sound_on_random_expressions():

@@ -18,7 +18,10 @@ once with its outputs in order and once reversed, runs the same way under
 none/reg on mips-like with 10 argument registers. The Monte Carlo draws run in
 `simulate --samples 20000 --seed 7` of `spill_sec` at widths 8/16/32 and in
 `compile --verify` of `spill_force` at width 8 (the benchmark's Monte Carlo
-case), both on mips-like under the reg budget. A malformed-IR corpus, one
+case), both on mips-like under the reg budget. `kernels/rand_ptr.ir` at
+width 8, whose memory address is a random input, runs under `compile
+--verify` and `simulate` (exhaustive, and with `--samples 20000 --seed 7`)
+on mips-like under the full budget. A malformed-IR corpus, one
 minimal program per rule of `ir.validate` and per syntax error of
 `ir.parse_program`, plus a file that is not UTF-8 text, runs under
 `compile`, so the exact wording and position of every parse message can be
@@ -125,6 +128,15 @@ for width in (8, 16, 32):
     record(f"simulate_spill_sec_w{width}_montecarlo", ["simulate", str(kernels[f"spill_sec_w{width}"]),
            *montecarlo, "--budget-seconds", "10000", "--samples", "20000", "--seed", "7"])
 compile_into("compile_spill_force_w8_mips-like_reg", kernels["spill_force_w8"], *montecarlo, "--verify")
+# a random pointer: each assignment of a leakage pass has its own memory address
+rand_ptr = irdir / "rand_ptr_w8.ir"
+rand_ptr.write_text(kernels["kernels_rand_ptr"].read_text().replace("width 4", "width 8", 1))
+wide_ptr = ["--target", "mips-like", "--copy-budget", "full", "--budget-nodes", "60000"]
+compile_into("compile_rand_ptr_w8_mips-like_full", rand_ptr, *wide_ptr, "--verify")
+for name, flags in (("exhaustive", ["--exhaustive"]),
+                    ("montecarlo", ["--samples", "20000", "--seed", "7"])):
+    record(f"simulate_rand_ptr_w8_{name}", ["simulate", str(rand_ptr), *wide_ptr,
+           "--budget-seconds", "10000", *flags])
 # the largest oracle run: its secure walk ends at the first makespan that cuts nothing
 record("oracle_kernels_ptr_store_thumb-like_reg", ["oracle", str(kernels["kernels_ptr_store"]),
        "--target", "thumb-like", "--copy-budget", "reg"])
