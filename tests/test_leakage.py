@@ -464,23 +464,9 @@ def random_address_harness():
     )
 
 
-def test_lane_dependent_addresses_walk_without_simulate(monkeypatch):
-    h = random_address_harness()
-    # the address register holds a fixed (public) word in every lane
-    uniform = Harness(h.instrs, ((0, SecurityClass.PUBLIC, 0), (1, SecurityClass.RANDOM, 1)), 4)
-    # a second random input at width 8: (2^8)^2 assignments, 16 chunks
-    wide = Harness(
-        h.instrs + (MInstr(6, "xor", 5, (("reg", 3), ("reg", 2))),),
-        h.inputs + ((2, SecurityClass.RANDOM, 2),),
-        8,
-    )
-    assert (1 << 16) // CHUNK == 16
-    cases = [
-        (h, {1: secret}, sampling)
-        for secret in (0x0, 0x9)
-        for sampling in (Exhaustive(), MonteCarlo(samples=300, seed=2))
-    ]
-    cases += [(uniform, {0: 6}, Exhaustive()), (wide, {1: 0xA5}, Exhaustive())]
+def assert_walks_without_simulate(monkeypatch, cases):
+    """leak_stats gives the reference statistics on every case with simulate
+    made to raise, so no path inside it runs the scalar simulate."""
     want = [reference_leak_stats(*case) for case in cases]
 
     def no_simulate(*args):
@@ -489,6 +475,35 @@ def test_lane_dependent_addresses_walk_without_simulate(monkeypatch):
     monkeypatch.setattr(leakage, "simulate", no_simulate)
     for case, ref in zip(cases, want):
         assert_same_stats(leak_stats(*case), ref, case)
+
+
+@pytest.mark.parametrize(
+    "sampling", [Exhaustive(), MonteCarlo(samples=300, seed=2)], ids=["exhaustive", "montecarlo"]
+)
+def test_lane_dependent_address_falls_back_to_simulate(monkeypatch, sampling):
+    """A random address register differs across the lanes of a chunk; the lane
+    walk holds memory per lane instead of running simulate once per lane."""
+    h = random_address_harness()
+    assert_walks_without_simulate(monkeypatch, [(h, {1: s}, sampling) for s in (0x0, 0x9)])
+
+
+def test_uniform_register_address_stays_vectorized(monkeypatch):
+    h = random_address_harness()
+    # the address register holds a fixed (public) word in every lane
+    h = Harness(h.instrs, ((0, SecurityClass.PUBLIC, 0), (1, SecurityClass.RANDOM, 1)), 4)
+    assert_walks_without_simulate(monkeypatch, [(h, {0: 6}, Exhaustive())])
+
+
+def test_lane_dependent_addresses_walk_without_simulate(monkeypatch):
+    h = random_address_harness()
+    # a second random input at width 8: (2^8)^2 assignments, 16 chunks
+    wide = Harness(
+        h.instrs + (MInstr(6, "xor", 5, (("reg", 3), ("reg", 2))),),
+        h.inputs + ((2, SecurityClass.RANDOM, 2),),
+        8,
+    )
+    assert (1 << 16) // CHUNK == 16
+    assert_walks_without_simulate(monkeypatch, [(wide, {1: 0xA5}, Exhaustive())])
 
 
 def test_unwritten_load_names_the_lowest_missing_lane_at_the_first_load():
