@@ -11,8 +11,10 @@ cannot be written). Subcommands return 0, 1, 3 or 4 and raise on bad input:
 `main` is the only place that maps an exception to an exit code, 2 for the
 `INPUT_ERRORS` (`_InputError`, `ParseError`, `TargetError`,
 `ModelBuildError`, `oracle.OracleError`, `leakage.SimulationError`) and 1
-for an `OSError`, which only an output raises. Any other exception is a bug
-and surfaces as a traceback.
+for an `OSError`, which only an output raises, and for
+`leakage.NumpyMissing`, which only the leakage check (`compile --verify`,
+`simulate`) raises: no other subcommand needs numpy. Any other exception
+is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -471,6 +473,9 @@ def main(argv=None) -> int:
     except INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except leakage.NumpyMissing as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL
     except OSError as e:  # input files raise _InputError: an output failed
         if isinstance(e, BrokenPipeError) and sys.stdout is sys.__stdout__:
             # so that the interpreter's exit-time flush does not fail again

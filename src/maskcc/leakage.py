@@ -22,7 +22,11 @@ numpy op, and each leak is a `np.bitwise_count`. Per-position sums and sums
 of squares are Python ints, so means and variances are exact rationals,
 under exhaustive enumeration of the random inputs or over a seeded Monte
 Carlo sample. Equivalence of two secret instances compares the sums of
-means and of variances over all leak positions.
+means and of variances over all leak positions. numpy (2.0 or later, for
+`bitwise_count`) is imported at the first lane walk, by `_numpy`, and not
+with this module: `compile` without `--verify`, `analyze` and `oracle`
+never walk lanes, and importing numpy would be about a third of their
+start-up.
 """
 
 from __future__ import annotations
@@ -30,12 +34,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bits import apply_binop, apply_unop, hw, mask
 from .ir import SecurityClass
 from .model import ExtendedModel, LitOperand, Solution, SolutionView
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXHAUSTIVE_BOUND = 2**20
 DEFAULT_SAMPLES = 100_000
@@ -46,6 +52,24 @@ WORD_BLOCK = 1 << 14  # generator words per Monte Carlo draw; bounds its memory
 
 class SimulationError(Exception):
     pass
+
+
+class NumpyMissing(Exception):
+    """The lane walk cannot import numpy 2.0 or later."""
+
+
+def _numpy():
+    """numpy, for the lane walk; raise NumpyMissing when it is absent or
+    lacks `bitwise_count` (added in 2.0)."""
+    try:
+        import numpy
+    except ImportError as e:
+        raise NumpyMissing(f"the leakage check needs numpy>=2.0: {e}") from None
+    if not hasattr(numpy, "bitwise_count"):
+        raise NumpyMissing(
+            f"the leakage check needs numpy>=2.0, found numpy {numpy.__version__}"
+        )
+    return numpy
 
 
 # value sources: ('reg', index) | ('lit', value)
@@ -251,6 +275,7 @@ def draw_assignments(harness: Harness, sampling: Sampling) -> np.ndarray | None:
     """
     if isinstance(sampling, Exhaustive):
         return None
+    np = _numpy()
     w = harness.width
     k = len(harness.random_inputs())
     n = sampling.samples * k
@@ -272,6 +297,7 @@ def draw_assignments(harness: Harness, sampling: Sampling) -> np.ndarray | None:
 
 def _assignment_chunks(harness: Harness, sampling: Sampling, draws: np.ndarray | None):
     """Random-input assignments as (inputs, lanes) int64 arrays of up to CHUNK lanes."""
+    np = _numpy()
     k = len(harness.random_inputs())
     w = harness.width
     if isinstance(sampling, Exhaustive):
@@ -314,6 +340,7 @@ def _walk_lanes(harness: Harness, fixed: dict[int, int], lanes: np.ndarray) -> n
     array op per earlier store to its space. A load at which some lane
     reads an unwritten address raises, naming the lowest such lane's address.
     """
+    np = _numpy()
     w = harness.width
     m = mask(w)
     n = lanes.shape[1]
@@ -397,6 +424,7 @@ def leak_stats(
     drawn by `draw_assignments` for the same harness and sampling, so that
     two secret instances under one seed draw them once.
     """
+    np = _numpy()
     order = _positions(harness.instrs)
     sums = dict.fromkeys(order, 0)
     sqs = dict.fromkeys(order, 0)

@@ -367,6 +367,49 @@ def test_closed_pipe_exits_1_without_a_traceback(write_fixture):
     assert (done.returncode, done.stderr) == (1, "error: cannot write standard output: Broken pipe\n")
 
 
+XOR_P0 = str(Path(__file__).parents[1] / "kernels" / "xor_p0.ir")
+
+
+def _fresh_python(code, *argv):
+    """Run `code` in a new interpreter that imports maskcc from this tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; from maskcc.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))")
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    done = _fresh_python("import sys, maskcc.cli; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("cmd", ["compile", "analyze", "oracle"])
+def test_runs_without_a_leakage_check_need_no_numpy(cmd, capsys, tmp_path):
+    """Same exit code and stdout as with numpy; `compile` writes the same `.s`."""
+    outs = [tmp_path / "with", tmp_path / "without"]
+    flags = [["--out-dir", str(d)] if cmd == "compile" else [] for d in outs]
+    rc, out, _ = run_cli(capsys, cmd, XOR_P0, *flags[0])
+    done = _fresh_python(WITHOUT_NUMPY, cmd, XOR_P0, *flags[1])
+    assert (done.returncode, done.stderr) == (rc, "") == (0, "")
+    assert done.stdout == out
+    if cmd == "compile":
+        assert (outs[1] / "xor_p0.s").read_text() == (outs[0] / "xor_p0.s").read_text()
+
+
+@pytest.mark.parametrize("argv", [["compile", "--verify"], ["simulate"]],
+                         ids=lambda argv: argv[0])
+def test_leakage_check_without_numpy_exits_1_with_one_line(argv, tmp_path):
+    if argv[0] == "compile":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    done = _fresh_python(WITHOUT_NUMPY, argv[0], XOR_P0, *argv[1:])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: the leakage check needs numpy>=2.0")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
 def _raise(error):
     def raising(*args):
         raise error

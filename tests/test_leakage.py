@@ -2,8 +2,9 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -543,6 +544,21 @@ def test_uninitialized_load_message_unchanged(address, inputs, fixed):
         leak_stats(h, fixed)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("read of uninitialized memory address ('abs', ")
+
+
+@pytest.mark.parametrize("sampling", [Exhaustive(), MonteCarlo(samples=10)],
+                         ids=["exhaustive", "montecarlo"])
+def test_numpy_without_bitwise_count_is_named(sampling, monkeypatch):
+    """numpy 1.x has no `bitwise_count`: the first lane walk says which
+    numpy it found instead of failing inside the walk."""
+    old = ModuleType("numpy")
+    old.__version__ = "1.26.4"
+    monkeypatch.setitem(sys.modules, "numpy", old)
+    h = Harness((MInstr(1, "copy", 1, (("reg", 0),)),),
+                ((0, SecurityClass.RANDOM, 0),), 4)
+    with pytest.raises(leakage.NumpyMissing) as e:
+        check_equivalence(h, {}, ({}, {}), sampling)
+    assert str(e.value) == "the leakage check needs numpy>=2.0, found numpy 1.26.4"
 
 
 def test_shared_draws_give_the_verdict_of_separate_draws():
