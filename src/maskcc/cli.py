@@ -13,8 +13,8 @@ cannot be written). Subcommands return 0, 1, 3 or 4 and raise on bad input:
 `ModelBuildError`, `oracle.OracleError`, `leakage.SimulationError`) and 1
 for an `OSError`, which only an output raises, and for
 `leakage.NumpyMissing`, which only the leakage check (`compile --verify`,
-`simulate`) raises: no other subcommand needs numpy. Any other exception
-is a bug and surfaces as a traceback.
+`simulate`) raises, before their search: no other subcommand needs
+numpy. Any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -251,6 +251,8 @@ def cmd_compile(args) -> int:
     out_dir = _writable_dir(Path(args.out_dir))
     if args.dump_model:
         Path(args.dump_model).write_text(json.dumps(dump_model(model), indent=2))
+    if args.verify:
+        leakage._numpy()  # a missing numpy fails here, before the search
     outcome = solver.solve(model, budget)
     report = {
         "program": prog.name,
@@ -287,8 +289,10 @@ def cmd_compile(args) -> int:
             print("verification failed: output is leaky", file=sys.stderr)
             rc = EXIT_FAIL
     (out_dir / f"{prog.name}.s").write_text("\n".join(report["asm"]) + "\n")
-    (out_dir / f"{prog.name}.report.json").write_text(json.dumps(report, indent=2))
-    _emit(args, report)
+    text = json.dumps(report, indent=2)
+    (out_dir / f"{prog.name}.report.json").write_text(text)
+    if args.json:
+        print(text)
     return rc
 
 
@@ -369,6 +373,7 @@ def cmd_simulate(args) -> int:
         )
 
     model = secure if args.secure else base
+    leakage._numpy()  # a missing numpy fails here, before the search
     outcome = solver.solve(model, budget)
     if outcome.solution is None:
         return _unsolved(outcome)

@@ -1,7 +1,7 @@
 """The four pair sets that parameterize the secure backend constraints.
 
 Every pair verdict is the base (conservative) classification of the xor of
-the two expressions, read from the operands' cached base sets
+the two expressions, read from the operands' fact records
 (`Classifier.xor_base`). Copies share expressions, so pairs are really
 relations between value classes, decided once per class pair here. One
 expansion, `model.expand_security`, turns them into member relations: over

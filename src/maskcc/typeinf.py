@@ -18,14 +18,21 @@ Two rule sets coexist:
   only the uniform-random and no-secret rules. They judge the xor of two
   temps' expressions, one verdict per pair in the pair sets fed to the
   secure backend, and are deliberately more conservative on xors of
-  equal-valued temporaries. Plain support does not cancel, so each verdict
-  is read from the two operands' cached support, unique-random and mask
-  sets, and no xor node is built.
+  equal-valued temporaries.
+
+The work is linear in the expression DAG. Each node gets one `Facts`
+record, built once from its children's: the support, unique-random and
+mask sets under both rule sets and the random and secret leaves, as int bit
+sets over leaf ids. Every rule reads bit operations on records. Plain
+support does not cancel, so a base verdict is read from the two operands'
+records and no xor node is built. A class is memoized per (node, rewrite
+depth), so the rewrites never classify one operand twice at one depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import Literal, Program, SecurityClass
 
@@ -72,203 +79,202 @@ class Binary:
 Expr = Var | Const | Unary | Binary
 
 
-class Classifier:
-    """Caches supp/unq/dom per expression object (exprs form a shared DAG).
+class Facts(NamedTuple):
+    """What the rules read of one expression node, as int bit sets over `Var.id`.
 
-    Each auxiliary function has a `cancel` flag: True selects the extended
-    rules (xor-cancellation in supp), False the base rules (plain syntactic
-    support). Caches are keyed by object identity; cached expressions are
-    pinned so a recycled address can never alias a dead node.
+    `supp`/`unq`/`dom` follow the extended rules (xor cancellation), the
+    `base_` fields the base rules (plain syntactic support, so `base_supp`
+    holds every input leaf of the node). `rand` and `sec` are the Random and
+    Secret input leaves.
+    """
+
+    xor_only: bool
+    supp: int
+    unq: int
+    dom: int
+    base_supp: int
+    base_unq: int
+    base_dom: int
+    rand: int
+    sec: int
+
+
+_CONST_FACTS = Facts(True, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def _ids(bits: int) -> frozenset[int]:
+    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+class Classifier:
+    """One `Facts` record per expression node, and a (node, depth) class memo.
+
+    Expressions form a shared DAG. Each node's record is built once, bottom
+    up from its children's records, and every rule reads bit operations on
+    records. `classify(e, depth)` depends only on e and depth, so it is
+    computed once per pair, also inside the NEST/DISTR rewrites: the front
+    end does work linear in the nodes, rewrite-built ones included. Both
+    caches are keyed by object identity; a node is pinned when its record is
+    inserted, so a recycled address can never alias a dead node.
     """
 
     def __init__(self) -> None:
         self._pin: dict[int, Expr] = {}
-        self._supp: dict[tuple[int, bool], frozenset[int]] = {}
-        self._unq: dict[tuple[int, bool], frozenset[int]] = {}
-        self._dom: dict[tuple[int, bool], frozenset[int]] = {}
-        self._xoronly: dict[int, bool] = {}
-        self._leaves: dict[tuple[int, SecurityClass], frozenset[int]] = {}
-        self._cls: dict[int, SecurityClass] = {}
+        self._facts: dict[int, Facts] = {}
+        self._cls: dict[tuple[int, int], SecurityClass] = {}
 
-    def _key(self, e: Expr) -> int:
+    def facts(self, e: Expr) -> Facts:
+        """The record of e, built on first use."""
         k = id(e)
-        self._pin[k] = e
-        return k
+        f = self._facts.get(k)
+        if f is None:
+            f = self._facts[k] = self._build(e)
+            self._pin[k] = e
+        return f
 
-    # -- auxiliary functions -----------------------------------------------
-
-    def xor_only(self, e: Expr) -> bool:
-        """True iff every binary node in e is an exclusive or."""
-        key = self._key(e)
-        if key not in self._xoronly:
-            if isinstance(e, (Var, Const)):
-                r = True
-            elif isinstance(e, Unary):
-                r = self.xor_only(e.child)
-            else:
-                r = e.op == "xor" and self.xor_only(e.left) and self.xor_only(e.right)
-            self._xoronly[key] = r
-        return self._xoronly[key]
-
-    def leaves(self, e: Expr, cls: SecurityClass) -> frozenset[int]:
-        """Ids of the input leaves of class `cls` anywhere in e."""
-        key = (self._key(e), cls)
-        r = self._leaves.get(key)
-        if r is None:
-            if isinstance(e, Var):
-                r = frozenset([e.id]) if e.cls is cls else frozenset()
-            elif isinstance(e, Const):
-                r = frozenset()
-            elif isinstance(e, Unary):
-                r = self.leaves(e.child, cls)
-            else:
-                r = self.leaves(e.left, cls) | self.leaves(e.right, cls)
-            self._leaves[key] = r
-        return r
-
-    def supp(self, e: Expr, cancel: bool = True) -> frozenset[int]:
-        """Input leaves feeding e; with `cancel`, after xor cancellation."""
-        key = (self._key(e), cancel)
-        r = self._supp.get(key)
-        if r is not None:
-            return r
+    def _build(self, e: Expr) -> Facts:
         if isinstance(e, Var):
-            r = frozenset([e.id])
-        elif isinstance(e, Const):
-            r = frozenset()
-        elif isinstance(e, Unary):
-            r = self.supp(e.child, cancel)
-        elif cancel and e.op == "xor" and self.xor_only(e):
+            bit = 1 << e.id
+            rand = bit if e.cls is SecurityClass.RANDOM else 0
+            sec = bit if e.cls is SecurityClass.SECRET else 0
+            return Facts(True, bit, rand, rand, bit, rand, rand, rand, sec)
+        if isinstance(e, Const):
+            return _CONST_FACTS
+        if isinstance(e, Unary):
+            return self.facts(e.child)
+        a, b = self.facts(e.left), self.facts(e.right)
+        xor = e.op == "xor"
+        xor_only = xor and a.xor_only and b.xor_only
+        if xor_only:
             # symmetric difference: shared leaves cancel pairwise
-            r = self.supp(e.left) ^ self.supp(e.right)
+            supp = a.supp ^ b.supp
         elif (
-            cancel
-            and e.op == "xor"
+            xor
             and isinstance(e.right, Binary)
             and e.right.op == "xor"
             and e.right.left == e.left
         ):
             # nested cancellation: a ^ (a ^ b) keeps only b
-            r = self.supp(e.right.right)
+            supp = self.facts(e.right.right).supp
         else:
-            r = self.supp(e.left, cancel) | self.supp(e.right, cancel)
-        self._supp[key] = r
-        return r
+            supp = a.supp | b.supp
+        # unique randoms: shared support removed; masks: xor:ed in, used once
+        unq = (a.unq | b.unq) & ~(a.supp & b.supp)
+        base_unq = (a.base_unq | b.base_unq) & ~(a.base_supp & b.base_supp)
+        return Facts(
+            xor_only,
+            supp,
+            unq,
+            (a.dom | b.dom) & unq if xor else 0,
+            a.base_supp | b.base_supp,
+            base_unq,
+            (a.base_dom | b.base_dom) & base_unq if xor else 0,
+            a.rand | b.rand,
+            a.sec | b.sec,
+        )
+
+    # -- auxiliary functions, as sets --------------------------------------
+
+    def xor_only(self, e: Expr) -> bool:
+        """True iff every binary node in e is an exclusive or."""
+        return self.facts(e).xor_only
+
+    def leaves(self, e: Expr, cls: SecurityClass) -> frozenset[int]:
+        """Ids of the input leaves of class `cls` anywhere in e."""
+        f = self.facts(e)
+        if cls is SecurityClass.RANDOM:
+            return _ids(f.rand)
+        if cls is SecurityClass.SECRET:
+            return _ids(f.sec)
+        return _ids(f.base_supp & ~(f.rand | f.sec))
+
+    def supp(self, e: Expr, cancel: bool = True) -> frozenset[int]:
+        """Input leaves feeding e; with `cancel`, after xor cancellation."""
+        f = self.facts(e)
+        return _ids(f.supp if cancel else f.base_supp)
 
     def unq(self, e: Expr, cancel: bool = True) -> frozenset[int]:
         """Random leaves appearing exactly once (shared support removed)."""
-        key = (self._key(e), cancel)
-        r = self._unq.get(key)
-        if r is not None:
-            return r
-        if isinstance(e, (Var, Const)):
-            r = self.leaves(e, SecurityClass.RANDOM)
-        elif isinstance(e, Unary):
-            r = self.unq(e.child, cancel)
-        else:
-            r = (self.unq(e.left, cancel) | self.unq(e.right, cancel)) - (
-                self.supp(e.left, cancel) & self.supp(e.right, cancel)
-            )
-        self._unq[key] = r
-        return r
+        f = self.facts(e)
+        return _ids(f.unq if cancel else f.base_unq)
 
     def dom(self, e: Expr, cancel: bool = True) -> frozenset[int]:
         """Random leaves that still mask e (xor:ed in, used once)."""
-        key = (self._key(e), cancel)
-        r = self._dom.get(key)
-        if r is not None:
-            return r
-        if isinstance(e, (Var, Const)):
-            r = self.leaves(e, SecurityClass.RANDOM)
-        elif isinstance(e, Unary):
-            r = self.dom(e.child, cancel)
-        elif e.op == "xor":
-            r = (self.dom(e.left, cancel) | self.dom(e.right, cancel)) & self.unq(
-                e, cancel
-            )
-        else:
-            r = frozenset()
-        self._dom[key] = r
-        return r
+        f = self.facts(e)
+        return _ids(f.dom if cancel else f.base_dom)
 
     def xor_base(self, a: Expr, b: Expr) -> SecurityClass:
         """Base rules on a ^ b: uniform-random, else public without secret leaves.
 
         Plain support does not cancel, so the xor's masks follow from the
-        operands' cached sets and no node is built for the pair: they are
+        operands' records and no node is built for the pair: they are
         (dom a | dom b) & unq(a ^ b), where unq(a ^ b) is (unq a | unq b)
         minus the shared support, and dom lies within unq.
         """
-        shared = self.supp(a, False) & self.supp(b, False)
-        if (self.dom(a, False) | self.dom(b, False)) - shared:
+        fa, fb = self.facts(a), self.facts(b)
+        if (fa.base_dom | fb.base_dom) & ~(fa.base_supp & fb.base_supp):
             return SecurityClass.RANDOM
-        S = SecurityClass.SECRET
-        if not (self.leaves(a, S) or self.leaves(b, S)):
-            return SecurityClass.PUBLIC
-        return S
+        if fa.sec | fb.sec:
+            return SecurityClass.SECRET
+        return SecurityClass.PUBLIC
 
     # -- extended classification -------------------------------------------
 
     def classify(self, e: Expr, depth: int = 0) -> SecurityClass:
-        key = self._key(e)
-        if depth == 0 and key in self._cls:
-            return self._cls[key]
-        r = self._classify(e, depth)
-        if depth == 0:
-            self._cls[key] = r
+        key = (id(e), depth)
+        r = self._cls.get(key)
+        if r is None:
+            # _classify reads the record of e first, which pins e
+            r = self._cls[key] = self._classify(e, depth)
         return r
 
     def _classify(self, e: Expr, depth: int) -> SecurityClass:
         R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
-        if self.dom(e):  # RAND
+        f = self.facts(e)
+        if f.dom:  # RAND
             return R
-        if not (self.supp(e) & self.leaves(e, S)):  # PUB1 (dom is empty here)
+        if not (f.supp & f.sec):  # PUB1 (dom is empty here)
             return P
         if not isinstance(e, Binary):
             return S
         a, b = e.left, e.right
+        fa, fb = self.facts(a), self.facts(b)
         ca, cb = self.classify(a, depth), self.classify(b, depth)
         # PUB2: both public, disjoint support
-        if ca is P and cb is P and not (self.supp(a) & self.supp(b)):
+        if ca is P and cb is P and not (fa.supp & fb.supp):
             return P
         if e.op not in ("xor", "gf_mul"):
             # PUB3: both random, one mask outside the other's support
-            if ca is R and cb is R and (
-                self.dom(a) - self.supp(b) or self.dom(b) - self.supp(a)
-            ):
+            if ca is R and cb is R and (fa.dom & ~fb.supp or fb.dom & ~fa.supp):
                 return P
             # PUB7: public/random with disjoint support
-            for x, cx, y, cy in ((a, ca, b, cb), (b, cb, a, ca)):
-                if cx is P and cy is R and not (self.supp(x) & self.supp(y)):
+            for fx, cx, fy, cy in ((fa, ca, fb, cb), (fb, cb, fa, ca)):
+                if cx is P and cy is R and not (fx.supp & fy.supp):
                     return P
         if e.op == "gf_mul":
             # PUB4: both random, masks not identical
-            if ca is R and cb is R and (
-                self.dom(a) - self.dom(b) or self.dom(b) - self.dom(a)
-            ):
+            if ca is R and cb is R and fa.dom != fb.dom:
                 return P
             # PUB6: random times public with a surviving mask
-            for x, cx, y, cy in ((a, ca, b, cb), (b, cb, a, ca)):
-                if cx is R and cy is P and (self.dom(x) - self.supp(y)):
+            for fx, cx, fy, cy in ((fa, ca, fb, cb), (fb, cb, fa, ca)):
+                if cx is R and cy is P and fx.dom & ~fy.supp:
                     return P
         # PUB5: random operand whose mask/support mirror the other side
-        for x, cx, y in ((a, ca, b), (b, cb, a)):
+        for fx, cx, fy in ((fa, ca, fb), (fb, cb, fa)):
             if (
                 cx is R
-                and not (self.dom(x) - self.supp(y))
-                and self.dom(x) == self.dom(y)
-                and self.supp(x) == self.supp(y)
+                and not (fx.dom & ~fy.supp)
+                and fx.dom == fy.dom
+                and fx.supp == fy.supp
             ):
                 return P
         if e.op == "xor":
             # PUB9: both public, no shared random leaf
-            if ca is P and cb is P:
-                rand_ids = self.leaves(a, R) | self.leaves(b, R)
-                if not (self.supp(a) & self.supp(b) & rand_ids):
-                    return P
+            if ca is P and cb is P and not (fa.supp & fb.supp & (fa.rand | fb.rand)):
+                return P
             # PUB8: one side is the product of the other with a third factor
             # that shares no leaf with it; (y * o) ^ y = y * (o ^ 1)
-            for x, y, cy in ((a, b, cb), (b, a, ca)):
+            for x, y, fy, cy in ((a, b, fb, cb), (b, a, fa, ca)):
                 if isinstance(x, Binary) and x.op == "gf_mul":
                     other = None
                     if x.left == y:
@@ -278,7 +284,7 @@ class Classifier:
                     if (
                         other is not None
                         and cy is not S
-                        and not (self.supp(other) & self.supp(y))
+                        and not (self.facts(other).supp & fy.supp)
                         and self.classify(other, depth) is not S
                     ):
                         return P

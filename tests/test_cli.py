@@ -410,6 +410,23 @@ def test_leakage_check_without_numpy_exits_1_with_one_line(argv, tmp_path):
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv", [["compile", "--verify"], ["simulate"]],
+                         ids=lambda argv: argv[0])
+def test_missing_numpy_stops_a_leakage_run_before_the_search(argv, tmp_path):
+    """The numpy check comes first: no search runs and nothing is written."""
+    out_dir = tmp_path / "out"
+    if argv[0] == "compile":
+        argv = argv + ["--out-dir", str(out_dir)]
+    no_search = ("from maskcc import solver; "
+                 "solver.solve = lambda *args: sys.exit('the search ran'); ")
+    code = WITHOUT_NUMPY.replace("from maskcc.cli", no_search + "from maskcc.cli")
+    done = _fresh_python(code, argv[0], XOR_P0, *argv[1:])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: the leakage check needs numpy>=2.0")
+    assert done.stderr.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == ([out_dir] if argv[0] == "compile" else [])
+
+
 def _raise(error):
     def raising(*args):
         raise error

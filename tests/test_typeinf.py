@@ -7,8 +7,11 @@ secrets. The classifier's verdicts are tested against these oracles on small
 expressions, and the named examples are frozen.
 """
 
+import functools
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from maskcc.bits import apply_binop, mask
 from maskcc.ir import SecurityClass, parse_program
 from maskcc.model import elab_types, elaborate
 from maskcc.typeinf import (
+    REWRITE_DEPTH,
     Binary,
     Classifier,
     Const,
@@ -27,6 +31,9 @@ from maskcc.typeinf import (
     infer_types,
 )
 from test_stress import gen_kernel
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 R, P, S = SecurityClass.RANDOM, SecurityClass.PUBLIC, SecurityClass.SECRET
 W = 4
@@ -434,3 +441,137 @@ def test_xor_base_matches_base_rules_on_explicit_xor(name):
         else:
             want = P
         assert cl.xor_base(a, b) is want, f"{a} ^ {b}"
+
+
+# -- the per-node records against an independent definition ---------------------
+
+
+def _per_node(f):
+    """Memoize f by node identity, holding each node so that its id stays
+    unique. Shared subtrees make the long chains' trees exponentially large;
+    nothing is shared with the classifier."""
+    memo = {}
+
+    @functools.wraps(f)
+    def by_node(e, *args):
+        key = (id(e), *args)
+        if key not in memo:
+            memo[key] = (e, f(e, *args))
+        return memo[key][1]
+
+    return by_node
+
+
+@_per_node
+def ref_xor_only(e):
+    if isinstance(e, Unary):
+        return ref_xor_only(e.child)
+    if isinstance(e, Binary):
+        return e.op == "xor" and ref_xor_only(e.left) and ref_xor_only(e.right)
+    return True
+
+
+@_per_node
+def ref_leaves(e, cls):
+    if isinstance(e, Var):
+        return {e.id} if e.cls is cls else set()
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, Unary):
+        return ref_leaves(e.child, cls)
+    return ref_leaves(e.left, cls) | ref_leaves(e.right, cls)
+
+
+@_per_node
+def ref_supp(e, cancel):
+    if isinstance(e, Var):
+        return {e.id}
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, Unary):
+        return ref_supp(e.child, cancel)
+    if cancel and e.op == "xor":
+        if ref_xor_only(e):  # shared leaves cancel pairwise
+            return ref_supp(e.left, True) ^ ref_supp(e.right, True)
+        r = e.right
+        if isinstance(r, Binary) and r.op == "xor" and r.left == e.left:
+            return ref_supp(r.right, True)  # a ^ (a ^ b) keeps only b
+    return ref_supp(e.left, cancel) | ref_supp(e.right, cancel)
+
+
+@_per_node
+def ref_unq(e, cancel):
+    if isinstance(e, (Var, Const)):
+        return ref_leaves(e, R)
+    if isinstance(e, Unary):
+        return ref_unq(e.child, cancel)
+    shared = ref_supp(e.left, cancel) & ref_supp(e.right, cancel)
+    return (ref_unq(e.left, cancel) | ref_unq(e.right, cancel)) - shared
+
+
+@_per_node
+def ref_dom(e, cancel):
+    if isinstance(e, (Var, Const)):
+        return ref_leaves(e, R)
+    if isinstance(e, Unary):
+        return ref_dom(e.child, cancel)
+    if e.op != "xor":
+        return set()
+    return (ref_dom(e.left, cancel) | ref_dom(e.right, cancel)) & ref_unq(e, cancel)
+
+
+def chain_64(seed):
+    """The benchmark's long-chain recipe at 64 ops (mips-like has the registers)."""
+    return workloads.ladder_kernel(seed, 64, window=4)
+
+
+# where the rule sets part: t3 cancels to no leaf under the extended rules
+# only, and t7 is a ^ (a ^ b) with an `and` for a
+CANCELLING = """func cancelling width 4
+in t0:secret t1:random t2:public
+t3 = xor t1, t1
+t4 = xor t3, t1
+t5 = and t0, t1
+t6 = xor t5, t2
+t7 = xor t5, t6
+out t4 t7
+"""
+RECORD_SOURCES = {
+    **REFERENCE_SOURCES,
+    "cancelling": CANCELLING,
+    **{f"chain64_s{s}": chain_64(s) for s in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", RECORD_SOURCES)
+def test_records_match_the_reference_on_every_node(name):
+    """Every node the classifier holds, rewrite-built ones included."""
+    cl = infer_types(parse_program(RECORD_SOURCES[name])).classifier
+    nodes = list(cl._pin.values())
+    assert len(nodes) == len(cl._facts)
+    for e in nodes:
+        # compare values only: the repr of a long chain's node is exponential
+        got = cl.xor_only(e), [cl.leaves(e, c) for c in (R, P, S)]
+        want = ref_xor_only(e), [ref_leaves(e, c) for c in (R, P, S)]
+        assert got == want
+        for cancel in (True, False):
+            got = cl.supp(e, cancel), cl.unq(e, cancel), cl.dom(e, cancel)
+            want = ref_supp(e, cancel), ref_unq(e, cancel), ref_dom(e, cancel)
+            assert got == want
+
+
+def test_classify_runs_once_per_node_and_depth(monkeypatch):
+    """The 64-op chain of seed 6 once took minutes: with a class memo only at
+    depth 0 the NEST/DISTR rewrites re-classified every operand, millions of
+    `_classify` calls. Now each (node, rewrite depth) pair is classified once."""
+    calls = 0
+    classify = Classifier._classify
+
+    def counting(self, e, depth):
+        nonlocal calls
+        calls += 1
+        return classify(self, e, depth)
+
+    monkeypatch.setattr(Classifier, "_classify", counting)
+    cl = infer_types(parse_program(chain_64(6))).classifier
+    assert 0 < calls <= len(cl._facts) * (REWRITE_DEPTH + 1)

@@ -8,7 +8,9 @@ Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `simulate`, `compile --insecure`, the `ORACLE_CASES` under
 `oracle` at slack 0 and 1, `kernels/ptr_store.ir` under `oracle` (thumb-like,
 reg: a complete report, its secure model infeasible), the benchmark's ladder
-and deep kernels under `analyze` and `compile`, and a 100-op xor chain under
+and deep kernels under `analyze` and `compile`, eight 64-op chains of the
+deep recipe (`workloads.ladder_kernel(s, 64, window=4)`, seeds 0-7) under
+`compile --insecure` (mips-like, none/reg), and a 100-op xor chain under
 `analyze` (none/full) and
 `compile --insecure` (mips-like, none/full). The 2-share ISW and Trichina
 AND kernels (width 8, five inputs) run under `compile`, secure with
@@ -157,6 +159,17 @@ for name, (text, preset, budgets) in generated.items():
         record(f"analyze_{name}_{budget}", ["analyze", str(path), "--copy-budget", budget])
         compile_into(f"compile_{name}_{budget}", path, "--target", preset,
                      "--copy-budget", budget, "--budget-nodes", "2000")
+# 64-op chains of the deep recipe, where type inference once re-classified
+# every operand at each rewrite depth and took minutes for one kernel. Their
+# types and pair sets come from compile reports: `analyze` prints each
+# temp's expression as a tree, up to 10^9 characters here.
+for s in range(8):
+    path = irdir / f"deep_s{s}_n64.ir"
+    path.write_text(workloads.ladder_kernel(s, 64, window=4))
+    for budget in ("none", "reg"):
+        compile_into(f"compile_deep_s{s}_n64_{budget}--insecure", path, "--target",
+                     "mips-like", "--copy-budget", budget, "--budget-nodes", "2000",
+                     "--insecure")
 
 # the paper's kernel size, where the front end's pair sets grow quadratically
 chain = irdir / "chain_100.ir"
