@@ -42,6 +42,7 @@ from .model import (
     elaborate,
 )
 from .target import TargetError, resolve_target
+from .typeinf import Binary, Unary
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -114,7 +115,32 @@ def _class_name(env, t: int) -> str:
     return str(env.cls(t)).capitalize()
 
 
+# At most this many characters of expressions in one `analyze` report: each
+# expression prints as a tree, so a shared DAG's print grows exponentially
+# with chain depth
+ANALYZE_EXPR_CHARS = 1 << 24
+
+
+def _printed_length(e, memo: dict[int, int]) -> int:
+    """`len(str(e))`, memoized per expression node."""
+    n = memo.get(id(e))
+    if n is None:
+        if isinstance(e, Unary):  # op(child)
+            n = len(e.op) + 2 + _printed_length(e.child, memo)
+        elif isinstance(e, Binary):  # (left op right)
+            n = len(e.op) + 4 + _printed_length(e.left, memo) + _printed_length(e.right, memo)
+        else:
+            n = len(str(e))
+        memo[id(e)] = n
+    return n
+
+
 def analysis_dict(prog, env, sets) -> dict:
+    memo: dict[int, int] = {}
+    chars = sum(_printed_length(env.expr(tid), memo) for tid in prog.visible_temps())
+    if chars > ANALYZE_EXPR_CHARS:
+        raise _InputError(f"the expressions of {prog.name} print as {chars:,} characters, "
+                          f"over the {ANALYZE_EXPR_CHARS:,} an analysis report may hold")
     cl = env.classifier
     temps = {}
     for tid in prog.visible_temps():

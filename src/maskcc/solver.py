@@ -85,7 +85,7 @@ op), and when the subset of every optional op fails, no subset can pass.
 
 Before any walk, `preflight_infeasible` proves some models infeasible
 statically and names the family. Besides an input outside its argument
-register's domain and a key with no hider at all, it has five proofs.
+register's domain and a key with no hider at all, it has six proofs.
 Three show that some spairs key can never get a hider on both sides: a
 key the out op reads (the out op issues last, so nothing follows it), a
 mandatory two-address op whose key overwrites an operand that cannot hide
@@ -94,9 +94,11 @@ one (in each register, hiders bracket and separate its keys). The fourth,
 family `rpairs`, reads the per-op table: a mandatory two-address op whose
 definition may overwrite no alt of any temp operand. The fifth, family
 `two-address`, is the capacity check failing with every optional op
-active. They only reject models with no solution, so they change no
-search order and no solution; such a model stops after 0 nodes instead of
-exhausting or timing out.
+active. The sixth, family `preassign-result`, follows the overwrites the
+walk may make in the result register from its input and finds that none
+leads to an alt of the first output. They only reject models with no
+solution, so they change no search order and no solution; such a model
+stops after 0 nodes instead of exhausting or timing out.
 
 The walk reads each location through `held`: `held[loc]` is the occupant
 of `loc` as the rules see it, or None when `loc` is empty or holds a dead
@@ -248,6 +250,27 @@ def preflight_infeasible(model: ExtendedModel, facts: list) -> tuple[str, str] |
       an operand class that the out op does not keep (see the module
       docstring). No smaller subset has more instances. Family
       `two-address`.
+
+    A sixth proof, run last so that every model an earlier proof rejects
+    keeps its family, shows that the first output can never reach the
+    result register R:
+
+    - Result-register chain. Temps never move, and each temp is written
+      once, to one location, so R's occupants form a chain in time. It
+      starts at the input whose argument register is R (or with R empty),
+      and the out op reads its first selection, an alt of its first slot,
+      intact from R, so the chain reaches such an alt. Each link prev -> d
+      is a write of d over prev in R that both `_walk` and
+      `model.check_solution` must allow: R is in d's locations (the op's
+      `locs`, so not the in op, whose inputs sit in their own argument
+      registers); prev is not in d's `never` set; a key d has prev among
+      its hiders (nothing, or an empty R, hides it); a key prev has d among
+      its hiders; and a two-address op with temp slots writes d over an
+      operand it selects, intact in R at its cycle, so prev is an alt of
+      one of its slots. The links over all ops, every optional op counted
+      as available and a two-address op limited only by its alts,
+      over-approximate those writes. If no alt can be reached from the
+      start, no solution exists. Family `preassign-result`.
     """
     prog = model.program
     sec = model.security
@@ -317,7 +340,34 @@ def preflight_infeasible(model: ExtendedModel, facts: list) -> tuple[str, str] |
             f"instance, but the operand classes ({', '.join(f't{c}' for c in classes)}) "
             f"have only {spare} to lose, every copy and reload included",
         )
-    return None
+    rr = model.result_reg
+    first = next((slot.alts for _i, slot in prog.out_op.temp_slots()), ())
+    start = next((t.id for t, _cls in prog.inputs if prog.temps[t.id].input_index == rr),
+                 None)
+    if not first or start in first:
+        return None
+    writers = [f for o, f in enumerate(facts[1:], start=1)
+               if f is not None and f.d is not None and rr in f.locs and o != prog.in_op.id]
+    reached, queue = {start}, [start]
+    for prev in queue:  # the queue grows as it is read
+        for f in writers:
+            d = f.d
+            if (d in reached or prev in f.never
+                    or (f.hiders is not None and prev not in f.hiders)
+                    or (prev in sec.spairs and d not in sec.spairs[prev])
+                    or (f.two_address and f.alts and all(prev not in a for a in f.alts))):
+                continue
+            if d in first:
+                return None
+            reached.add(d)
+            queue.append(d)
+    return (
+        "preassign-result",
+        f"the first output t{first[0]} can never reach result register "
+        f"{model.target.reg_name(rr)}: no chain of allowed overwrites leads from "
+        f"its initial occupant ({'empty' if start is None else f't{start}'}) to "
+        f"t{first[0]} or a copy of it",
+    )
 
 
 class _ResultRule(NamedTuple):

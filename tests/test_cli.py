@@ -13,7 +13,11 @@ import pytest
 from conftest import FIXTURE_SOURCES
 from maskcc import cli, solver
 from maskcc.cli import main, validate_report
-from maskcc.ir import ParseError
+from maskcc.ir import ParseError, parse_program
+from maskcc.model import elab_types, elaborate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -114,6 +118,33 @@ def test_compile_300_op_chain(capsys, tmp_path):
     )
     assert rc == 0 and "Traceback" not in err
     assert json.loads(out)["status"] == "Optimal"
+
+
+def test_printed_length_matches_the_printed_expression():
+    """The length walk counts what `str` prints, node for node, on every
+    fixture and on the benchmark's 28-op chains (up to about 10^5
+    characters a temp)."""
+    sources = list(FIXTURE_SOURCES.values()) + [
+        workloads.ladder_kernel(s, 28, window=4) for s in range(8)]
+    for src in sources:
+        env = elab_types(elaborate(parse_program(src)))
+        memo = {}
+        for e in env.exprs.values():
+            assert cli._printed_length(e, memo) == len(str(e))
+
+
+def test_analyze_refuses_an_exponential_print_early(capsys, tmp_path):
+    """The 64-op chain of seed 6 prints its expressions as trees of about
+    7 * 10^9 characters in all: `analyze` says so in one line and exits 2
+    before it builds any string."""
+    path = tmp_path / "chain64.ir"
+    path.write_text(workloads.ladder_kernel(6, 64, window=4))
+    rc, out, err = run_cli(capsys, "analyze", str(path), "--copy-budget", "reg")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: the expressions of deep_s6_n64 print as ")
+    assert err.endswith(f" characters, over the {cli.ANALYZE_EXPR_CHARS:,} an analysis "
+                        f"report may hold\n")
+    assert err.count("\n") == 1
 
 
 def test_compile_150_op_chain_under_full_copy_budget(capsys, tmp_path):

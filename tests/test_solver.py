@@ -45,11 +45,13 @@ def test_infeasible_names_spair_family():
 
 
 def test_infeasible_by_exhaustion():
-    # without copies the final result cannot reach the return register securely
-    _, secure, _ = build_models("goubin_mask", "thumb-like", "none")
+    # no preflight proof applies, so the search walks every subset and
+    # finds no leaf
+    _, secure, _ = build_models("spill_sec", "thumb-like", "none")
     out = solve(secure)
     assert out.status == "Infeasible"
     assert out.solution is None
+    assert out.infeasible_family is None and out.stats.nodes > 0
 
 
 # One kernel per static spairs proof of `preflight_infeasible` (copy budget
@@ -224,6 +226,139 @@ def test_two_address_capacity_preflight_proof(case):
     assert instances <= out.solution.active
     optimum, sols = brute_force(model)
     assert out.solution.objective == optimum and out.solution in sols
+
+
+# One kernel per clause of the result-register chain proof (the sixth
+# preflight proof) that the proof needs there: (target, copy budget,
+# source). In each, t0 arrives in R0, the result register.
+RESULT_CHAIN_PROOFS = {
+    # t2 and t4 form rpairs with t0, and the key t3 = gf_mul t1, t1 has
+    # only t2 and t4 as hiders, so no value may overwrite t0; without the
+    # hider clause t0 -> t3 -> t4 would reach the output
+    "hider": ("mips-like", "none", """
+func hider width 4
+in t0:random t1:secret
+t2 = xor t0, t1
+t3 = gf_mul t1, t1
+t4 = xor t1, t0
+out t4
+"""),
+    # with copies: t0 -> t2 (t0's copy) -> t3 (t1's copy, a key hidden by
+    # t2) is allowed, but only random t2, t6, t7 may follow the key t3, and
+    # the output t8 and its copy t9 form rpairs with t0, t2, t4-t7 and may
+    # not overwrite the secret input t1
+    "pending key": ("mips-like", "reg", """
+func pending_key width 4
+in t0:random t1:secret
+t2 = xor t1, t1
+t3 = xor t2, t0
+t4 = add t2, t0
+out t4
+"""),
+    # with spills: secret t0 may be overwritten only by t0's spill store
+    # t9, which goes to a stack slot, never R0; without the domain filter
+    # t0 -> t9 -> t16 (the output's reload) would reach the output
+    "result-register domain": ("mips-like", "full", """
+func domain width 4
+in t0:secret t1:random
+t2 = xor t1, t0
+t3 = add t2, t2
+out t3
+"""),
+}
+
+
+@pytest.mark.parametrize("clause", RESULT_CHAIN_PROOFS)
+def test_result_register_chain_preflight_proof(clause):
+    target, budget, src = RESULT_CHAIN_PROOFS[clause]
+    _, _, secure = front_end(parse_program(src), PRESETS[target], budget)
+    out = solve(secure)
+    assert (out.status, out.infeasible_family, out.stats.nodes) == (
+        "Infeasible", "preassign-result", 0)
+    assert "can never reach result register R0" in out.message
+    assert "initial occupant (t0)" in out.message
+    # the walk without the preflight finds no leaf
+    s = _Searcher(secure, SolveBudget(seconds=None, nodes=20_000))
+    try:
+        s.run()
+    except _Budget:
+        pass
+    assert s.stats.leaves == 0
+
+
+def test_deep_result_register_timeouts_are_proofs():
+    """Without the proof, each walks its whole 2,000-node budget (and 200k
+    nodes) to a Timeout. deep_s3_n28: the secret t0 sits in R0 and
+    every value the body computes is Public, so the secret-input guard
+    forbids each to overwrite t0. deep_s4_n28: public t0 sits in R0, and
+    under its rpairs no chain of overwrites from t0 reaches t31, the
+    output's one alt."""
+    for seed in (3, 4):
+        prog = parse_program(workloads.ladder_kernel(seed, 28, window=4))
+        _, _, secure = front_end(prog, PRESETS["mips-like"], "none")
+        out = solve(secure, SolveBudget(seconds=None, nodes=workloads.DEEP_NODES))
+        assert (out.status, out.infeasible_family, out.stats.nodes) == (
+            "Infeasible", "preassign-result", 0)
+        assert out.message.startswith("the first output t31 can never reach result register R0")
+
+
+SECRET_R0 = (Path(__file__).resolve().parents[1] / "kernels" / "secret_r0.ir").read_text()
+
+
+@pytest.mark.parametrize("preset", ["thumb-like", "mips-like"])
+@pytest.mark.parametrize("copies", ["none", "reg", "full"])
+def test_secret_input_in_the_result_register_is_a_proof(preset, copies):
+    """`kernels/secret_r0.ir`: secret t0 arrives in R0, and nothing derived
+    from public t1 may overwrite it, so the output never reaches R0."""
+    base, _, secure = front_end(parse_program(SECRET_R0), PRESETS[preset], copies)
+    out = solve(secure)
+    assert (out.status, out.infeasible_family, out.stats.nodes) == (
+        "Infeasible", "preassign-result", 0)
+    assert solve(base).status == "Optimal"
+    if copies == "none":
+        assert brute_force(secure) == (None, [])
+
+
+@pytest.mark.parametrize("name", ["two_shares", "goubin_mask"])
+def test_two_address_clause_alone_proves_the_fixture(name):
+    """On thumb-like without copies, the output's op is two-address: it
+    writes the output over the operand it reads from R0. Of its operands,
+    only the one computed from the input in R0 can reach R0, and it forms an
+    rpair with the output; the other, t1, sits in R1. Without the
+    two-address clause the proof does not fire."""
+    _, secure, _ = build_models(name, "thumb-like", "none")
+    out = solve(secure)
+    assert (out.status, out.infeasible_family, out.stats.nodes) == (
+        "Infeasible", "preassign-result", 0)
+    facts = solver._op_facts(secure)
+    loose = facts[:1] + [f and f._replace(two_address=False) for f in facts[1:]]
+    assert solver.preflight_infeasible(secure, loose) is None
+
+
+def test_result_register_chain_proof_is_sound():
+    """On generated kernels, every model the chain proof rejects has no
+    leaf: the walk without the preflight finds none within its budget."""
+    fired = 0
+    for seed in range(5000, 5040):
+        prog = parse_program(gen_kernel(random.Random(seed), seed, seed % 3 == 0))
+        for target in ("mini", "quad", "thumb-like", "mips-like"):
+            for budget in ("none", "reg", "full"):
+                try:
+                    models = front_end(prog, TARGETS[target], budget)
+                except ModelBuildError:
+                    continue
+                for model in (models[0], models[2]):
+                    pre = solver.preflight_infeasible(model, solver._op_facts(model))
+                    if pre is None or pre[0] != "preassign-result":
+                        continue
+                    fired += 1
+                    s = _Searcher(model, SolveBudget(seconds=None, nodes=5_000))
+                    try:
+                        s.run()
+                    except _Budget:
+                        pass
+                    assert s.stats.leaves == 0, (seed, target, budget)
+    assert fired == 42  # 12 of them on base models
 
 
 def _with_args(preset: str, n: int):

@@ -10,7 +10,8 @@ Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 reg: a complete report, its secure model infeasible), the benchmark's ladder
 and deep kernels under `analyze` and `compile`, eight 64-op chains of the
 deep recipe (`workloads.ladder_kernel(s, 64, window=4)`, seeds 0-7) under
-`compile --insecure` (mips-like, none/reg), and a 100-op xor chain under
+`compile --insecure` (mips-like, none/reg) and `analyze` (reg, refused as
+too large to print), and a 100-op xor chain under
 `analyze` (none/full) and
 `compile --insecure` (mips-like, none/full). The 2-share ISW and Trichina
 AND kernels (width 8, five inputs) run under `compile`, secure with
@@ -161,11 +162,13 @@ for name, (text, preset, budgets) in generated.items():
                      "--copy-budget", budget, "--budget-nodes", "2000")
 # 64-op chains of the deep recipe, where type inference once re-classified
 # every operand at each rewrite depth and took minutes for one kernel. Their
-# types and pair sets come from compile reports: `analyze` prints each
-# temp's expression as a tree, up to 10^9 characters here.
+# types and pair sets come from compile reports: `analyze` would print each
+# temp's expression as a tree, over 10^8 characters a kernel here, so it
+# refuses them with exit 2.
 for s in range(8):
     path = irdir / f"deep_s{s}_n64.ir"
     path.write_text(workloads.ladder_kernel(s, 64, window=4))
+    record(f"analyze_deep_s{s}_n64_reg", ["analyze", str(path), "--copy-budget", "reg"])
     for budget in ("none", "reg"):
         compile_into(f"compile_deep_s{s}_n64_{budget}--insecure", path, "--target",
                      "mips-like", "--copy-budget", budget, "--budget-nodes", "2000",
