@@ -43,18 +43,26 @@ by `model.check_solution`, which checks the base families from the program
 and target and each security family from the same tables.
 
 Pruning also checks the result-register rule (the out op's first
-selection sits in the result register) as each value is placed, not only
-when the out op issues. Call the first out slot's alts A. A write is
-rejected when it writes an alt of A outside the result register, or a
-temp outside A over an alt of A there, and afterwards no alt of A sits
-intact in the result register and none is defined by a pending active op. Temps never move
-and an overwritten value never comes back, so no alt can reach the result
-register after such a write: it roots a subtree with no leaf. When A has
-one alt, `_op_facts` narrows its definition's locations to the result
-register instead, and an overwrite of it there strands the out op's slot,
-which `_still_satisfiable` rejects. The cut removes only leafless
-subtrees, so it keeps every leaf, in search order, and runs in both
-modes; `SolveStats.result_prunes` counts it.
+selection sits in the result register) at every node, not only when the
+out op issues. Call the first out slot's alts A and the result register
+R. Each `_walk` first asks whether a chain of allowed overwrites by
+pending active ops still leads from R's `held` entry to an alt of A: the
+chain of `preflight_infeasible`'s sixth proof, with the same link rules
+(`_ResultReach`, one table per model, shared with the proof). Temps never
+move and each is written once, so below any leaf R's later occupants form
+such a chain, one link per pending active op; a node with none roots a
+subtree with no leaf and returns. The verdict depends only on R's entry
+and the pending ops that may write R, so it is memoized by those two
+across the search. Before that check would see it, a cheaper
+test rules out single writes: when an op writes an alt of A outside R, or
+a temp outside A over an alt of A in R, and afterwards no alt of A sits
+intact in R and none is defined by a pending active op, the op tries only
+its other locations (`_result_lost`). When A has one alt, `_op_facts`
+narrows its definition's locations to R instead, and an overwrite of it
+there strands the out op's slot, which `_still_satisfiable` rejects. Both
+cuts remove only leafless subtrees, so they keep every leaf, in search
+order, and run in both modes; `SolveStats.result_prunes` counts the nodes
+the chain check cuts and the ops whose writes at stake the test rules out.
 
 Before it walks an activeness subset, `run` checks Hall's condition on
 the operand instances that two-address ops destroy. The instances of a
@@ -96,7 +104,8 @@ definition may overwrite no alt of any temp operand. The fifth, family
 `two-address`, is the capacity check failing with every optional op
 active. The sixth, family `preassign-result`, follows the overwrites the
 walk may make in the result register from its input and finds that none
-leads to an alt of the first output. They only reject models with no
+leads to an alt of the first output; the walk asks the same question at
+every node. They only reject models with no
 solution, so they change no search order and no solution; such a model
 stops after 0 nodes instead of exhausting or timing out.
 
@@ -190,7 +199,9 @@ class SolveStats:
     leaves: int = 0
     table_prunes: int = 0  # child states dropped by the transposition table
     symmetry_skips: int = 0  # empty or plain-dead locations skipped as renamings
-    result_prunes: int = 0  # writes after which the first output cannot reach the result register
+    # nodes from which no chain of allowed overwrites leads the first output
+    # into the result register, and ops whose writes at stake would lose it
+    result_prunes: int = 0
     capacity_skips: int = 0  # subsets whose two-address ops cannot all destroy an operand instance
     wall_time: float = 0.0  # last: the report lists the fields in this order
 
@@ -270,7 +281,9 @@ def preflight_infeasible(model: ExtendedModel, facts: list) -> tuple[str, str] |
       one of its slots. The links over all ops, every optional op counted
       as available and a two-address op limited only by its alts,
       over-approximate those writes. If no alt can be reached from the
-      start, no solution exists. Family `preassign-result`.
+      start, no solution exists. Family `preassign-result`. The link
+      rules are `_ResultReach.links_from`, which the walk's check at every
+      node reads too.
     """
     prog = model.program
     sec = model.security
@@ -330,7 +343,7 @@ def preflight_infeasible(model: ExtendedModel, facts: list) -> tuple[str, str] |
                 f"two-address o{o} must write t{f.d} over an operand it may not "
                 f"overwrite",
             )
-    capacity = facts[0]
+    capacity = facts[0].capacity
     short = capacity and capacity.violation(o.id for o in prog.ops if not o.mandatory)
     if short:
         ops, classes, spare = short
@@ -341,32 +354,17 @@ def preflight_infeasible(model: ExtendedModel, facts: list) -> tuple[str, str] |
             f"have only {spare} to lose, every copy and reload included",
         )
     rr = model.result_reg
-    first = next((slot.alts for _i, slot in prog.out_op.temp_slots()), ())
+    reach = facts[0].reach
     start = next((t.id for t, _cls in prog.inputs if prog.temps[t.id].input_index == rr),
                  None)
-    if not first or start in first:
+    if reach is None or start in reach.first or reach.reachable(start, reach.mask):
         return None
-    writers = [f for o, f in enumerate(facts[1:], start=1)
-               if f is not None and f.d is not None and rr in f.locs and o != prog.in_op.id]
-    reached, queue = {start}, [start]
-    for prev in queue:  # the queue grows as it is read
-        for f in writers:
-            d = f.d
-            if (d in reached or prev in f.never
-                    or (f.hiders is not None and prev not in f.hiders)
-                    or (prev in sec.spairs and d not in sec.spairs[prev])
-                    or (f.two_address and f.alts and all(prev not in a for a in f.alts))):
-                continue
-            if d in first:
-                return None
-            reached.add(d)
-            queue.append(d)
     return (
         "preassign-result",
-        f"the first output t{first[0]} can never reach result register "
+        f"the first output t{reach.first[0]} can never reach result register "
         f"{model.target.reg_name(rr)}: no chain of allowed overwrites leads from "
         f"its initial occupant ({'empty' if start is None else f't{start}'}) to "
-        f"t{first[0]} or a copy of it",
+        f"t{reach.first[0]} or a copy of it",
     )
 
 
@@ -483,9 +481,77 @@ def _capacity_of(model: ExtendedModel) -> _Capacity | None:
     return capacity if ops and capacity.violation(()) else None
 
 
+class _ResultReach:
+    """The result-register chain of `preflight_infeasible`'s sixth proof,
+    which `_Searcher._walk` also asks at every node.
+
+    A link prev -> d is a write of d over prev in the result register R
+    that the walk and `model.check_solution` both allow. Each temp has one
+    defining op, so the links from prev are a bit set of ops
+    (`links_from`, which holds the link rules); each predecessor's set
+    (None: an empty R) is found on first use. `memo` maps (R's `held`
+    entry, the pending writers) to the walk's verdict. The key names every
+    op the verdict reads, so the memo holds across activeness subsets;
+    `run` sets `active` to each subset's writers.
+    """
+
+    __slots__ = ("first", "writers", "spairs", "mask", "firsts", "defs", "links",
+                 "active", "memo")
+
+    def __init__(self, first, writers, spairs):
+        self.first = first  # the alts of the out op's first slot
+        self.writers = writers  # (op, facts) of each op that may write R, the in op left out
+        self.spairs = spairs
+        self.mask = sum(1 << o for o, _f in writers)
+        self.firsts = sum(1 << o for o, f in writers if f.d in first)
+        self.defs = {o: f.d for o, f in writers}
+        self.links: dict[int | None, int] = {}
+        self.active = self.mask
+        self.memo: dict[tuple[int | None, int], bool] = {}
+
+    def links_from(self, prev: int | None) -> int:
+        """The ops whose writes may overwrite `prev` in R: prev is not in
+        d's `never` set, a key d has prev among its hiders, a key prev has
+        d among its hiders, and a two-address op with temp slots writes over
+        an alt of one of its slots."""
+        got = self.links.get(prev)
+        if got is None:
+            prev_hiders = self.spairs.get(prev)
+            got = self.links[prev] = sum(
+                1 << o for o, f in self.writers
+                if prev not in f.never
+                and (f.hiders is None or prev in f.hiders)
+                and (prev_hiders is None or f.d in prev_hiders)
+                and not (f.two_address and f.alts and all(prev not in a for a in f.alts))
+            )
+        return got
+
+    def reachable(self, start: int | None, pending: int) -> bool:
+        """Does a chain of links by the ops in the bit set `pending` lead
+        from `start`, R's occupant, to an alt of the first output?"""
+        defs, queue = self.defs, [start]
+        for prev in queue:  # the queue grows as it is read
+            new = self.links_from(prev) & pending
+            if new & self.firsts:
+                return True
+            pending ^= new  # each op's temp is queued once
+            while new:
+                low = new & -new
+                queue.append(defs[low.bit_length() - 1])
+                new ^= low
+        return False
+
+
+class _ModelFacts(NamedTuple):
+    """Index 0 of the `_op_facts` table: what concerns the whole model."""
+
+    capacity: _Capacity | None
+    reach: _ResultReach | None  # None when the out op reads no temp
+
+
 def _op_facts(model: ExtendedModel) -> list:
     """One `_OpFacts` per op id; index 0, which no op has, holds the
-    model's `_Capacity` (or None)."""
+    model's `_ModelFacts`."""
     prog, sec = model.program, model.security
     never: dict[int, set[int]] = {}
     for a, b in sec.rpairs:
@@ -501,7 +567,7 @@ def _op_facts(model: ExtendedModel) -> list:
         own, other = _ResultRule(first, first_defs, True), _ResultRule(first, first_defs, False)
     else:
         own = other = None
-    facts: list = [_capacity_of(model)]
+    facts: list = [None]
     for op in prog.ops:
         slots = list(op.temp_slots())
         is_out = op.kind == "out"
@@ -519,6 +585,10 @@ def _op_facts(model: ExtendedModel) -> list:
             d, locs, model.two_address(op), model.latency(op), is_out, op.is_memory,
             frozenset(never.get(d, ())), sec.spairs.get(d), result,
         ))
+    writers = tuple((o, f) for o, f in enumerate(facts[1:], start=1)
+                    if f.d is not None and model.result_reg in f.locs and o != prog.in_op.id)
+    reach = _ResultReach(first, writers, sec.spairs) if first else None
+    facts[0] = _ModelFacts(_capacity_of(model), reach)
     return facts
 
 
@@ -556,7 +626,8 @@ class _Searcher:
         self.solutions: list[Solution] = []
 
         # Static tables. `facts[o]` describes op o (and `facts[0]` the
-        # two-address capacities); `readers[t]` lists
+        # two-address capacities and the result-register links, with the
+        # walk's chain verdicts); `readers[t]` lists
         # (op, ((alt, alt's defining op), ...)) for each temp slot that names
         # temp t (temp ids are dense).
         self.facts = _op_facts(model) if facts is None else facts
@@ -662,7 +733,7 @@ class _Searcher:
         n_mand_real = sum(1 for o in ops if o.mandatory and o.kind not in ("in", "out"))
         opt_ids = [o.id for o in ops if not o.mandatory]
         kind = {o.id: o.kind for o in ops}
-        capacity = self.facts[0]
+        capacity, reach = self.facts[0]
         for k in range(len(opt_ids) + 1):
             if n_mand_real + k + 1 >= self.bound:
                 self.stats.propagations += 1
@@ -685,6 +756,8 @@ class _Searcher:
                 self.order = sorted(self.active)
                 if self.table is not None:  # its states hold for this subset only
                     self.table.clear()
+                if reach is not None:
+                    reach.active = sum(1 << o for o in self.active) & reach.mask
                 self._count_readers(combo, 1)
                 self._search()
                 self._count_readers(combo, -1)
@@ -735,13 +808,17 @@ class _Searcher:
     def _walk(self):
         """Issue each ready op with every operand selection and location.
 
+        First, a node from which no chain of allowed overwrites by pending
+        ops leads the first output into the result register returns (see
+        the module docstring); the verdict is memoized in `_ResultReach`.
         The selections are the product of the per-slot pools of temps still
         in place, in slot order. A two-address op tries only its temp
-        operands' locations. A location is rejected here, before `_issue`
-        commits anything, when the overwrite breaks a static rule of the
-        op's `never`/`hiders` tables or the pending-key rule, leaves the
-        first output no way into the result register (`_result_lost`, asked
-        once per op), or strands a pending operand (`_still_satisfiable`).
+        operands' locations. A location is left out when the write would
+        leave the first output no way into the result register
+        (`_result_lost`, asked once per op), and rejected here, before
+        `_issue` commits anything, when the overwrite breaks a static rule
+        of the op's `never`/`hiders` tables or the pending-key rule, or
+        strands a pending operand (`_still_satisfiable`).
         Each check reads the location's `held` entry. The pending-key rule
         reads it too: a key in place still waits for its hider, as nothing
         but a hider ever overwrites it.
@@ -760,17 +837,33 @@ class _Searcher:
         loc_of, ready_at, held, nregs = self.loc_of, self.ready_at, self.held, self.nregs
         symmetric, result_reg = self.symmetric, self.result_reg
         spairs, stats = self.sec.spairs, self.stats
+        reach = self.facts[0].reach
+        start = held[result_reg]
+        if reach is not None and start not in reach.first:
+            # may the first output still reach the result register?
+            pending = reach.active & ~self.issued_bits
+            key = (start, pending)
+            ok = reach.memo.get(key)
+            if ok is None:
+                ok = reach.memo[key] = reach.reachable(start, pending)
+            if not ok:
+                stats.result_prunes += 1
+                return
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
             idxs, d, never, hiders, rule = f.idxs, f.d, f.never, f.hiders, f.result
             pools = [[t for t in alts if t in loc_of] for alts in f.alts]
-            # `lost`: the writes of `o` that the result-register rule puts at
-            # stake (see `_ResultRule.own`) are dead ends. The `held` test
-            # skips the call where they cannot be: an alt stays in the result
-            # register after a write elsewhere, or one into it loses no alt.
-            lost = rule is not None and (
-                held[result_reg] in rule.alts) != rule.own and self._result_lost(o, rule)
+            # When the writes of `o` that the result-register rule puts at
+            # stake (see `_ResultRule.own`) are dead ends, `o` tries only the
+            # others. The `held` test skips the call where they cannot be: an
+            # alt stays in the result register after a write elsewhere, or
+            # one into it loses no alt.
+            open_locs = f.locs
+            if rule is not None and (held[result_reg] in rule.alts) != rule.own and (
+                    self._result_lost(o, rule)):
+                open_locs = [loc for loc in open_locs if (loc == result_reg) == rule.own]
+                stats.result_prunes += 1
             for combo in itertools.product(*pools):
                 # the first output must sit in the result register
                 if f.is_out and combo and loc_of[combo[0]] != result_reg:
@@ -791,9 +884,9 @@ class _Searcher:
                 if f.two_address and combo:
                     # it overwrites one of its temp operands (a binary op's
                     # slots are all data slots), in `f.locs` order: ascending
-                    locs = [loc for loc in sorted({loc_of[t] for t in combo}) if loc in f.locs]
+                    locs = [loc for loc in sorted({loc_of[t] for t in combo}) if loc in open_locs]
                 else:
-                    locs = f.locs
+                    locs = open_locs
                 free_tried = False
                 for loc in locs:
                     prev = held[loc]
@@ -809,8 +902,6 @@ class _Searcher:
                         or (prev in spairs and d not in spairs[prev])
                     ):
                         stats.propagations += 1
-                    elif lost and (loc == result_reg) != rule.own:
-                        stats.result_prunes += 1
                     elif prev is None or self._still_satisfiable(prev, o):
                         yield from self._issue(o, f, chosen, cycle, loc)
 

@@ -130,6 +130,15 @@ t14 = xor t10, t4
 out t13 t14
 """
 
+# Trichina's AND (CHES 2003) over the same shares and products:
+# c = (((r ^ a0 b0) ^ a0 rb) ^ ra b0) ^ ra rb, with r as the second output.
+TRICHINA = ISW2.split("t11 = ")[0].replace("func isw2", "func trichina") + """t11 = xor t4, t7
+t12 = xor t11, t8
+t13 = xor t12, t9
+t14 = xor t13, t10
+out t14 t4
+"""
+
 # The 3-share ISW AND, width 8: a, b secret (t0, t1); the share randoms
 # ra1, ra2, rb1, rb2 (t2-t5); the fresh randoms r01, r02, r12 (t6-t8).
 # Shares a0 = (a ^ ra1) ^ ra2, a1 = ra1, a2 = ra2, likewise for b; the nine
@@ -228,6 +237,15 @@ def test_two_address_capacity_preflight_proof(case):
     assert out.solution.objective == optimum and out.solution in sols
 
 
+class _NoReachSearcher(_Searcher):
+    """The search without the result-register check at each node; the
+    pre-commit test `_result_lost` stays."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.facts = [self.facts[0]._replace(reach=None)] + self.facts[1:]
+
+
 # One kernel per clause of the result-register chain proof (the sixth
 # preflight proof) that the proof needs there: (target, copy budget,
 # source). In each, t0 arrives in R0, the result register.
@@ -277,8 +295,8 @@ def test_result_register_chain_preflight_proof(clause):
         "Infeasible", "preassign-result", 0)
     assert "can never reach result register R0" in out.message
     assert "initial occupant (t0)" in out.message
-    # the walk without the preflight finds no leaf
-    s = _Searcher(secure, SolveBudget(seconds=None, nodes=20_000))
+    # the walk without the chain proof, before it or at each node, finds no leaf
+    s = _NoReachSearcher(secure, SolveBudget(seconds=None, nodes=20_000))
     try:
         s.run()
     except _Budget:
@@ -287,8 +305,9 @@ def test_result_register_chain_preflight_proof(clause):
 
 
 def test_deep_result_register_timeouts_are_proofs():
-    """Without the proof, each walks its whole 2,000-node budget (and 200k
-    nodes) to a Timeout. deep_s3_n28: the secret t0 sits in R0 and
+    """Without the chain proof, before the search and at each node, each
+    walks its whole 2,000-node budget (and 200k nodes) to a Timeout.
+    deep_s3_n28: the secret t0 sits in R0 and
     every value the body computes is Public, so the secret-input guard
     forbids each to overwrite t0. deep_s4_n28: public t0 sits in R0, and
     under its rpairs no chain of overwrites from t0 reaches t31, the
@@ -331,15 +350,18 @@ def test_two_address_clause_alone_proves_the_fixture(name):
     assert (out.status, out.infeasible_family, out.stats.nodes) == (
         "Infeasible", "preassign-result", 0)
     facts = solver._op_facts(secure)
-    loose = facts[:1] + [f and f._replace(two_address=False) for f in facts[1:]]
-    assert solver.preflight_infeasible(secure, loose) is None
+    loose = [f._replace(two_address=False) for f in facts[1:]]
+    reach = facts[0].reach
+    loose_reach = solver._ResultReach(
+        reach.first, tuple((o, loose[o - 1]) for o, _f in reach.writers), reach.spairs)
+    assert solver.preflight_infeasible(
+        secure, [facts[0]._replace(reach=loose_reach)] + loose) is None
 
 
-def test_result_register_chain_proof_is_sound():
-    """On generated kernels, every model the chain proof rejects has no
-    leaf: the walk without the preflight finds none within its budget."""
-    fired = 0
-    for seed in range(5000, 5040):
+def _generated_models(seeds):
+    """The base and secure models of `gen_kernel` on four targets under
+    every copy budget."""
+    for seed in seeds:
         prog = parse_program(gen_kernel(random.Random(seed), seed, seed % 3 == 0))
         for target in ("mini", "quad", "thumb-like", "mips-like"):
             for budget in ("none", "reg", "full"):
@@ -347,18 +369,96 @@ def test_result_register_chain_proof_is_sound():
                     models = front_end(prog, TARGETS[target], budget)
                 except ModelBuildError:
                     continue
-                for model in (models[0], models[2]):
-                    pre = solver.preflight_infeasible(model, solver._op_facts(model))
-                    if pre is None or pre[0] != "preassign-result":
-                        continue
-                    fired += 1
-                    s = _Searcher(model, SolveBudget(seconds=None, nodes=5_000))
-                    try:
-                        s.run()
-                    except _Budget:
-                        pass
-                    assert s.stats.leaves == 0, (seed, target, budget)
+                yield from (models[0], models[2])
+
+
+def test_result_register_chain_proof_is_sound():
+    """On generated kernels, every model the chain proof rejects has no
+    leaf: the walk without the preflight, and without the same check at
+    each node, finds none within its budget."""
+    fired = 0
+    for model in _generated_models(range(5000, 5040)):
+        pre = solver.preflight_infeasible(model, solver._op_facts(model))
+        if pre is None or pre[0] != "preassign-result":
+            continue
+        fired += 1
+        s = _NoReachSearcher(model, SolveBudget(seconds=None, nodes=5_000))
+        try:
+            s.run()
+        except _Budget:
+            pass
+        assert s.stats.leaves == 0, model.program.name
     assert fired == 42  # 12 of them on base models
+
+
+def test_result_register_node_check_keeps_every_result(monkeypatch):
+    """The check at each node cuts only subtrees with no leaf and changes no
+    search order: where both searches finish, they return the same status,
+    family, objective and solution, and the search with the check never
+    walks more nodes."""
+    budget = SolveBudget(seconds=None, nodes=20_000)
+    models = list(_generated_models(range(6000, 6040)))
+    got = [solve(m, budget) for m in models]
+    monkeypatch.setattr(solver, "_Searcher", _NoReachSearcher)
+    want = [solve(m, budget) for m in models]
+    decided = ("Optimal", "Infeasible")
+    for g, w in zip(got, want):
+        assert g.stats.nodes <= w.stats.nodes
+        if w.status in decided:
+            assert g.status in decided
+            assert (g.status, g.infeasible_family, g.solution and g.solution.objective,
+                    g.solution) == (w.status, w.infeasible_family,
+                                    w.solution and w.solution.objective, w.solution)
+    assert len(models) == 960
+    assert sum(g.stats.nodes for g in got) < sum(w.stats.nodes for w in want)
+
+
+def test_result_register_node_check_keeps_every_enumerated_solution():
+    """Enumerate mode finds the same solutions with and without the check,
+    up to one cycle above each optimum, in fewer nodes."""
+    nodes = {_Searcher: 0, _NoReachSearcher: 0}
+    for name, target, copies in ORACLE_CASES:
+        base, secure, _ = build_models(name, target, copies)
+        for model in (base, secure):
+            out = solve(model)
+            if out.solution is None:
+                continue
+            found = {}
+            for cls in nodes:
+                s = cls(model, SolveBudget(seconds=600.0), enumerate_all=True, cap=100000,
+                        makespan_cap=out.solution.objective + 1)
+                s.run()
+                found[cls] = set(s.solutions)
+                nodes[cls] += s.stats.nodes
+            assert found[_Searcher] == found[_NoReachSearcher], (name, target, copies)
+            assert found[_Searcher]
+    assert nodes[_Searcher] < nodes[_NoReachSearcher]
+
+
+def test_result_register_chain_proof_is_the_node_check_at_the_root():
+    """`preflight_infeasible` says `preassign-result` exactly when the walk's
+    check fails at the root of the subset with every op active. The walk
+    runs with a 0-node budget: its first ready op ends it, so a walk that
+    returns was cut before it."""
+    fired = checked = 0
+    for model in _generated_models(range(5000, 5040)):
+        pre = solver.preflight_infeasible(model, solver._op_facts(model))
+        if pre is not None and pre[0] != "preassign-result":
+            continue
+        s = _Searcher(model, SolveBudget(seconds=None, nodes=0))
+        s.active = {op.id for op in model.program.ops}
+        s.order = sorted(s.active)
+        s._count_readers([op.id for op in model.program.ops if not op.mandatory], 1)
+        try:
+            for _ in s._walk():
+                pass
+            cut = True
+        except _Budget:
+            cut = False
+        assert cut == (pre is not None) == (s.stats.result_prunes == 1)
+        fired += cut
+        checked += 1
+    assert fired == 42 and checked > 500
 
 
 def _with_args(preset: str, n: int):
@@ -368,14 +468,21 @@ def _with_args(preset: str, n: int):
 
 def test_isw2_and_needs_three_address():
     """Each share product overwrites a share it forms an rpair with on
-    thumb-like, which the search alone cannot see within 200k nodes."""
+    thumb-like, which the search alone cannot see within 200k nodes. On
+    three-address mips-like the secure search walks as many nodes as the
+    insecure one: the result-register check cuts every subtree in which the
+    first output can no longer reach R0."""
     budget = SolveBudget(seconds=None, nodes=200_000)
-    _, _, secure = front_end(parse_program(ISW2), _with_args("thumb-like", 6), "reg")
-    out = solve(secure, budget)
-    assert (out.status, out.infeasible_family, out.stats.nodes) == ("Infeasible", "rpairs", 0)
-    _, _, secure = front_end(parse_program(ISW2), _with_args("mips-like", 8), "reg")
-    out = solve(secure, budget)
-    assert (out.status, out.solution.objective, out.stats.nodes) == ("Optimal", 11, 90)
+    for src, nodes in ((ISW2, 27), (TRICHINA, 25)):
+        _, _, secure = front_end(parse_program(src), _with_args("thumb-like", 6), "reg")
+        out = solve(secure, budget)
+        assert (out.status, out.infeasible_family, out.stats.nodes) == (
+            "Infeasible", "rpairs", 0)
+        base, _, secure = front_end(parse_program(src), _with_args("mips-like", 8), "reg")
+        for model in (base, secure):
+            out = solve(model, budget)
+            assert (out.status, out.solution.objective, out.stats.nodes) == (
+                "Optimal", 11, nodes)
 
 
 @pytest.mark.parametrize("copies", ["none", "reg"])
@@ -597,18 +704,18 @@ def test_walk_state_restored_after_search(enumerate_all):
 LADDER_COUNTS = {
     (0, 3): ("Infeasible", None, 0, 0, 0),
     (0, 5): ("Infeasible", None, 0, 0, 0),
-    (0, 7): ("Optimal", 10, 1196, 1051, 1),
-    (0, 9): ("Optimal", 12, 2052, 4022, 1),
+    (0, 7): ("Optimal", 10, 97, 89, 1),
+    (0, 9): ("Optimal", 12, 741, 1195, 1),
     (0, 12): ("Infeasible", None, 0, 0, 0),
-    (1, 3): ("Optimal", 5, 37, 48, 1),
+    (1, 3): ("Optimal", 5, 32, 46, 1),
     (1, 5): ("Infeasible", None, 0, 0, 0),
-    (1, 7): ("Optimal", 10, 1108, 936, 1),
+    (1, 7): ("Optimal", 10, 364, 323, 1),
     (1, 9): ("Infeasible", None, 0, 0, 0),
     (1, 12): ("Infeasible", None, 0, 0, 0),
     (2, 3): ("Optimal", 4, 6, 4, 1),
     (2, 5): ("Infeasible", None, 0, 0, 0),
     (2, 7): ("Infeasible", None, 0, 0, 0),
-    (2, 9): ("Optimal", 12, 3696, 6757, 1),
+    (2, 9): ("Optimal", 12, 2211, 4146, 1),
     (2, 12): ("Infeasible", None, 0, 0, 0),
     (3, 3): ("Infeasible", None, 0, 0, 0),
     (3, 5): ("Infeasible", None, 0, 0, 0),
@@ -619,13 +726,12 @@ LADDER_COUNTS = {
 
 # The same rows for the search that keeps every dead value apart from an
 # empty location (`_NoPlainSearcher`); only the node and propagation
-# counts of four kernels differ.
+# counts of three kernels differ.
 NO_PLAIN_LADDER_COUNTS = {
     **LADDER_COUNTS,
-    (0, 7): ("Optimal", 10, 2013, 1350, 1),
-    (0, 9): ("Optimal", 12, 2052, 4054, 1),
-    (1, 7): ("Optimal", 10, 1780, 1541, 1),
-    (2, 9): ("Optimal", 12, 5742, 10138, 1),
+    (0, 7): ("Optimal", 10, 102, 93, 1),
+    (1, 7): ("Optimal", 10, 511, 487, 1),
+    (2, 9): ("Optimal", 12, 3387, 6150, 1),
 }
 
 # (fixture, target, copy budget, secure?, makespan cap) ->
@@ -634,17 +740,17 @@ ENUMERATE_COUNTS = {
     ("xor_p0", "mips-like", "none", False, 4): (15, 32, 1, 15),
     ("xor_p0", "mips-like", "none", True, 4): (14, 30, 2, 14),
     ("xor_p0", "thumb-like", "reg", False, 4): (156, 309, 35, 156),
-    ("xor_p0", "thumb-like", "reg", True, 4): (57, 130, 113, 57),
+    ("xor_p0", "thumb-like", "reg", True, 4): (57, 130, 56, 57),
     ("secmult_gf", "quad", "reg", False, 4): (110, 227, 57, 110),
-    ("secmult_gf", "quad", "reg", True, 6): (25, 411, 1217, 25),
+    ("secmult_gf", "quad", "reg", True, 6): (25, 411, 1146, 25),
     ("sec_reload", "quad", "reg", False, 4): (103, 208, 46, 103),
-    ("sec_reload", "quad", "reg", True, 6): (4, 148, 412, 4),
+    ("sec_reload", "quad", "reg", True, 6): (4, 148, 384, 4),
     ("mem_secret", "mini", "reg", False, 7): (1023, 10546, 3851, 1023),
-    ("mem_secret", "mini", "reg", True, 7): (9, 419, 607, 9),
+    ("mem_secret", "mini", "reg", True, 7): (9, 390, 403, 9),
     ("mem_pair", "mini", "none", False, 7): (32, 135, 15, 32),
     ("mem_pair", "mini", "none", True, 7): (12, 85, 31, 12),
     ("nohide", "thumb-like", "reg", False, 3): (31, 54, 16, 31),
-    ("nohide", "thumb-like", "reg", True, 8): (0, 10, 48, 0),
+    ("nohide", "thumb-like", "reg", True, 8): (0, 4, 0, 0),
 }
 
 
@@ -886,9 +992,10 @@ def test_capacity_check_matches_full_scan(enumerate_all):
     for model in _capacity_models():
         s = _Searcher(model, SolveBudget(seconds=None, nodes=3000),
                       enumerate_all=enumerate_all)
-        if s.facts[0] is None:
+        if s.facts[0].capacity is None:
             continue
-        recorded = s.facts[0] = _RecordedCapacity(s.facts[0])
+        recorded = _RecordedCapacity(s.facts[0].capacity)
+        s.facts[0] = s.facts[0]._replace(capacity=recorded)
         try:
             s.run()
         except _Budget:
