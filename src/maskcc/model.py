@@ -111,6 +111,12 @@ class ElabProgram:
     def out_op(self) -> ModelOp:
         return next(o for o in self.ops if o.kind == "out")
 
+    @cached_property
+    def slot_table(self) -> tuple[tuple[int, int, int], ...]:
+        """(op id, slot index, first alt) of every temp slot, in op order;
+        `SolutionView` finds each temp's readers here."""
+        return tuple((op.id, i, slot.alts[0]) for op in self.ops for i, slot in op.temp_slots())
+
     def visible_temps(self) -> list[int]:
         """Temps shown in analysis reports: everything except spill plumbing."""
         vis = [t.id for t, _ in self.inputs]
@@ -577,7 +583,18 @@ def make_solution(model, active, cycles, regs, sels) -> Solution:
 
 
 class SolutionView:
-    """Derived values (liveness, ranges, predicates) for one complete solution."""
+    """Derived values (liveness, ranges, predicates) for one complete solution.
+
+    The definitions are literal, so that `check_solution` can judge any
+    assignment: ties, duplicate cycles and overlapping live ranges
+    included. A live temp t's `lk` is the latest `le` among the other live
+    temps in its location that end no later than t starts; since every
+    `le` lies after its own `ls`, t never counts for itself. A memory op
+    o's `ok` is the latest cycle of another active memory op issued no
+    later than o. Each is derived once, `lk` per group of live temps in
+    one location and `ok` from the memory ops in cycle order, and the pair
+    sets walk those groups.
+    """
 
     def __init__(self, model: ExtendedModel, sol: Solution):
         self.model = model
@@ -589,26 +606,44 @@ class SolutionView:
         self._derive()
 
     def _derive(self):
-        prog = self.prog
-        self.active = set(self.sol.active)
-        self.live: set[int] = set()
-        self.ls: dict[int, int] = {}
-        self.le: dict[int, int] = {}
-        readers: dict[int, list[int]] = {}
-        for op in prog.ops:
-            if op.id not in self.active:
-                continue
-            for i, slot in op.temp_slots():
-                t = self.selmap.get((op.id, i), slot.alts[0])
-                readers.setdefault(t, []).append(op.id)
+        prog, cycle, selmap = self.prog, self.cycle, self.selmap
+        self.active = active = set(self.sol.active)
+        self.live = live = set()
+        self.ls = ls = {}
+        self.le = le = {}
+        read: dict[int, int] = {}  # temp -> the latest cycle an active op reads it
+        for o, i, first in prog.slot_table:
+            if o in active:
+                t = selmap.get((o, i), first)
+                if t not in read or cycle[o] > read[t]:
+                    read[t] = cycle[o]
         for tid, mt in prog.temps.items():
-            if mt.kind == "out":
-                continue
-            if mt.defined_by in self.active:
-                self.live.add(tid)
-                start = self.cycle[mt.defined_by]
-                self.ls[tid] = start
-                self.le[tid] = max([self.cycle[o] for o in readers.get(tid, [])] + [start + 1])
+            if mt.kind != "out" and mt.defined_by in active:
+                live.add(tid)
+                start = ls[tid] = cycle[mt.defined_by]
+                le[tid] = max(read.get(tid, start), start + 1)
+        # location -> the live temps assigned to it
+        self.groups: dict[int, list[int]] = {}
+        for t in live:
+            loc = self.reg.get(t)
+            if loc is not None:
+                self.groups.setdefault(loc, []).append(t)
+        self._lk: dict[int, int] = {}
+        for ts in self.groups.values():
+            for t in ts:
+                start, best = ls[t], -1
+                for t2 in ts:
+                    if best < le[t2] <= start:
+                        best = le[t2]
+                self._lk[t] = best
+        mems = self.mem_ops_active()
+        cycles = [cycle[o] for o in mems]
+        self._ok: dict[int, int] = {}
+        for i, o in enumerate(mems):
+            if i + 1 < len(mems) and cycles[i + 1] == cycles[i]:
+                self._ok[o] = cycles[i]  # another memory op shares its cycle
+            else:
+                self._ok[o] = cycles[i - 1] if i else -1
 
     # -- predicates ------------------------------------------------------
 
@@ -627,13 +662,7 @@ class SolutionView:
         return self.samereg(t1, t2) and self.le[t1] <= self.ls[t2]
 
     def lk(self, t: int) -> int:
-        if t not in self.live:
-            return -1
-        best = -1
-        for t2 in self.live:
-            if t2 != t and self.is_before(t2, t):
-                best = max(best, self.le[t2])
-        return best
+        return self._lk.get(t, -1)
 
     def subseq(self, t1: int, t2: int) -> bool:
         if t1 == t2:
@@ -641,10 +670,9 @@ class SolutionView:
         return self.samereg(t1, t2) and self.lk(t2) == self.le[t1]
 
     def mem_ops_active(self) -> list[int]:
-        return sorted(
-            (o for o in self.active if self.prog.op(o).is_memory),
-            key=lambda o: self.cycle[o],
-        )
+        ops = self.prog.ops
+        return sorted((o for o in self.active if ops[o - 1].is_memory),
+                      key=self.cycle.__getitem__)
 
     def is_before_mem(self, o1: int, o2: int) -> bool:
         return (
@@ -657,13 +685,7 @@ class SolutionView:
         )
 
     def ok(self, o: int) -> int:
-        if o not in self.active or not self.prog.op(o).is_memory:
-            return -1
-        best = -1
-        for o2 in self.active:
-            if self.prog.op(o2).is_memory and self.is_before_mem(o2, o):
-                best = max(best, self.cycle[o2])
-        return best
+        return self._ok.get(o, -1)
 
     def msubseq(self, o1: int, o2: int) -> bool:
         if o1 == o2:
@@ -678,22 +700,20 @@ class SolutionView:
 
     def subseq_pairs(self) -> set[tuple[int, int]]:
         """All (t1, t2) register-temp pairs with subseq true."""
-        regs = [t for t in self.live if self.prog.temps[t].kind == "reg"]
-        return {
-            (t1, t2)
-            for t1 in regs
-            for t2 in regs
-            if t1 != t2 and self.subseq(t1, t2)
-        }
+        temps, le, lk = self.prog.temps, self.le, self._lk
+        pairs = set()
+        for ts in self.groups.values():
+            regs = [t for t in ts if temps[t].kind == "reg"]
+            for t2 in regs:
+                pairs.update((t1, t2) for t1 in regs if t1 != t2 and le[t1] == lk[t2])
+        return pairs
 
     def msubseq_pairs(self) -> set[tuple[int, int]]:
-        mems = self.mem_ops_active()
-        return {
-            (o1, o2)
-            for o1 in mems
-            for o2 in mems
-            if o1 != o2 and self.msubseq(o1, o2)
-        }
+        by_cycle: dict[int, list[int]] = {}
+        for o in self._ok:
+            by_cycle.setdefault(self.cycle[o], []).append(o)
+        return {(o1, o2) for o2, c in self._ok.items() for o1 in by_cycle.get(c, ())
+                if o1 != o2}
 
 
 def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
@@ -759,13 +779,8 @@ def check_solution(model: ExtendedModel, sol: Solution) -> list[str]:
         if r not in model.r_dom[t]:
             errs.append(f"t{t} location {r} outside domain")
 
-    # no-overlap per location
-    by_loc: dict[int, list[int]] = {}
-    for t in v.live:
-        if prog.temps[t].kind == "out":
-            continue
-        by_loc.setdefault(v.reg[t], []).append(t)
-    for loc, ts in by_loc.items():
+    # no-overlap per location; a live temp with no location is reported above
+    for loc, ts in v.groups.items():
         for i, t1 in enumerate(ts):
             for t2 in ts[i + 1 :]:
                 if not (v.ls[t1] >= v.le[t2] or v.ls[t2] >= v.le[t1]):

@@ -14,14 +14,18 @@ transition forms, and `_security_ok` still judges every complete candidate.
 Schedules are canonical (each operation at the first cycle after the
 previous one that its operands and aliasing memory predecessors allow),
 which makes the solution space finite and directly comparable with the
-solver's enumeration. Optima are found by
-iterative deepening over the makespan.
+solver's enumeration. Optima are found by iterative deepening over the
+makespan, each step walking its level plus the slack of the enumeration
+the caller wants (Korf's depth-first iterative deepening, AIJ 1985): the
+walk that finds the optimum then holds every solution within the slack of
+it, and only an optimum above its step needs one more walk.
 
 Each level's walk reads per-op tables (memory deps, operand slots and their
 alternatives, the definition's locations, two-address flag, latency and
 forbidden predecessors) built once when the level starts.
-`compare_with_solver` at slack 0 takes the optimum's walk from
-`brute_force` as its enumeration instead of walking that level again.
+`compare_with_solver` takes its enumeration from `brute_force` at its
+slack instead of walking the optimum plus the slack again, and hands the
+solver's `solve` and `enumerate_solutions` one table of the model.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .model import (
     SolutionView,
     make_solution,
 )
-from .solver import SolveBudget, enumerate_solutions, solve
+from .solver import SolveBudget, enumerate_solutions, solve, solver_table
 
 
 class OracleError(Exception):
@@ -136,8 +140,8 @@ def _enumerate_level(model: ExtendedModel, level: int,
     their temps issued and still in place, its canonical cycle, and every
     location of its definition that `r_dom` and the two-address rule
     allow. An order is dropped once one cycle per remaining operation
-    would pass the level. Iterative deepening makes the first non-empty
-    level exact.
+    would pass the level. Iterative deepening takes the optimum from the
+    first walk that finds a solution.
 
     A branch is also dropped as soon as it forms a transition that
     `_security_ok` rejects for every completion. Along a walk the register
@@ -299,15 +303,24 @@ def brute_force(
     model: ExtendedModel,
     op_bound: int = 8,
     max_makespan: int | None = None,
+    slack: int = 0,
 ) -> tuple[int | None, list[Solution]]:
-    """Optimum by iterative deepening; returns (optimum, solutions at optimum).
+    """Optimum by iterative deepening; returns (optimum, solutions with
+    makespan <= optimum + slack).
 
-    (None, []) means the model is infeasible up to the horizon, or at
-    every makespan once a level without solutions cut nothing (see
-    `_enumerate_level`). All levels share one budget of `WORK_LIMIT`
-    operand selections. Work grows about geometrically with the level, so
-    a level whose predicted work (the last level's times the last growth
-    ratio) exceeds what is left raises `OracleError` before it is walked.
+    Deepening step L, from the lower bound up to the horizon, walks
+    makespan L + slack, so the walk that finds the optimum already holds
+    every solution within the slack of it, unless the optimum lies above
+    L; then one more walk, at optimum + slack, collects them. At slack 0
+    that never happens and each step walks its own level.
+
+    (None, []) means the model is infeasible up to the horizon plus the
+    slack, or at every makespan once a walk without solutions cut nothing
+    (see `_enumerate_level`). The deepening walks share one budget of
+    `WORK_LIMIT` operand selections. Work grows about geometrically with
+    the level, so a walk whose predicted work (the last walk's times the
+    last growth ratio) exceeds what is left raises `OracleError` before it
+    starts. The walk at optimum + slack gets a budget of its own.
     """
     _check_op_bound(model, op_bound)
     lb = sum(
@@ -315,8 +328,9 @@ def brute_force(
     ) + 1
     hi = max_makespan if max_makespan is not None else model.maxc
     left = WORK_LIMIT
-    before = last = 0  # the work of the last two levels walked
-    for level in range(lb, hi + 1):
+    before = last = 0  # the work of the last two walks
+    for step in range(lb, hi + 1):
+        level = step + slack
         predicted = last * last // before if before else 0
         if predicted > left:
             raise OracleError(
@@ -326,7 +340,10 @@ def brute_force(
             )
         sols, work, cut = _enumerate_level(model, level, left)
         if sols:
-            return level, sorted(set(sols), key=lambda s: s.sort_key())
+            opt = min(s.objective for s in sols)
+            if opt > step:  # the walk missed solutions within the slack of opt
+                sols = _enumerate_level(model, opt + slack, WORK_LIMIT)[0]
+            return opt, sorted(set(sols), key=lambda s: s.sort_key())
         if not cut:
             return None, []  # every deeper level walks the same tree
         left -= work
@@ -354,8 +371,9 @@ def trace_subseq(model: ExtendedModel, sol: Solution) -> set[tuple[int, int]]:
     for t, _cls in prog.inputs:
         contents[prog.temps[t.id].input_index] = t.id
     regs = dict(sol.regs)
+    cyc = dict(sol.cycles)
     pairs = set()
-    for op_id in sorted(sol.active, key=lambda o: dict(sol.cycles)[o]):
+    for op_id in sorted(sol.active, key=cyc.__getitem__):
         op = prog.op(op_id)
         if op.kind in ("in", "out") or not op.defs:
             continue
@@ -398,8 +416,10 @@ def compare_with_solver(
     )
     checks = []
     for label, model in (("insecure", base_model), ("secure", secure_model)):
-        opt, sols = brute_force(model, op_bound=op_bound)
-        out = solve(model, SolveBudget(seconds=300.0))
+        # every solution within the slack of the optimum
+        opt, oracle_sols = brute_force(model, op_bound=op_bound, slack=count_slack)
+        table = solver_table(model)  # both solver calls read it
+        out = solve(model, SolveBudget(seconds=300.0), table=table)
         solver_opt = out.solution.objective if out.solution else None
         if opt != solver_opt:
             report.discrepancies.append(
@@ -411,17 +431,15 @@ def compare_with_solver(
             report.secure_optimum = opt
         if opt is None:
             continue
-        cap = opt + count_slack
-        # brute force has just walked level opt, which is the slack-0 enumeration
-        oracle_sols = sols if count_slack == 0 else enumerate_all(model, cap, op_bound=op_bound)
-        solver_sols, truncated = enumerate_solutions(model, makespan_cap=cap)
+        solver_sols, truncated = enumerate_solutions(model, makespan_cap=opt + count_slack,
+                                                     table=table)
         if truncated:
             report.discrepancies.append(f"{label}: solver enumeration truncated")
         if label == "insecure":
             report.insecure_count = len(oracle_sols)
         else:
             report.secure_count = len(oracle_sols)
-        if {s.sort_key() for s in oracle_sols} != {s.sort_key() for s in solver_sols}:
+        if oracle_sols != solver_sols:  # both sorted by `sort_key`, without repeats
             report.discrepancies.append(
                 f"{label}: oracle enumerates {len(oracle_sols)} solutions, "
                 f"solver {len(solver_sols)}, sets differ"

@@ -52,17 +52,21 @@ chain of `preflight_infeasible`'s sixth proof, with the same link rules
 move and each is written once, so below any leaf R's later occupants form
 such a chain, one link per pending active op; a node with none roots a
 subtree with no leaf and returns. The verdict depends only on R's entry
-and the pending ops that may write R, so it is memoized by those two
-across the search. Before that check would see it, a cheaper
-test rules out single writes: when an op writes an alt of A outside R, or
-a temp outside A over an alt of A in R, and afterwards no alt of A sits
-intact in R and none is defined by a pending active op, the op tries only
-its other locations (`_result_lost`). When A has one alt, `_op_facts`
-narrows its definition's locations to R instead, and an overwrite of it
-there strands the out op's slot, which `_still_satisfiable` rejects. Both
-cuts remove only leafless subtrees, so they keep every leaf, in search
-order, and run in both modes; `SolveStats.result_prunes` counts the nodes
-the chain check cuts and the ops whose writes at stake the test rules out.
+and the pending ops that may write R, so it is memoized by those two for
+as long as the model's table lives (`SolverTable`: a caller that both
+solves and enumerates one model shares it). A chain found stays a chain
+while R keeps its entry and none of its ops issues, so the walk keeps the
+last one and asks again only when one of those changes. Before that check
+would see it, a cheaper test rules out single writes: when an op writes
+an alt of A outside R, or a temp outside A over an alt of A in R, and
+afterwards no alt of A sits intact in R and none is defined by a pending
+active op, the op tries only its other locations (`_result_lost`). When A
+has one alt, `_op_facts` narrows its definition's locations to R instead,
+and an overwrite of it there strands the out op's slot, which
+`_still_satisfiable` rejects. Both cuts remove only leafless subtrees, so
+they keep every leaf, in search order, and run in both modes;
+`SolveStats.result_prunes` counts the nodes the chain check cuts and the
+ops whose writes at stake the test rules out.
 
 Before it walks an activeness subset, `run` checks Hall's condition on
 the operand instances that two-address ops destroy. The instances of a
@@ -155,7 +159,8 @@ returned solutions are those of the unpruned search. Enumerate mode uses
 neither prune: its solution sets stay complete, renamings included.
 
 A solve call is single-threaded and self-contained; models are never
-mutated, so independent solves may run concurrently on shared models.
+mutated, so independent solves may run concurrently on shared models. A
+`SolverTable` a caller hands in serves one search at a time.
 """
 
 from __future__ import annotations
@@ -357,7 +362,7 @@ def preflight_infeasible(model: ExtendedModel, facts: list) -> tuple[str, str] |
     reach = facts[0].reach
     start = next((t.id for t, _cls in prog.inputs if prog.temps[t.id].input_index == rr),
                  None)
-    if reach is None or start in reach.first or reach.reachable(start, reach.mask):
+    if reach is None or start in reach.first or reach.chain(start, reach.mask):
         return None
     return (
         "preassign-result",
@@ -490,13 +495,14 @@ class _ResultReach:
     defining op, so the links from prev are a bit set of ops
     (`links_from`, which holds the link rules); each predecessor's set
     (None: an empty R) is found on first use. `memo` maps (R's `held`
-    entry, the pending writers) to the walk's verdict. The key names every
-    op the verdict reads, so the memo holds across activeness subsets;
-    `run` sets `active` to each subset's writers.
+    entry, the pending writers) to the walk's verdict, the ops of a chain
+    (0: none). The key names every op the verdict reads, so the memo holds
+    across activeness subsets and searches; `run` sets `active` to each
+    subset's writers and clears `last`, the walk's last chain and its start.
     """
 
     __slots__ = ("first", "writers", "spairs", "mask", "firsts", "defs", "links",
-                 "active", "memo")
+                 "active", "memo", "last")
 
     def __init__(self, first, writers, spairs):
         self.first = first  # the alts of the out op's first slot
@@ -507,7 +513,8 @@ class _ResultReach:
         self.defs = {o: f.d for o, f in writers}
         self.links: dict[int | None, int] = {}
         self.active = self.mask
-        self.memo: dict[tuple[int | None, int], bool] = {}
+        self.memo: dict[tuple[int | None, int], int] = {}  # verdict: `chain`'s bit set
+        self.last: tuple[int | None, int] = (None, 0)  # R's entry and the chain last found
 
     def links_from(self, prev: int | None) -> int:
         """The ops whose writes may overwrite `prev` in R: prev is not in
@@ -526,20 +533,23 @@ class _ResultReach:
             )
         return got
 
-    def reachable(self, start: int | None, pending: int) -> bool:
-        """Does a chain of links by the ops in the bit set `pending` lead
-        from `start`, R's occupant, to an alt of the first output?"""
-        defs, queue = self.defs, [start]
-        for prev in queue:  # the queue grows as it is read
+    def chain(self, start: int | None, pending: int) -> int:
+        """The ops of a chain of links by the ops in the bit set `pending`
+        from `start`, R's occupant, to an alt of the first output, as a bit
+        set; 0 if there is none."""
+        defs, queue, via = self.defs, [start], [0]  # via: the ops that led to each
+        for k, prev in enumerate(queue):  # the queue grows as it is read
             new = self.links_from(prev) & pending
-            if new & self.firsts:
-                return True
+            hit = new & self.firsts
+            if hit:
+                return via[k] | (hit & -hit)
             pending ^= new  # each op's temp is queued once
             while new:
                 low = new & -new
                 queue.append(defs[low.bit_length() - 1])
+                via.append(via[k] | low)
                 new ^= low
-        return False
+        return 0
 
 
 class _ModelFacts(NamedTuple):
@@ -758,6 +768,7 @@ class _Searcher:
                     self.table.clear()
                 if reach is not None:
                     reach.active = sum(1 << o for o in self.active) & reach.mask
+                    reach.last = (None, 0)
                 self._count_readers(combo, 1)
                 self._search()
                 self._count_readers(combo, -1)
@@ -840,15 +851,20 @@ class _Searcher:
         reach = self.facts[0].reach
         start = held[result_reg]
         if reach is not None and start not in reach.first:
-            # may the first output still reach the result register?
-            pending = reach.active & ~self.issued_bits
-            key = (start, pending)
-            ok = reach.memo.get(key)
-            if ok is None:
-                ok = reach.memo[key] = reach.reachable(start, pending)
-            if not ok:
-                stats.result_prunes += 1
-                return
+            # may the first output still reach the result register? The
+            # chain last found still leads there while R holds its start
+            # and none of its ops has issued
+            last_start, chain = reach.last
+            if not chain or chain & self.issued_bits or start != last_start:
+                pending = reach.active & ~self.issued_bits
+                key = (start, pending)
+                chain = reach.memo.get(key)
+                if chain is None:
+                    chain = reach.memo[key] = reach.chain(start, pending)
+                if not chain:
+                    stats.result_prunes += 1
+                    return
+                reach.last = (start, chain)
         for o in self._ready_ops():
             self._tick()
             f = self.facts[o]
@@ -1079,16 +1095,36 @@ class _Searcher:
         self.bound = sol.objective
 
 
-def solve(model: ExtendedModel, budget: SolveBudget | None = None) -> SolveOutcome:
+class SolverTable(NamedTuple):
+    """What `solve` and `enumerate_solutions` read of one model before they
+    search: the `_op_facts` table, which carries the result-register chain
+    memo, and `preflight_infeasible`'s verdict on it.
+
+    A caller that runs both on one model builds it once (`solver_table`)
+    and hands it to each. The memo grows as a search runs and `run` keeps
+    per-subset state in it, so a table serves one search at a time; it is
+    never stored on the model, which concurrent solves may share.
+    """
+
+    facts: list
+    infeasible: tuple[str, str] | None
+
+
+def solver_table(model: ExtendedModel) -> SolverTable:
+    facts = _op_facts(model)
+    return SolverTable(facts, preflight_infeasible(model, facts))
+
+
+def solve(model: ExtendedModel, budget: SolveBudget | None = None,
+          table: SolverTable | None = None) -> SolveOutcome:
     """Minimize makespan; deterministic for a fixed node budget."""
     budget = budget or SolveBudget()
-    facts = _op_facts(model)
-    pre = preflight_infeasible(model, facts)
+    table = table or solver_table(model)
     stats = SolveStats()
-    if pre is not None:
-        family, msg = pre
+    if table.infeasible is not None:
+        family, msg = table.infeasible
         return SolveOutcome("Infeasible", None, stats, family, msg)
-    s = _Searcher(model, budget, facts=facts)
+    s = _Searcher(model, budget, facts=table.facts)
     try:
         s.run()
         exhausted = True
@@ -1113,17 +1149,18 @@ def enumerate_solutions(
     model: ExtendedModel,
     cap: int = 100000,
     makespan_cap: int | None = None,
+    table: SolverTable | None = None,
 ) -> tuple[list[Solution], bool]:
     """All canonical solutions (optionally bounded by makespan), sorted.
 
     Returns (solutions, truncated). `truncated` reports that the walk
     stopped early: the cap was hit or the time budget ran out.
     """
-    facts = _op_facts(model)
-    if preflight_infeasible(model, facts) is not None:
+    table = table or solver_table(model)
+    if table.infeasible is not None:
         return [], False
     s = _Searcher(model, SolveBudget(seconds=600.0), enumerate_all=True, cap=cap,
-                  makespan_cap=makespan_cap, facts=facts)
+                  makespan_cap=makespan_cap, facts=table.facts)
     try:
         s.run()
         truncated = False

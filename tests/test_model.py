@@ -197,6 +197,129 @@ def test_msubseq_and_ok_on_memory_solution():
     assert v.msubseq_pairs() == {(a, b), (b, c)}
 
 
+# -- the live-range algebra, evaluated literally --------------------------------
+
+
+def reference_ranges(model, sol):
+    """(live, ls, le) as defined: a temp other than an out temp is live
+    when its defining op is active; it starts at that op's cycle and ends
+    at its last reader's cycle, or one after its start if that is later.
+    An unselected slot reads its first alt."""
+    prog = model.program
+    cycle, selmap, active = dict(sol.cycles), dict(sol.sels), set(sol.active)
+    readers = {}
+    for op in prog.ops:
+        if op.id in active:
+            for i, slot in op.temp_slots():
+                readers.setdefault(selmap.get((op.id, i), slot.alts[0]), []).append(op.id)
+    live, ls, le = set(), {}, {}
+    for tid, mt in prog.temps.items():
+        if mt.kind != "out" and mt.defined_by in active:
+            live.add(tid)
+            ls[tid] = cycle[mt.defined_by]
+            le[tid] = max([cycle[o] for o in readers.get(tid, [])] + [ls[tid] + 1])
+    return live, ls, le
+
+
+def reference_lk(v, t):
+    """The latest le among the other live temps before t in its location."""
+    if t not in v.live:
+        return -1
+    best = -1
+    for t2 in v.live:
+        if t2 != t and v.is_before(t2, t):
+            best = max(best, v.le[t2])
+    return best
+
+
+def reference_ok(v, o):
+    """The latest cycle among the other active memory ops before o."""
+    if o not in v.active or not v.prog.op(o).is_memory:
+        return -1
+    best = -1
+    for o2 in v.active:
+        if v.prog.op(o2).is_memory and v.is_before_mem(o2, o):
+            best = max(best, v.cycle[o2])
+    return best
+
+
+def reference_subseq_pairs(v):
+    regs = [t for t in v.live if v.prog.temps[t].kind == "reg"]
+    return {(t1, t2) for t1 in regs for t2 in regs
+            if t1 != t2 and v.samereg(t1, t2) and reference_lk(v, t2) == v.le[t1]}
+
+
+def reference_msubseq_pairs(v):
+    mems = v.mem_ops_active()
+    return {(o1, o2) for o1 in mems for o2 in mems
+            if o1 != o2 and reference_ok(v, o2) == v.cycle[o1]}
+
+
+def assert_view_is_literal(model, sol):
+    v = SolutionView(model, sol)
+    assert (v.live, v.ls, v.le) == reference_ranges(model, sol)
+    for t in model.program.temps:
+        assert v.lk(t) == reference_lk(v, t), t
+    for op in model.program.ops:
+        assert v.ok(op.id) == reference_ok(v, op.id), op.id
+    assert v.subseq_pairs() == reference_subseq_pairs(v)
+    assert v.msubseq_pairs() == reference_msubseq_pairs(v)
+    return v
+
+
+def test_view_matches_reference_on_oracle_solutions():
+    """Every solution within one cycle of each oracle combo's optimum."""
+    from conftest import ORACLE_CASES
+    from maskcc.oracle import brute_force, enumerate_all
+
+    checked = 0
+    for name, tgt, budget in ORACLE_CASES:
+        for model in build_models(name, tgt, budget)[:2]:
+            opt, _ = brute_force(model)
+            if opt is None:
+                continue
+            for sol in enumerate_all(model, opt + 1):
+                assert_view_is_literal(model, sol)
+                checked += 1
+    assert checked > 1000
+
+
+THREE_MEMOPS = "func f width 4\nin t0:random\nstore 0, t0\nstore 1, t0\nt1 = load 0\nout t1\n"
+
+
+@pytest.mark.parametrize("cycles, pairs", [
+    ({1: 0, 2: 1, 3: 1, 4: 2, 5: 3}, {(2, 3), (3, 2), (2, 4), (3, 4)}),
+    ({1: 0, 2: 1, 3: 2, 4: 2, 5: 3}, {(3, 4), (4, 3)}),  # the tie hides o2
+    ({1: 0, 2: 1, 3: 1, 4: 1, 5: 2}, {(a, b) for a in (2, 3, 4) for b in (2, 3, 4) if a != b}),
+])
+def test_view_matches_reference_on_memory_ops_sharing_a_cycle(cycles, pairs):
+    model = build_base_model(parse_program(THREE_MEMOPS), MINI, "none")
+    sol = make_solution(model, active={1, 2, 3, 4, 5}, cycles=cycles,
+                        regs={0: 0, 1: 1}, sels={(2, 0): 0, (3, 0): 0, (5, 0): 1})
+    assert "single-issue violated (duplicate cycles)" in check_solution(model, sol)
+    assert assert_view_is_literal(model, sol).msubseq_pairs() == pairs
+
+
+def test_view_matches_reference_on_invalid_register_assignments(thumb_models):
+    base, _, _ = thumb_models
+    shape = dict(active={1, 5, 7, 9}, cycles={1: 0, 5: 1, 7: 2, 9: 3})
+    sels = {(5, 0): 1, (5, 1): 2, (7, 0): 0, (7, 1): 6, (9, 0): 8}
+    overlap = make_solution(base, **shape, regs={0: 0, 1: 1, 2: 2, 6: 0, 8: 0}, sels=sels)
+    v = assert_view_is_literal(base, overlap)  # t6 lands on R0 while t0 lives
+    assert (v.lk(6), v.lk(8)) == (-1, 2)
+    assert v.subseq_pairs() == {(0, 8), (6, 8)}
+    unselected = make_solution(base, **shape, regs={0: 0, 1: 1, 2: 2, 6: 1, 8: 0},
+                               sels={k: t for k, t in sels.items() if k != (7, 0)})
+    assert assert_view_is_literal(base, unselected).le[0] == 2  # o7[0] reads its first alt
+    unplaced = make_solution(base, **shape, regs={0: 0, 1: 1, 6: 1, 8: 0}, sels=sels)
+    v = assert_view_is_literal(base, unplaced)
+    assert 2 in v.live and v.lk(2) == -1  # t2 has no location
+    overlaps = [e for e in check_solution(base, overlap) if "overlap" in e]
+    assert overlaps == ["live ranges of t0 and t6 overlap in loc 0"]
+    assert "o7 slot 0 unselected" in check_solution(base, unselected)
+    assert "live t2 has no location" in check_solution(base, unplaced)
+
+
 def test_overlapping_live_ranges_detected(thumb_models):
     base, _, _ = thumb_models
     bad = make_solution(

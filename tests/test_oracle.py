@@ -228,6 +228,62 @@ def test_slack_zero_walks_each_level_once(monkeypatch):
     assert len(walked) == len(set(walked)) == 4  # base level 3, secure levels 3-5
 
 
+@pytest.mark.parametrize("slack", [0, 1, 2])
+def test_slack_walk_finds_every_solution_within_the_slack(reports, solutions, slack):
+    """Deepening at makespan L + slack returns the slack-0 optimum and the
+    solutions `enumerate_all` finds up to optimum + slack."""
+    for key, (base, secure, rep) in reports.items():
+        for which, model, opt in (("base", base, rep.insecure_optimum),
+                                  ("secure", secure, rep.secure_optimum)):
+            got = brute_force(model, op_bound=8, slack=slack)
+            if opt is None:
+                assert got == (None, []), (key, which)
+            else:
+                assert got == (opt, list(solutions(key, which, opt + slack))), (key, which)
+
+
+def test_slack_walk_runs_once_more_with_its_own_budget(monkeypatch):
+    """secmult_gf's secure levels 4 (20 selections), 5 and 6 at slack 1:
+    the walk at level 5 finds the optimum 5, above its step 4, so level 6
+    is walked too, with a budget of its own."""
+    _, secure, _ = build_models("secmult_gf", "quad", "reg")
+    walked = []
+    enumerate_level = oracle._enumerate_level
+
+    def spy(model, level, limit):
+        walked.append((level, limit))
+        return enumerate_level(model, level, limit)
+
+    monkeypatch.setattr(oracle, "_enumerate_level", spy)
+    opt, sols = brute_force(secure, slack=1)
+    limit = oracle.WORK_LIMIT
+    assert walked == [(4, limit), (5, limit - 20), (6, limit)]
+    assert (opt, len(sols)) == (5, len(enumerate_all(secure, 6)))
+
+
+def test_slack_one_compare_walks_once_less_per_model(monkeypatch):
+    """Against brute force at slack 0 followed by one walk at optimum + 1,
+    `compare_with_solver` at slack 1 walks one level fewer per model."""
+    walked = []
+    enumerate_level = oracle._enumerate_level
+
+    def spy(model, level, limit):
+        walked.append(id(model))
+        return enumerate_level(model, level, limit)
+
+    monkeypatch.setattr(oracle, "_enumerate_level", spy)
+    for key in ORACLE_CASES:
+        models = build_models(*key)[:2]
+        before = {}
+        for model in models:
+            walked.clear()
+            opt, _ = brute_force(model, op_bound=8)
+            before[id(model)] = len(walked) + (opt is not None)
+        walked.clear()
+        assert compare_with_solver(*models, op_bound=8, count_slack=1).discrepancies == []
+        assert {m: walked.count(m) for m in before} == {m: n - 1 for m, n in before.items()}, key
+
+
 def leaf_secure(secure, sols):
     """Sort keys of the solutions `_security_ok` accepts, judged from the
     traced overwrite pairs, the memory operations in cycle order and the

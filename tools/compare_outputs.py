@@ -6,7 +6,8 @@
 Covers the test fixtures and `kernels/*.ir` under `analyze` (none/reg/full),
 `--json compile --verify --dump-model` (thumb-like/mips-like x none/reg/full),
 `simulate`, `compile --insecure`, the `ORACLE_CASES` under
-`oracle` at slack 0 and 1, `kernels/ptr_store.ir` under `oracle` (thumb-like,
+`oracle` at slack 0 and 1 (and `sec_reload` on quad/reg and `goubin_mask` on
+quad/none at slack 2), `kernels/ptr_store.ir` under `oracle` (thumb-like,
 reg: a complete report, its secure model infeasible), the benchmark's ladder
 and deep kernels under `analyze` and `compile`, eight 64-op chains of the
 deep recipe (`workloads.ladder_kernel(s, 64, window=4)`, seeds 0-7) under
@@ -122,6 +123,14 @@ for name, target, budget in ORACLE_CASES:
     argv = ["oracle", str(kernels[name]), "--target", tpath, "--copy-budget", budget]
     record(f"oracle_{name}_{target}_{budget}", argv)
     record(f"oracle_{name}_{target}_{budget}_slack1", [*argv, "--slack", "1"])
+# slack 2: the secure sec_reload model's optimum (5) lies above its lower
+# bound (3), so brute force walks once more at the optimum plus the slack;
+# every goubin_mask optimum is its lower bound, so one walk finds them all
+for name, target, budget in (("sec_reload", "quad", "reg"), ("goubin_mask", "quad", "none")):
+    tpath = str(repo / "perfbench" / "targets" / f"{target}.target")
+    record(f"oracle_{name}_{target}_{budget}_slack2",
+           ["oracle", str(kernels[name]), "--target", tpath, "--copy-budget", budget,
+            "--slack", "2"])
 # the Monte Carlo path: every fixture above is 4 bits wide and checked exhaustively
 montecarlo = ["--target", "mips-like", "--copy-budget", "reg", "--budget-nodes", "200000"]
 for name, width in (("spill_sec", 8), ("spill_sec", 16), ("spill_sec", 32), ("spill_force", 8)):
